@@ -16,7 +16,6 @@ import configparser
 import os
 import sys as _sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -266,6 +265,10 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
                 measures = [LatticeMeasure.from_text(b) for b in blocks]
                 if not measures:
                     diags.append(f"family.measures_file: no measures in {mpath}")
+                elif horizon is not None and horizon > len(measures):
+                    diags.append(
+                        f"run.horizon: {horizon} exceeds the {len(measures)} measures in {mpath}"
+                    )
                 else:
                     spec = SequenceSpec.from_measures(measures, name=f"list:{mfile.name}")
             except OSError as exc:
@@ -378,7 +381,7 @@ def _make_test_function(config: ExperimentConfig) -> TestFunction:
 
 
 # -- subcommands -------------------------------------------------------------------------
-def _cmd_convolve(config: ExperimentConfig, out: Path, threads: int) -> int:
+def _cmd_convolve(config: ExperimentConfig, out: Path) -> int:
     mus = convolve_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
     rows = []
     for n, mu in enumerate(mus, start=1):
@@ -395,19 +398,11 @@ def _cmd_convolve(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(config: ExperimentConfig, out: Path, threads: int) -> int:
+def _cmd_spectrum(config: ExperimentConfig, out: Path) -> int:
     ladder = sorted({2**j for j in range(0, config.horizon.bit_length()) if 2**j <= config.horizon} | {config.horizon})
     mus = convolve_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
-
-    def profile_for(n: int):
-        return n, fourier_eval(mus[n - 1], config.grid_size)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = list(pool.map(profile_for, ladder))
-    else:
-        profiles = [profile_for(n) for n in ladder]
-    for n, prof in profiles:
+    for n in ladder:
+        prof = fourier_eval(mus[n - 1], config.grid_size)
         rows = (
             (float(t), float(v.real), float(v.imag), float(abs(v)), float(abs(a)), float(abs(b)))
             for t, v, a, b in zip(prof.grid, prof.values, prof.d1, prof.d2)
@@ -423,7 +418,7 @@ def _cmd_spectrum(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_check(config: ExperimentConfig, out: Path, threads: int) -> int:
+def _cmd_check(config: ExperimentConfig, out: Path) -> int:
     report = check_convergence_hypotheses(
         config.spec,
         config.horizon,
@@ -438,10 +433,18 @@ def _cmd_check(config: ExperimentConfig, out: Path, threads: int) -> int:
         summary += "\n" + sweep.summary_text()
     _atomic_write(out / "hypothesis_summary.txt", _header(config, "check") + summary + "\n")
     print(summary)
+    cap_ns = report.traces["d2_depth_cap_n"]
+    if cap_ns:
+        print(
+            f"d2 quadrature hit its depth cap {len(cap_ns)} time(s), at prefix n = "
+            + ",".join(map(str, cap_ns))
+            + "; those rows hold the mean of the last two estimates",
+            file=_sys.stderr,
+        )
     return EXIT_OK
 
 
-def _cmd_simulate(config: ExperimentConfig, out: Path, threads: int) -> int:
+def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     f = _make_test_function(config)
     rows = weak11_table(
         config.system, config.spec, f, config.horizon, config.lambdas, prune_eps=config.prune_eps
@@ -472,7 +475,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_sweepout(config: ExperimentConfig, out: Path, threads: int) -> int:
+def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
     rows = dissipativity_trace(config.spec, config.window_k, config.horizon, prune_eps=config.prune_eps)
     _write_csv(
         out / "dissipativity.csv",
@@ -549,7 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="output directory (default: the config's run.out, else ./out)",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker threads for independent evaluations")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility (must be >= 1); every subcommand runs on one thread",
+        )
     return parser
 
 
@@ -584,7 +592,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     out = Path(args.out if args.out is not None else (config.out_dir or "out"))
     try:
-        return _SUBCOMMANDS[args.subcommand](config, out, args.threads)
+        return _SUBCOMMANDS[args.subcommand](config, out)
     except SupportCapError as exc:
         print(f"resource cap: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE

@@ -121,8 +121,9 @@ def check_convergence_hypotheses(
 
     When the second-derivative integrand oscillates at the scale of a fast
     growing support, its quadrature can hit the depth cap; the row then
-    records the last estimate and the event is counted in
-    ``traces["d2_depth_cap_hits"]`` instead of aborting the report.
+    records the mean of the last two estimates and the event is counted in
+    ``traces["d2_depth_cap_hits"]``, with the prefix indices n in
+    ``traces["d2_depth_cap_n"]``, instead of aborting the report.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -158,12 +159,12 @@ def check_convergence_hypotheses(
     phi_over_n = [float(phis[n - 1] / n) for n in range(1, N + 1)]
 
     d2s = []
-    d2_cap_hits = 0
-    for mu in products:
+    d2_cap_ns = []
+    for n, mu in enumerate(products, start=1):
         try:
             d2s.append(weighted_d2_integral(mu, target=d2_target, max_depth=d2_max_depth))
         except QuadratureError as exc:
-            d2_cap_hits += 1
+            d2_cap_ns.append(n)
             d2s.append(0.5 * (exc.last_two[0] + exc.last_two[1]))
     shifts = [tv_shift_distance(mu) for mu in products]
 
@@ -250,7 +251,8 @@ def check_convergence_hypotheses(
         traces={
             "shift_distance_trace": shifts,
             "phi": [float(p) for p in phis],
-            "d2_depth_cap_hits": d2_cap_hits,
+            "d2_depth_cap_hits": len(d2_cap_ns),
+            "d2_depth_cap_n": d2_cap_ns,
         },
     )
 

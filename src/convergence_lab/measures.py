@@ -198,7 +198,6 @@ def convolve(
     sparse, dense = (a, b) if a.nnz <= b.nnz else (b, a)
     if sparse.nnz <= _SPARSE_NNZ_CUTOFF:
         out = np.zeros(out_len, dtype=float)
-        base = sparse.min_index
         for i in np.flatnonzero(sparse.weights):
             out[i : i + len(dense.weights)] += sparse.weights[i] * dense.weights
     else:
@@ -338,15 +337,21 @@ class SequenceSpec:
         decompositions: Optional[Sequence[Decomposition]] = None,
     ) -> "SequenceSpec":
         ms = list(measures)
+
+        def at(items: list, n: int):
+            if not 1 <= n <= len(ms):
+                raise IndexError(f"sequence {name!r} holds factors 1..{len(ms)}, not {n}")
+            return items[n - 1]
+
         decomp = None
         if decompositions is not None:
             ds = list(decompositions)
             if len(ds) != len(ms):
                 raise ValueError("one decomposition per measure required")
-            decomp = lambda n: ds[n - 1]
+            decomp = lambda n: at(ds, n)
         return cls(
             name=name,
-            measure_at=lambda n: ms[n - 1],
+            measure_at=lambda n: at(ms, n),
             decomposition_at=decomp,
             length_hint=len(ms),
         )

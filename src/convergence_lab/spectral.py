@@ -5,6 +5,12 @@ fundamental window ``t in [-1/2, 1/2)``.  All "for every t" statements are
 checked on a uniform grid and extended between grid points by the Lipschitz
 certificate ``|mu_hat(s) - mu_hat(t)| <= 2 pi m1(mu) |s - t|``, so boolean
 verdicts are certificates at grid resolution rather than sampled guesses.
+
+Every uniform grid (the ``fourier_eval`` grid, the factor transforms of
+``prefix_fourier_profiles`` and each Simpson level of the second-derivative
+quadrature) is evaluated by one engine, :func:`_grid_sums`: the sums are
+folded by k mod n and finished by one FFT per derivative order.  Direct sums
+remain only for arbitrary points (:func:`fourier_at`).
 """
 from __future__ import annotations
 
@@ -28,7 +34,8 @@ TWO_PI = 2.0 * math.pi
 #: rather than the (there useless) Lipschitz margin.
 _NEAR_ZERO_WINDOW = 1.0 / 16.0
 
-_CHUNK = 4096
+#: Direct sums build their phase matrix at most this many entries at a time.
+_DIRECT_BLOCK = 1 << 20
 
 
 class QuadratureError(RuntimeError):
@@ -83,40 +90,48 @@ def uniform_grid(grid_size: int) -> np.ndarray:
 def _transform_sums(
     mu: LatticeMeasure, ts: np.ndarray, orders: tuple[int, ...]
 ) -> list[np.ndarray]:
-    """Trigonometric sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} for m in orders.
+    """Direct sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} at arbitrary points.
 
-    Sparse supports use direct per-atom exponentials; dense windows walk the
-    unit circle by the one-step recurrence e^{2 pi i (k+1) t} =
-    e^{2 pi i k t} e^{2 pi i t}, which avoids the large exp evaluations.
-    The recurrence drifts by a few hundred ulps over the widest windows
-    here, far below the certificates' tolerances.
+    Each phase is one exp of the rounded product k t, so the error grows like
+    eps |k t| over wide supports.  Points are taken in blocks that keep the
+    phase matrix within ``_DIRECT_BLOCK`` entries.
     """
     nz = np.flatnonzero(mu.weights)
+    ks = (mu.min_index + nz).astype(float)
+    coeffs = np.stack([mu.weights[nz] * (TWO_PI * 1j * ks) ** m for m in orders], axis=1)
+    out = np.empty((len(ts), len(orders)), dtype=complex)
+    rows = max(1, _DIRECT_BLOCK // len(ks))
+    for start in range(0, len(ts), rows):
+        phase = np.exp((TWO_PI * 1j) * np.outer(ts[start : start + rows], ks))
+        out[start : start + rows] = phase @ coeffs
+    return list(out.T)
+
+
+def _grid_sums(
+    mu: LatticeMeasure, t0: float, n: int, orders: tuple[int, ...]
+) -> list[np.ndarray]:
+    """The sums of :func:`_transform_sums` on the uniform grid t0 + j/n, j < n.
+
+    There ``e^{2 pi i k t_j} = e^{2 pi i k t0} e^{2 pi i (k mod n) j / n}``, so
+    the phased coefficients are folded by k mod n and one unscaled inverse
+    FFT per order yields all n sums, in O(nnz + n log n).  The origin t0 is a
+    dyadic rational p/q and ``k p mod q`` is reduced in integers, so only an
+    angle in [0, 2 pi) is ever rounded and supports much wider than the grid
+    keep full accuracy.
+    """
+    p, q = float(t0).as_integer_ratio()
+    if q > 2**31:
+        raise ValueError("grid origin must be a dyadic rational with denominator <= 2^31")
+    nz = np.flatnonzero(mu.weights)
     ks = mu.min_index + nz
-    ws = mu.weights[nz]
-    out = [np.zeros(ts.shape, dtype=complex) for _ in orders]
-    if len(ks) <= 64:
-        for start in range(0, len(ks), _CHUNK):
-            kc = ks[start : start + _CHUNK].astype(float)
-            wc = ws[start : start + _CHUNK]
-            phase = np.exp((TWO_PI * 1j) * np.outer(ts, kc))
-            for slot, m in enumerate(orders):
-                coeff = wc * (TWO_PI * 1j * kc) ** m if m else wc
-                out[slot] += phase @ coeff
-        return out
-    step = np.exp((TWO_PI * 1j) * ts)
-    phase = np.exp((TWO_PI * 1j) * float(ks[0]) * ts)
-    prev = int(ks[0])
-    for k, w in zip(ks, ws):
-        gap = int(k) - prev
-        if gap == 1:
-            phase = phase * step
-        elif gap > 1:
-            phase = phase * step**gap
-        prev = int(k)
-        for slot, m in enumerate(orders):
-            coeff = w * (TWO_PI * 1j * float(k)) ** m if m else w
-            out[slot] += coeff * phase
+    turns = (ks % q) * (p % q) % q
+    phased = mu.weights[nz] * np.exp((TWO_PI * 1j / q) * turns)
+    folds = ks % n
+    out = []
+    for m in orders:
+        c = phased * (TWO_PI * 1j * ks) ** m
+        folded = np.bincount(folds, c.real, n) + 1j * np.bincount(folds, c.imag, n)
+        out.append(np.fft.ifft(folded, norm="forward"))
     return out
 
 
@@ -136,9 +151,8 @@ def fourier_eval(mu: LatticeMeasure, grid_size: int = 4096) -> FourierProfile:
         raise ValueError("grid_size must be at least 16")
     if grid_size % 2:
         raise ValueError("grid_size must be even so that t=0 is on the grid")
-    grid = uniform_grid(grid_size)
-    vals, d1, d2 = _transform_sums(mu, grid, (0, 1, 2))
-    return FourierProfile(grid, vals, d1, d2, TWO_PI * moment(mu, 1.0))
+    vals, d1, d2 = _grid_sums(mu, -0.5, grid_size, (0, 1, 2))
+    return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
 
 
 def wrap_to_fundamental(t: float) -> float:
@@ -268,30 +282,32 @@ def _composite_simpson(ys: np.ndarray, h: float) -> float:
 
 
 def _simpson_doubling(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[[float, int], np.ndarray],
     target: float,
     max_depth: int,
     min_depth: int = 4,
 ) -> float:
-    """Composite Simpson with panel doubling and node reuse.
+    """Composite Simpson over the window [-1/2, 1/2] with panel doubling and node reuse.
 
-    Refines until two successive estimates differ by less than ``target``;
-    raises :class:`QuadratureError` carrying the last two estimates otherwise.
+    ``f(t0, n)`` evaluates the integrand on the uniform grid t0 + j/n, j < n;
+    the integrand must take the same value at both ends of the window.  The
+    first level is the grid -1/2 + j/2^min_depth closed by its endpoint +1/2,
+    and depth d adds the midpoints -1/2 + 1/2^d + i/2^(d-1), themselves a
+    uniform grid of 2^(d-1) points.  Refines until two successive estimates
+    differ by less than ``target``; raises :class:`QuadratureError` carrying
+    the last two estimates otherwise.
     """
-    xs = np.linspace(a, b, 2**min_depth + 1)
-    ys = f(xs)
-    prev = _composite_simpson(ys, (b - a) / 2**min_depth)
+    head = f(-0.5, 2**min_depth)
+    ys = np.append(head, head[0])
+    prev = _composite_simpson(ys, 1.0 / 2**min_depth)
     for depth in range(min_depth + 1, max_depth + 1):
         n = 2**depth
-        mids = a + (b - a) * (2.0 * np.arange(n // 2) + 1.0) / n
-        my = f(mids)
+        my = f(-0.5 + 1.0 / n, n // 2)
         merged = np.empty(n + 1, dtype=float)
         merged[0::2] = ys
         merged[1::2] = my
         ys = merged
-        current = _composite_simpson(ys, (b - a) / n)
+        current = _composite_simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current
         prev = current
@@ -309,14 +325,15 @@ def weighted_d2_integral(
     """Adaptive quadrature of ``int |mu_hat''(t)| |t| dt`` over the window.
 
     The integrand is smooth except for |.| kinks at zeros of the second
-    derivative; the doubling refinement resolves those.
+    derivative; the doubling refinement resolves those.  Every Simpson level
+    is a uniform grid, so the second derivative comes from :func:`_grid_sums`.
     """
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        d2 = _transform_sums(mu, ts, (2,))[0]
-        return np.abs(d2) * np.abs(ts)
+    def integrand(t0: float, n: int) -> np.ndarray:
+        d2 = _grid_sums(mu, t0, n, (2,))[0]
+        return np.abs(d2) * np.abs(t0 + np.arange(n) / n)
 
-    return _simpson_doubling(integrand, -0.5, 0.5, target, max_depth)
+    return _simpson_doubling(integrand, target, max_depth)
 
 
 # -- discrete smoothness ------------------------------------------------------------
@@ -393,7 +410,7 @@ def prefix_fourier_profiles(
         if key not in cache:
             if not spec.is_iid and len(cache) >= 8:
                 cache.pop(next(iter(cache)))
-            v, d1, d2 = _transform_sums(nu, grid, (0, 1, 2))
+            v, d1, d2 = _grid_sums(nu, -0.5, grid_size, (0, 1, 2))
             cache[key] = (nu, v, d1, d2, moment(nu, 1.0))
         return cache[key][1:]
 

@@ -102,10 +102,25 @@ class TestLoadConfig:
         cfg_text = IID_CFG.replace(
             "kind = iid\nweights = 0.25,0.5,0.25\noffset = -1",
             "kind = list\nmeasures_file = measures.txt",
-        )
+        ).replace("horizon = 12", "horizon = 2")
         cfg = load_config(write(tmp_path, "a.cfg", cfg_text))
         assert cfg.spec.measure_at(1).weight(1) == 1.0
         assert cfg.spec.measure_at(2).weight(0) == 0.5
+
+    def test_list_family_shorter_than_horizon(self, tmp_path, capsys):
+        from convergence_lab import delta
+
+        (tmp_path / "measures.txt").write_text("\n\n".join(delta(k).to_text() for k in (0, 1)))
+        cfg_text = IID_CFG.replace(
+            "kind = iid\nweights = 0.25,0.5,0.25\noffset = -1",
+            "kind = list\nmeasures_file = measures.txt",
+        )
+        path = write(tmp_path, "a.cfg", cfg_text)
+        assert validate_config(path) == ["run.horizon: 12 exceeds the 2 measures in measures.txt"]
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert main(["convolve", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "run.horizon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestMain:
@@ -123,6 +138,22 @@ class TestMain:
         assert code == EXIT_OK
         assert "overall: pass" in capsys.readouterr().out
         assert (tmp_path / "out" / "hypothesis_rows.csv").exists()
+
+    def test_check_reports_depth_cap_hits_on_stderr(self, tmp_path, capsys):
+        cfg = SWEEPOUT_CFG.replace("horizon = 12", "horizon = 14")
+        path = write(tmp_path, "f.cfg", cfg)
+        out = tmp_path / "out"
+        assert main(["check", "--config", path, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "depth cap 1 time(s), at prefix n = 14;" in err[0]
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["hypothesis_rows.csv", "hypothesis_summary.txt", "sweepout_rows.csv"]
+
+    def test_check_without_cap_hits_is_quiet_on_stderr(self, tmp_path, capsys):
+        path = write(tmp_path, "a.cfg", IID_CFG)
+        assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_sweepout_writes_three_csvs(self, tmp_path):
         path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)

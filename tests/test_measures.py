@@ -305,6 +305,19 @@ class TestSequenceSpec:
         spec = SequenceSpec.from_measures([delta(0), delta(1)])
         assert spec.measure_at(2).min_index == 1
 
+    @pytest.mark.parametrize("n", [0, -1, 3])
+    def test_from_measures_rejects_index_outside_list(self, n):
+        from convergence_lab import example_decomposition
+
+        decomp = example_decomposition(2)
+        spec = SequenceSpec.from_measures(
+            [delta(0), delta(1)], decompositions=[decomp, decomp]
+        )
+        with pytest.raises(IndexError, match="factors 1..2"):
+            spec.measure_at(n)
+        with pytest.raises(IndexError, match="factors 1..2"):
+            spec.decomposition(n)
+
     def test_missing_decomposition_raises(self):
         spec = SequenceSpec.iid(delta(0))
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 Strategies build small random probability measures directly, so shrinking
 produces readable counterexamples (a handful of atoms near the origin).
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from convergence_lab import (
     tv_shift_distance,
     two_atom_bound,
 )
+from convergence_lab.spectral import _grid_sums, _transform_sums
 
 
 @st.composite
@@ -104,3 +107,42 @@ def test_two_atom_bound_dominates_feasible_points(delta_, eta, a_frac, psi):
         return  # outside the constrained set
     val = abs(a1 + (1.0 - a1) * np.exp(1j * psi))
     assert val <= rho + 1e-12
+
+
+@st.composite
+def wide_gapped_measures(draw):
+    """Measures up to 300 wide with offsets down to -300 and knocked-out atoms."""
+    span = draw(st.integers(min_value=1, max_value=300))
+    offset = draw(st.integers(min_value=-300, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.random(span) + 1e-3
+    w[rng.random(span) < draw(st.floats(min_value=0.0, max_value=0.9))] = 0.0
+    w[0] = w[-1] = 0.5
+    return LatticeMeasure(offset, w / w.sum())
+
+
+# A grid of the fourier_eval kind (origin -1/2, any even size) or a Simpson
+# midpoint level (origin -1/2 + 1/N, N/2 points); many are narrower than the
+# support, so the fold by k mod n wraps.
+uniform_grids = st.one_of(
+    st.integers(min_value=8, max_value=128).map(lambda h: (-0.5, 2 * h)),
+    st.integers(min_value=5, max_value=11).map(lambda d: (-0.5 + 1.0 / 2**d, 2 ** (d - 1))),
+)
+
+
+@given(wide_gapped_measures(), uniform_grids)
+@settings(max_examples=80, deadline=None)
+def test_grid_engine_matches_direct_sums(mu, grid):
+    t0, n = grid
+    ts = t0 + np.arange(n) / n
+    fast = _grid_sums(mu, t0, n, (0, 1, 2))
+    direct = [fourier_at(mu, ts), *_transform_sums(mu, ts, (1, 2))]
+    ks = np.abs(mu.support).astype(float)
+    ws = mu.weights[np.flatnonzero(mu.weights)]
+    for m in (0, 1, 2):
+        # Rounding of sum_k |w_k| (2 pi |k|)^m, times the direct sums' phase
+        # error eps |2 pi k t| <= eps pi |k| and the FFT's eps log2(n).
+        scale = ws * (2.0 * np.pi * ks) ** m
+        tol = 2.0 * np.finfo(float).eps * float(np.sum(scale * (np.pi * ks + math.log2(n) + 4.0)))
+        assert np.max(np.abs(fast[m] - direct[m])) <= tol

@@ -17,6 +17,7 @@ from convergence_lab import (
     fourier_eval,
     from_pairs,
     holder_smoothness_check,
+    inverse_square_family,
     is_strictly_aperiodic,
     moment,
     offzero_modulus_bound,
@@ -35,6 +36,56 @@ def invert_by_grid_sum(profile, k: int) -> complex:
     """Quadrature oracle: mu(k) = int mu_hat(t) e^{-2 pi i k t} dt."""
     ts = profile.grid
     return complex(np.mean(profile.values * np.exp(-2j * np.pi * k * ts)))
+
+
+def direct_sum_d2(mu, ts):
+    """Direct sums of mu_hat''(t) = sum_k mu(k) (2 pi i k)^2 e^{2 pi i k t}.
+
+    The support window is cut into blocks k = k0 + j, j < block ~ sqrt(width),
+    and each phase factored as e^{2 pi i k0 t} e^{2 pi i j t}, so a point costs
+    about 2 sqrt(width) exponentials instead of one per atom.
+    """
+    block = math.isqrt(len(mu.weights) - 1) + 1
+    blocks = -(-len(mu.weights) // block)
+    ks = mu.min_index + np.arange(blocks * block)
+    ws = np.zeros(blocks * block)
+    ws[: len(mu.weights)] = mu.weights
+    coeffs = (ws * -((2.0 * np.pi * ks) ** 2)).reshape(blocks, block).T
+    out = np.empty(len(ts), dtype=complex)
+    for start in range(0, len(ts), 4096):
+        t = ts[start : start + 4096]
+        inner = np.exp(2j * np.pi * np.outer(t, np.arange(block))) @ coeffs
+        out[start : start + 4096] = np.sum(np.exp(2j * np.pi * np.outer(t, ks[::block])) * inner, axis=1)
+    return out
+
+
+def direct_sum_simpson_d2(mu, target, max_depth, min_depth=4):
+    """Reference for weighted_d2_integral: the same Simpson doubling on
+    [-1/2, 1/2], every node evaluated by direct sums.
+
+    Returns the converged estimate and False, or the last two estimates and
+    True when the depth cap is reached.
+    """
+
+    def f(ts):
+        return np.abs(direct_sum_d2(mu, ts)) * np.abs(ts)
+
+    def simpson(ys, h):
+        return h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-1:2]))
+
+    ys = f(np.linspace(-0.5, 0.5, 2**min_depth + 1))
+    prev = simpson(ys, 1.0 / 2**min_depth)
+    for depth in range(min_depth + 1, max_depth + 1):
+        n = 2**depth
+        merged = np.empty(n + 1)
+        merged[0::2] = ys
+        merged[1::2] = f(-0.5 + (2.0 * np.arange(n // 2) + 1.0) / n)
+        ys = merged
+        current = simpson(ys, 1.0 / n)
+        if abs(current - prev) < target:
+            return current, False
+        prev = current
+    return (prev, current), True
 
 
 class TestFourierEval:
@@ -197,6 +248,24 @@ class TestWeightedD2Integral:
         mus = convolve_prefixes(spec, 40)
         vals = [weighted_d2_integral(mu) for mu in mus[1:]]
         assert max(vals) <= 3.0
+
+    @pytest.mark.parametrize(
+        "spec, N, cap_hits",
+        [(SequenceSpec.iid(CENTERED_TRIPLE), 40, 0), (inverse_square_family(1.0).to_spec(), 14, 1)],
+        ids=["iid_triple", "inverse_square"],
+    )
+    def test_matches_direct_sum_simpson(self, spec, N, cap_hits):
+        fast_caps = direct_caps = 0
+        for mu in convolve_prefixes(spec, N):
+            try:
+                fast = weighted_d2_integral(mu)
+            except QuadratureError as exc:
+                fast_caps += 1
+                fast = exc.last_two
+            direct, capped = direct_sum_simpson_d2(mu, target=1e-6, max_depth=18)
+            direct_caps += capped
+            np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+        assert fast_caps == direct_caps == cap_hits
 
     def test_depth_cap_raises_with_estimates(self):
         with pytest.raises(QuadratureError) as err:

@@ -15,6 +15,7 @@ from .measures import (
     expectation,
     from_pairs,
     is_strictly_aperiodic,
+    iter_prefixes,
     l1_distance,
     moment,
     prune,
@@ -64,6 +65,7 @@ from .sweepout import (
     FloorScanResult,
     SweepoutFamily,
     SweepoutSimulation,
+    dissipativity_rows,
     dissipativity_trace,
     example_decomposition,
     example_measure,

@@ -29,11 +29,12 @@ from .measures import (
     SequenceSpec,
     SupportCapError,
     convolve_prefixes,
+    iter_prefixes,
 )
 from .spectral import fourier_eval
 from .sweepout import (
     SweepoutFamily,
-    dissipativity_trace,
+    dissipativity_rows,
     fourier_floor_scan,
     geometric_family,
     inverse_square_family,
@@ -446,8 +447,13 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
 
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     f = _make_test_function(config)
+    # Both results come before any file, so a support-cap hit writes nothing.
     rows = weak11_table(
         config.system, config.spec, f, config.horizon, config.lambdas, prune_eps=config.prune_eps
+    )
+    x0 = int(config.trace_state) if config.system.is_cyclic else float(config.trace_state)
+    trace = convergence_trace(
+        config.system, config.spec, f, x0, config.horizon, prune_eps=config.prune_eps
     )
     _write_csv(
         out / "weak11.csv",
@@ -456,10 +462,6 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
         ("lambda", "level_measure", "empirical_constant"),
         rows,
         extra=[("f_l1_norm", repr(f.norm_l1(config.system)))],
-    )
-    x0 = int(config.trace_state) if config.system.is_cyclic else float(config.trace_state)
-    trace = convergence_trace(
-        config.system, config.spec, f, x0, config.horizon, prune_eps=config.prune_eps
     )
     _write_csv(
         out / "convergence_trace.csv",
@@ -476,7 +478,17 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
-    rows = dissipativity_trace(config.spec, config.window_k, config.horizon, prune_eps=config.prune_eps)
+    # One prefix chain feeds both the dissipativity rows and the simulation.
+    rows: list = []
+    prefixes = iter_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
+    sim = sweepout_simulation(
+        config.system,
+        config.spec,
+        config.b_measure,
+        config.horizon,
+        prune_eps=config.prune_eps,
+        prefixes=dissipativity_rows(prefixes, config.window_k, rows),
+    )
     _write_csv(
         out / "dissipativity.csv",
         config,
@@ -502,9 +514,6 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         ],
     )
 
-    sim = sweepout_simulation(
-        config.system, config.spec, config.b_measure, config.horizon, prune_eps=config.prune_eps
-    )
     _write_csv(
         out / "sweepout_simulation.csv",
         config,

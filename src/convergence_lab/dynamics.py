@@ -4,6 +4,16 @@ Two systems are provided: the cyclic shift on Z_q with uniform measure
 (exact arithmetic for level sets, the workhorse for quantitative checks)
 and the circle rotation x -> x + alpha mod 1 with a deterministic
 stratified state sample (qualitative demonstrations).
+
+Every experiment over the running products mu_n = nu_1 * ... * nu_n is one
+pass over the prefix stream of :func:`~convergence_lab.measures.iter_prefixes`,
+holding one prefix at a time.  The maximal function on a cyclic system
+without pruning skips the prefixes altogether: since mu_n = mu_{n-1} * nu_n,
+the averages obey mu_n f = nu_n(mu_{n-1} f), so each step applies only the
+factor nu_n to the previous vector of averages, at a cost of nnz(nu_n) * q
+instead of nnz(mu_n) * q.  It falls back to the prefix stream on the
+rotation, whose state sample is not closed under the dynamics, and on
+pruned chains, whose prefixes are not the exact products.
 """
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import LatticeMeasure, SequenceSpec, convolve_prefixes
+from .measures import LatticeMeasure, SequenceSpec, iter_prefixes, tv_shift_distance
 
 #: Default rotation angle: an irrational surrogate with good equidistribution.
 DEFAULT_ALPHA = math.sqrt(2.0) - 1.0
@@ -215,15 +225,15 @@ def weak11_table(
     Each row is ``(lambda, m{Mf > lambda}, lambda * m{Mf > lambda} / ||f||_1)``;
     the last column is the empirical weak-type constant at that level.
     """
-    mf = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
     norm = f.norm_l1(sys)
     if norm == 0.0:
         raise ValueError("test function has zero l1 norm")
+    lams = [float(lam) for lam in lambdas]
+    if any(lam <= 0 for lam in lams):
+        raise ValueError("lambda levels must be positive")
+    mf = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
     rows = []
-    for lam in lambdas:
-        lam = float(lam)
-        if lam <= 0:
-            raise ValueError("lambda levels must be positive")
+    for lam in lams:
         level = sys.measure_fraction(mf > lam)
         rows.append(Weak11Row(lam, level, lam * level / norm))
     return rows
@@ -236,10 +246,23 @@ def maximal_function_all(
     N: int,
     prune_eps: float = 0.0,
 ) -> np.ndarray:
-    """Vector of Mf over all states for the prefix products up to N."""
-    mus = convolve_prefixes(spec, N, prune_eps=prune_eps)
+    """Vector of Mf over all states for the prefix products up to N.
+
+    On a cyclic system with ``prune_eps == 0`` this runs the recursion
+    mu_n f = nu_n(mu_{n-1} f) and never forms mu_n, so no support cap
+    applies; otherwise it averages each prefix of the stream.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if sys.is_cyclic and prune_eps == 0.0:
+        vals = weighted_average_all(sys, spec.measure_at(1), f)
+        mf = np.abs(vals)
+        for n in range(2, N + 1):
+            vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
+            np.maximum(mf, np.abs(vals), out=mf)
+        return mf
     mf = None
-    for mu in mus:
+    for mu in iter_prefixes(spec, N, prune_eps=prune_eps):
         vals = np.abs(weighted_average_all(sys, mu, f))
         mf = vals if mf is None else np.maximum(mf, vals)
     return mf
@@ -253,10 +276,12 @@ def coboundary_bound_check(
     Returns ``(lhs, rhs)`` where rhs = tv_shift_distance(mu) * sup|g|; the
     lhs never exceeds the rhs (up to rounding).
     """
-    from .measures import tv_shift_distance
-
     direct = weighted_average_all(sys, mu, g)
-    shifted = weighted_average_all(sys, mu, g, extra_shift=1)
+    if sys.is_cyclic:
+        # mu(g o tau)(x) = mu g(x + 1): the same products in the same order.
+        shifted = np.roll(direct, -1)
+    else:
+        shifted = weighted_average_all(sys, mu, g, extra_shift=1)
     lhs = float(np.max(np.abs(direct - shifted)))
     rhs = tv_shift_distance(mu) * g.sup_norm(sys)
     return lhs, rhs
@@ -288,7 +313,6 @@ def convergence_trace(
     m = N // 2 if window_start is None else int(window_start)
     if not 1 <= m <= N:
         raise ValueError("window_start must lie in [1, N]")
-    mus = convolve_prefixes(spec, N, prune_eps=prune_eps)
-    values = [weighted_average(sys, mu, f, x) for mu in mus]
+    values = [weighted_average(sys, mu, f, x) for mu in iter_prefixes(spec, N, prune_eps=prune_eps)]
     window = values[m - 1 :]
     return ConvergenceTrace(values, float(max(window) - min(window)), m)

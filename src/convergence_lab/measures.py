@@ -6,11 +6,20 @@ field records mass removed by pruning; pruned measures are never silently
 renormalized, so stored weights plus the defect always account for total
 mass 1.  All values are immutable after construction and every operation
 here is a pure function.
+
+The running products mu_n = nu_1 * ... * nu_n have one engine,
+:func:`iter_prefixes`, which yields them one at a time and keeps none: the
+experiments that reduce over the chain (maximal functions, traces, the
+sweep-out simulation) hold one dense prefix at a time instead of N.
+:func:`convolve_prefixes` is the same chain collected into a list, kept
+for callers that index prefixes or walk them twice (spectra, hypothesis
+checks); it returns a list, never a generator, so that wrappers that
+iterate its result do not drain it before the caller sees it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -381,26 +390,42 @@ class SequenceSpec:
         return l1_distance(self.measure_at(n), from_pairs(scaled))
 
 
+def iter_prefixes(
+    spec: SequenceSpec,
+    N: int,
+    prune_eps: float = 0.0,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
+) -> Iterator[LatticeMeasure]:
+    """Stream the running products nu_1, nu_1*nu_2, ..., nu_1*...*nu_N.
+
+    After each convolution, weights below ``prune_eps`` are removed and
+    accumulated into the mass defect (never renormalized away); the first
+    prefix is nu_1 itself, untouched.  ``N`` and ``prune_eps`` are checked
+    here, before the first prefix is asked for; a product wider than
+    ``support_cap`` raises :class:`SupportCapError` when it is reached.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not 0.0 <= prune_eps <= 1e-8:
+        raise ValueError("prune_eps must lie in [0, 1e-8]")
+    return _prefix_stream(spec, N, prune_eps, support_cap)
+
+
+def _prefix_stream(
+    spec: SequenceSpec, N: int, prune_eps: float, support_cap: int
+) -> Iterator[LatticeMeasure]:
+    current = spec.measure_at(1)
+    yield current
+    for n in range(2, N + 1):
+        current = prune(convolve(current, spec.measure_at(n), support_cap), prune_eps)
+        yield current
+
+
 def convolve_prefixes(
     spec: SequenceSpec,
     N: int,
     prune_eps: float = 0.0,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> list[LatticeMeasure]:
-    """Running products nu_1, nu_1*nu_2, ..., nu_1*...*nu_N.
-
-    After each convolution, weights below ``prune_eps`` are removed and
-    accumulated into the mass defect (never renormalized away); the first
-    prefix is nu_1 itself, untouched.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not 0.0 <= prune_eps <= 1e-8:
-        raise ValueError("prune_eps must lie in [0, 1e-8]")
-    out: list[LatticeMeasure] = []
-    current = spec.measure_at(1)
-    out.append(current)
-    for n in range(2, N + 1):
-        current = prune(convolve(current, spec.measure_at(n), support_cap), prune_eps)
-        out.append(current)
-    return out
+    """The prefixes of :func:`iter_prefixes`, all held at once in a list."""
+    return list(iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap))

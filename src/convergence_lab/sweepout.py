@@ -5,13 +5,20 @@ k=-b-1, with b = floor(1/(1-a_n)) driven by a rate sequence a_n -> 1.
 Each member is centered, and the mass splits as an atom at 1 plus a far
 remainder, which drives both dissipativity of the running products and a
 positive floor on |mu_n_hat| away from the trivial character.
+
+The dissipativity rows and the sweep-out simulation are reductions over
+one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`),
+so their memory is one dense prefix plus, on the rotation, a table of
+state cells as wide as the widest prefix window so far; it is no longer
+the sum of all N windows.  :func:`dissipativity_rows` taps the stream so
+that one chain can feed both.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +27,8 @@ from .measures import (
     Decomposition,
     LatticeMeasure,
     SequenceSpec,
-    convolve_prefixes,
     from_pairs,
+    iter_prefixes,
 )
 from .spectral import fourier_at
 from .dynamics import DynSystem
@@ -121,13 +128,29 @@ def dissipativity_trace(
     """Rows (n, max_{|k| <= K} mu_n(k)) for the running products."""
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
-    window = np.arange(-K, K + 1, dtype=np.int64)
-    rows = []
-    for n, mu in enumerate(
-        convolve_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap), start=1
-    ):
-        rows.append(DissipativityRow(n, float(np.max(mu.weights_at(window)))))
+    rows: list[DissipativityRow] = []
+    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
+    for _ in dissipativity_rows(prefixes, K, rows):
+        pass
     return rows
+
+
+def dissipativity_rows(
+    prefixes: Iterable[LatticeMeasure], K: int, rows: list[DissipativityRow]
+) -> Iterator[LatticeMeasure]:
+    """Pass ``prefixes`` through, appending the row (n, max_{|k| <= K} mu_n(k))
+    of each to ``rows`` as it goes by."""
+    if K < 1:
+        raise ValueError("K must be positive")
+    return _tap_window_max(prefixes, np.arange(-K, K + 1, dtype=np.int64), rows)
+
+
+def _tap_window_max(
+    prefixes: Iterable[LatticeMeasure], window: np.ndarray, rows: list[DissipativityRow]
+) -> Iterator[LatticeMeasure]:
+    for n, mu in enumerate(prefixes, start=1):
+        rows.append(DissipativityRow(n, float(np.max(mu.weights_at(window)))))
+        yield mu
 
 
 class ScanRow(NamedTuple):
@@ -233,21 +256,39 @@ class SweepoutSimulation:
     set_measure: float
 
 
-def _interval_masses(
-    sorted_positions: np.ndarray,
-    order: np.ndarray,
-    weights: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> np.ndarray:
-    """Mass of weights whose circle position falls in [lo, hi) mod 1."""
-    cs = np.concatenate(([0.0], np.cumsum(weights[order])))
-    il = np.searchsorted(sorted_positions, lo, side="left")
-    ih = np.searchsorted(sorted_positions, hi, side="left")
-    wraps = lo > hi
-    plain = cs[ih] - cs[il]
-    wrapped = (cs[-1] - cs[il]) + cs[ih]
-    return np.where(wraps, wrapped, plain)
+class _CellTable:
+    """Cell of each lattice point k among the sorted state-set boundaries.
+
+    The cell of k is the number of boundaries at or below the circle
+    position k alpha mod 1, so the mass a prefix puts below boundary j is
+    the cumulative sum of its mass per cell up to cell j.  The table covers
+    only the window the prefixes seen so far have reached, and grows to
+    each new window exactly.
+    """
+
+    def __init__(self, alpha: float, edges: np.ndarray) -> None:
+        self.alpha = alpha
+        self.edges = edges
+        self.lo = self.hi = 0
+        self.cells = self._cells_of(0, 0)
+
+    def _cells_of(self, lo: int, hi: int) -> np.ndarray:
+        positions = (np.arange(lo, hi, dtype=np.int64) * self.alpha) % 1.0
+        return np.searchsorted(self.edges, positions, side="right")
+
+    def window(self, mu: LatticeMeasure) -> np.ndarray:
+        """Cells of mu's window [min_index, max_index], growing the table to cover it."""
+        lo, hi = mu.min_index, mu.max_index + 1
+        if self.lo == self.hi:
+            self.lo = self.hi = lo
+        if lo < self.lo or hi > self.hi:
+            lo, hi = min(lo, self.lo), max(hi, self.hi)
+            self.cells = np.concatenate(
+                (self._cells_of(lo, self.lo), self.cells, self._cells_of(self.hi, hi))
+            )
+            self.lo, self.hi = lo, hi
+        i0 = mu.min_index - self.lo
+        return self.cells[i0 : i0 + len(mu.weights)]
 
 
 def sweepout_simulation(
@@ -259,64 +300,70 @@ def sweepout_simulation(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     high_threshold: float = HIGH_THRESHOLD,
     low_threshold: float = LOW_THRESHOLD,
+    *,
+    prefixes: Optional[Iterable[LatticeMeasure]] = None,
 ) -> SweepoutSimulation:
     """Running max/min of mu_n chi_B(x) over n <= N for every sampled state.
 
     B is the block {0, ..., round(B_measure q) - 1} on the cyclic system and
     the interval [0, B_measure) on the rotation.  The per-state values are
-    exact sums of mu_n mass over the preimage of B.
+    exact sums of mu_n mass over the preimage of B.  ``prefixes`` supplies
+    the N running products of ``spec`` from a stream the caller shares;
+    by default they are streamed here.
     """
     if not 0.0 <= B_measure <= 1.0:
         raise ValueError("B_measure must lie in [0, 1]")
     if N < 1:
         raise ValueError("N must be >= 1")
-    mus = convolve_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
-    kmin = min(mu.min_index for mu in mus)
-    kmax = max(mu.max_index for mu in mus)
-    length = kmax - kmin + 1
-    ks = np.arange(kmin, kmax + 1, dtype=np.int64)
+    if prefixes is None:
+        prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
 
-    sup_trace: Optional[np.ndarray] = None
-    inf_trace: Optional[np.ndarray] = None
-
+    xs = sys.states()
     if sys.is_cyclic:
         q = sys.q
         block_len = int(round(B_measure * q))
         set_measure = block_len / q
-        residues = ks % q
-        xs = sys.states()
-        for mu in mus:
-            w = np.zeros(length)
-            i0 = mu.min_index - kmin
-            w[i0 : i0 + len(mu.weights)] = mu.weights
-            mass_mod = np.bincount(residues, weights=w, minlength=q)
+        # windowed sum of block_len residues starting at r, wrapping mod q
+        starts = (-xs) % q
+        ends = starts + block_len
+        plain, wraps = ends <= q, ends > q
+
+        def masses(mu: LatticeMeasure) -> np.ndarray:
+            residues = np.arange(mu.min_index, mu.max_index + 1, dtype=np.int64) % q
+            mass_mod = np.bincount(residues, weights=mu.weights, minlength=q)
             cs = np.concatenate(([0.0], np.cumsum(mass_mod), [0.0]))
-            # windowed sum of block_len residues starting at r, wrapping mod q
-            starts = (-xs) % q
-            ends = starts + block_len
-            plain = np.where(ends <= q, cs[np.minimum(ends, q)] - cs[starts], 0.0)
-            wrapped = np.where(ends > q, (cs[q] - cs[starts]) + cs[ends - q], 0.0)
-            vals = plain + wrapped
-            sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
-            inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
+            return np.where(plain, cs[np.minimum(ends, q)] - cs[starts], 0.0) + np.where(
+                wraps, (cs[q] - cs[starts]) + cs[ends - q], 0.0
+            )
+
     else:
         set_measure = B_measure
-        positions = (ks * sys.alpha) % 1.0
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
-        xs = sys.states()
         lo = (-xs) % 1.0
         hi = (lo + B_measure) % 1.0
         if B_measure >= 1.0:
             lo = np.zeros_like(lo)
             hi = np.ones_like(hi)
-        for mu in mus:
-            w = np.zeros(length)
-            i0 = mu.min_index - kmin
-            w[i0 : i0 + len(mu.weights)] = mu.weights
-            vals = _interval_masses(sorted_positions, order, w, lo, hi)
-            sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
-            inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
+        edges = np.unique(np.concatenate((lo, hi)))
+        # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
+        il = np.searchsorted(edges, lo) + 1
+        ih = np.searchsorted(edges, hi) + 1
+        wraps = lo > hi
+        table = _CellTable(sys.alpha, edges)
+
+        def masses(mu: LatticeMeasure) -> np.ndarray:
+            cell_mass = np.bincount(table.window(mu), weights=mu.weights, minlength=len(edges) + 1)
+            cs = np.concatenate(([0.0], np.cumsum(cell_mass)))
+            return np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
+
+    sup_trace: Optional[np.ndarray] = None
+    inf_trace: Optional[np.ndarray] = None
+    count = 0
+    for count, mu in enumerate(prefixes, start=1):
+        vals = masses(mu)
+        sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
+        inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
+    if count != N:
+        raise ValueError(f"expected {N} prefixes, got {count}")
 
     frac_high = float(np.mean(sup_trace >= high_threshold))
     frac_low = float(np.mean(inf_trace <= low_threshold))

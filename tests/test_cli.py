@@ -190,6 +190,28 @@ class TestMain:
         path = write(tmp_path, "g.cfg", cfg)
         assert main(["convolve", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])
+    def test_resource_cap_writes_nothing(self, tmp_path, subcommand):
+        # The maximal function never forms mu_n, but the other results of the
+        # same run do: a cap hit must leave the output directory empty.
+        cfg = SWEEPOUT_CFG.replace("a_rule = inverse_square\ncoeff = 1.0", "a_rule = geometric\nratio = 0.5")
+        cfg = cfg.replace("kind = rotation\nsamples = 256\nseed = 1", "kind = cyclic\nq = 64")
+        cfg = cfg.replace("horizon = 12", "horizon = 25")
+        path = write(tmp_path, "g.cfg", cfg)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_sweepout_builds_one_prefix_chain(self, tmp_path, monkeypatch):
+        import convergence_lab.measures as measures_mod
+
+        calls = []
+        convolve = measures_mod.convolve
+        monkeypatch.setattr(measures_mod, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
+        assert main(["sweepout", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == 12 - 1
+
     def test_validate_subcommand(self, tmp_path, capsys):
         path = write(tmp_path, "a.cfg", IID_CFG)
         assert main(["validate", "--config", path]) == EXIT_OK

@@ -221,6 +221,20 @@ class TestWeak11Table:
         with pytest.raises(ValueError):
             weak11_table(sysq, IID_TRIPLE, f, 4, [0.0])
 
+    @pytest.mark.parametrize(
+        "f, lambdas",
+        [(TestFunction.trig(0), [-1.0]), (TestFunction.trig(0, scale=0.0), [1.0])],
+    )
+    def test_validates_before_averaging(self, monkeypatch, f, lambdas):
+        import convergence_lab.dynamics as dynamics_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("maximal function computed before validation")
+
+        monkeypatch.setattr(dynamics_mod, "maximal_function_all", unreachable)
+        with pytest.raises(ValueError):
+            weak11_table(DynSystem.cyclic(64), IID_TRIPLE, f, 2000, lambdas)
+
 
 class TestCoboundaryBound:
     def test_point_mass_indicator(self):

@@ -6,20 +6,29 @@ produces readable counterexamples (a handful of atoms near the origin).
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convergence_lab import (
+    DynSystem,
     LatticeMeasure,
+    SequenceSpec,
+    TestFunction,
     convolve,
+    convolve_prefixes,
     delta,
     doubling_defect,
     expectation,
     fourier_at,
+    iter_prefixes,
     l1_distance,
+    maximal_function_all,
     moment,
+    sweepout_simulation,
     tv_shift_distance,
     two_atom_bound,
+    weighted_average_all,
 )
 from convergence_lab.spectral import _grid_sums, _transform_sums
 
@@ -146,3 +155,115 @@ def test_grid_engine_matches_direct_sums(mu, grid):
         scale = ws * (2.0 * np.pi * ks) ** m
         tol = 2.0 * np.finfo(float).eps * float(np.sum(scale * (np.pi * ks + math.log2(n) + 4.0)))
         assert np.max(np.abs(fast[m] - direct[m])) <= tol
+
+
+# -- the prefix stream and the reductions over it ---------------------------------
+@st.composite
+def gapped_measures(draw):
+    """Up to 7 atoms wide, offsets down to -6, interior atoms knocked out."""
+    span = draw(st.integers(min_value=1, max_value=7))
+    w = np.asarray(
+        draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5]), min_size=span, max_size=span))
+    )
+    w[0] = w[-1] = 1.0
+    offset = draw(st.integers(min_value=-6, max_value=6))
+    return LatticeMeasure(offset, w / w.sum())
+
+
+@st.composite
+def specs(draw, max_n=8):
+    """An iid spec or a list spec, with the horizon N it is driven to."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        return SequenceSpec.iid(draw(gapped_measures())), n
+    return SequenceSpec.from_measures(draw(st.lists(gapped_measures(), min_size=n, max_size=n))), n
+
+
+@st.composite
+def systems(draw, cyclic_only=False):
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if cyclic_only or draw(st.booleans()):
+        return DynSystem.cyclic(draw(st.integers(min_value=1, max_value=48)))
+    alpha = draw(st.floats(min_value=0.01, max_value=0.99))
+    return DynSystem.rotation(alpha=alpha, samples=draw(st.integers(min_value=1, max_value=48)), seed=seed)
+
+
+def _test_function(sys, seed):
+    if sys.is_cyclic:
+        return TestFunction.table(np.random.default_rng(seed).random(sys.q) * 2.0 - 1.0)
+    return TestFunction.indicator_interval(0.0, 0.3)
+
+
+def _maximal_oracle(sys, spec, f, N, prune_eps=0.0):
+    averages = [weighted_average_all(sys, mu, f) for mu in convolve_prefixes(spec, N, prune_eps)]
+    return np.max(np.abs(np.vstack(averages)), axis=0)
+
+
+def _robust_levels(values):
+    # Midpoints between well-separated values: no rounding moves a value across.
+    u = np.unique(values)
+    keep = np.diff(u) > 1e-9 * max(1.0, float(np.max(np.abs(u))))
+    return (u[:-1][keep] + u[1:][keep]) / 2.0
+
+
+@given(specs(), systems(cyclic_only=True), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=60, deadline=None)
+def test_cyclic_recursion_matches_per_prefix_maximal_function(spec_n, sys, seed):
+    spec, N = spec_n
+    f = _test_function(sys, seed)
+    fast = maximal_function_all(sys, spec, f, N)
+    oracle = _maximal_oracle(sys, spec, f, N)
+    np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=1e-12 * f.sup_norm(sys))
+    for lam in _robust_levels(oracle):
+        assert np.count_nonzero(fast > lam) == np.count_nonzero(oracle > lam)
+
+
+@given(specs(), systems(), st.integers(min_value=0, max_value=2**16), st.sampled_from([0.0, 1e-9, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_streamed_maximal_function_matches_per_prefix(spec_n, sys, seed, prune_eps):
+    # The rotation, and any pruned chain, averages each streamed prefix.
+    spec, N = spec_n
+    if sys.is_cyclic and prune_eps == 0.0:
+        prune_eps = 1e-8
+    f = _test_function(sys, seed)
+    fast = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
+    assert np.array_equal(fast, _maximal_oracle(sys, spec, f, N, prune_eps))
+
+
+@given(
+    specs(),
+    systems(),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_windowed_binning_matches_direct_averages(spec_n, sys, B):
+    spec, N = spec_n
+    sim = sweepout_simulation(sys, spec, B, N)
+    if sys.is_cyclic:
+        f = TestFunction.indicator_block(0, int(round(B * sys.q)))
+    else:
+        f = TestFunction.indicator_interval(0.0, B)
+    direct = np.vstack([weighted_average_all(sys, mu, f) for mu in convolve_prefixes(spec, N)])
+    np.testing.assert_allclose(sim.sup_trace, direct.max(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sim.inf_trace, direct.min(axis=0), rtol=0, atol=1e-12)
+
+
+@given(specs(max_n=12), st.sampled_from([0.0, 1e-12, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_prefix_stream_matches_prefix_list(spec_n, prune_eps):
+    spec, N = spec_n
+    listed = convolve_prefixes(spec, N, prune_eps)
+    assert type(listed) is list
+    streamed = list(iter_prefixes(spec, N, prune_eps))
+    assert len(streamed) == len(listed) == N
+    for a, b in zip(streamed, listed):
+        assert a.min_index == b.min_index
+        assert np.array_equal(a.weights, b.weights)
+        assert a.mass_defect == b.mass_defect
+
+
+@pytest.mark.parametrize("N, prune_eps", [(0, 0.0), (-3, 0.0), (4, -1e-12), (4, 2e-8)])
+def test_prefix_stream_rejects_bad_arguments_when_called(N, prune_eps):
+    spec = SequenceSpec.iid(delta(1))
+    with pytest.raises(ValueError):
+        iter_prefixes(spec, N, prune_eps)

@@ -8,6 +8,7 @@ from convergence_lab import (
     TestFunction,
     convolve_prefixes,
     delta,
+    dissipativity_rows,
     dissipativity_trace,
     example_decomposition,
     example_measure,
@@ -100,6 +101,17 @@ class TestDissipativityTrace:
         # frozen oracle horizon: window max 0.01802 at N=60, K=50
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
         assert rows[-1].window_max < 0.02
+
+    def test_tap_passes_prefixes_through(self):
+        spec = INV_SQ.to_spec()
+        rows = []
+        tapped = list(dissipativity_rows(iter(convolve_prefixes(spec, 20)), 50, rows))
+        assert rows == dissipativity_trace(spec, 50, 20)
+        for got, want in zip(tapped, convolve_prefixes(spec, 20)):
+            assert got.min_index == want.min_index
+            assert np.array_equal(got.weights, want.weights)
+        with pytest.raises(ValueError):
+            dissipativity_rows([], 0, [])
 
     def test_family_trace_is_nonincreasing(self):
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
@@ -232,6 +244,13 @@ class TestSweepoutSimulation:
         )
         assert sim.frac_high == 1.0
         assert sim.frac_low == 1.0
+
+    def test_shared_stream_must_hold_n_prefixes(self):
+        spec = INV_SQ.to_spec()
+        with pytest.raises(ValueError):
+            sweepout_simulation(
+                DynSystem.cyclic(64), spec, 0.1, 5, prefixes=iter(convolve_prefixes(spec, 4))
+            )
 
     def test_support_cap_surfaces(self):
         spec = geometric_family(0.5).to_spec()

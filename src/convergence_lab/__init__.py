@@ -65,7 +65,6 @@ from .sweepout import (
     FloorScanResult,
     SweepoutFamily,
     SweepoutSimulation,
-    dissipativity_rows,
     dissipativity_trace,
     example_decomposition,
     example_measure,

@@ -29,12 +29,10 @@ from .measures import (
     SequenceSpec,
     SupportCapError,
     convolve_prefixes,
-    iter_prefixes,
 )
 from .spectral import fourier_eval
 from .sweepout import (
     SweepoutFamily,
-    dissipativity_rows,
     fourier_floor_scan,
     geometric_family,
     inverse_square_family,
@@ -478,28 +476,27 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
+    # Every result comes before any file, so a support-cap hit writes nothing.
     # One prefix chain feeds both the dissipativity rows and the simulation.
-    rows: list = []
-    prefixes = iter_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
     sim = sweepout_simulation(
         config.system,
         config.spec,
         config.b_measure,
         config.horizon,
         prune_eps=config.prune_eps,
-        prefixes=dissipativity_rows(prefixes, config.window_k, rows),
+        window_k=config.window_k,
     )
+    pts = scan_points(config.scan_max_denominator, config.scan_uniform)
+    scan = fourier_floor_scan(config.spec, pts, config.horizon)
+
     _write_csv(
         out / "dissipativity.csv",
         config,
         "sweepout",
         ("n", "window_max"),
-        rows,
+        sim.dissipativity,
         extra=[("window_k", str(config.window_k))],
     )
-
-    pts = scan_points(config.scan_max_denominator, config.scan_uniform)
-    scan = fourier_floor_scan(config.spec, pts, config.horizon)
     _write_csv(
         out / "floor_scan.csv",
         config,

@@ -10,8 +10,9 @@ The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`),
 so their memory is one dense prefix plus, on the rotation, a table of
 state cells as wide as the widest prefix window so far; it is no longer
-the sum of all N windows.  :func:`dissipativity_rows` taps the stream so
-that one chain can feed both.
+the sum of all N windows.  Given ``window_k``, :func:`sweepout_simulation`
+also records the dissipativity rows from the same stream, so one chain
+feeds both.
 """
 from __future__ import annotations
 
@@ -130,24 +131,17 @@ def dissipativity_trace(
         raise ValueError("K and N must be positive")
     rows: list[DissipativityRow] = []
     prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
-    for _ in dissipativity_rows(prefixes, K, rows):
+    for _ in _tap_window_max(prefixes, K, rows):
         pass
     return rows
 
 
-def dissipativity_rows(
+def _tap_window_max(
     prefixes: Iterable[LatticeMeasure], K: int, rows: list[DissipativityRow]
 ) -> Iterator[LatticeMeasure]:
     """Pass ``prefixes`` through, appending the row (n, max_{|k| <= K} mu_n(k))
     of each to ``rows`` as it goes by."""
-    if K < 1:
-        raise ValueError("K must be positive")
-    return _tap_window_max(prefixes, np.arange(-K, K + 1, dtype=np.int64), rows)
-
-
-def _tap_window_max(
-    prefixes: Iterable[LatticeMeasure], window: np.ndarray, rows: list[DissipativityRow]
-) -> Iterator[LatticeMeasure]:
+    window = np.arange(-K, K + 1, dtype=np.int64)
     for n, mu in enumerate(prefixes, start=1):
         rows.append(DissipativityRow(n, float(np.max(mu.weights_at(window)))))
         yield mu
@@ -254,6 +248,8 @@ class SweepoutSimulation:
     low_threshold: float
     horizon: int
     set_measure: float
+    #: Rows of :func:`dissipativity_trace` for ``window_k``, when it was given.
+    dissipativity: Optional[list[DissipativityRow]] = None
 
 
 class _CellTable:
@@ -301,22 +297,27 @@ def sweepout_simulation(
     high_threshold: float = HIGH_THRESHOLD,
     low_threshold: float = LOW_THRESHOLD,
     *,
-    prefixes: Optional[Iterable[LatticeMeasure]] = None,
+    window_k: Optional[int] = None,
 ) -> SweepoutSimulation:
     """Running max/min of mu_n chi_B(x) over n <= N for every sampled state.
 
     B is the block {0, ..., round(B_measure q) - 1} on the cyclic system and
     the interval [0, B_measure) on the rotation.  The per-state values are
-    exact sums of mu_n mass over the preimage of B.  ``prefixes`` supplies
-    the N running products of ``spec`` from a stream the caller shares;
-    by default they are streamed here.
+    exact sums of mu_n mass over the preimage of B.  Given ``window_k``,
+    the result also carries ``dissipativity_trace(spec, window_k, N, ...)``,
+    taken from the same prefix stream.
     """
     if not 0.0 <= B_measure <= 1.0:
         raise ValueError("B_measure must lie in [0, 1]")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if prefixes is None:
-        prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
+    if window_k is not None and window_k < 1:
+        raise ValueError("window_k must be positive")
+    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
+    rows: Optional[list[DissipativityRow]] = None
+    if window_k is not None:
+        rows = []
+        prefixes = _tap_window_max(prefixes, window_k, rows)
 
     xs = sys.states()
     if sys.is_cyclic:
@@ -357,13 +358,10 @@ def sweepout_simulation(
 
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None
-    count = 0
-    for count, mu in enumerate(prefixes, start=1):
+    for mu in prefixes:
         vals = masses(mu)
         sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
         inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
-    if count != N:
-        raise ValueError(f"expected {N} prefixes, got {count}")
 
     frac_high = float(np.mean(sup_trace >= high_threshold))
     frac_low = float(np.mean(inf_trace <= low_threshold))
@@ -376,4 +374,5 @@ def sweepout_simulation(
         low_threshold=low_threshold,
         horizon=N,
         set_measure=set_measure,
+        dissipativity=rows,
     )

@@ -8,7 +8,6 @@ from convergence_lab import (
     TestFunction,
     convolve_prefixes,
     delta,
-    dissipativity_rows,
     dissipativity_trace,
     example_decomposition,
     example_measure,
@@ -102,16 +101,19 @@ class TestDissipativityTrace:
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
         assert rows[-1].window_max < 0.02
 
-    def test_tap_passes_prefixes_through(self):
+    @pytest.mark.parametrize(
+        "sys", [DynSystem.cyclic(64), DynSystem.rotation(samples=256, seed=2)], ids=["cyclic", "rotation"]
+    )
+    def test_simulation_records_the_same_rows(self, sys):
         spec = INV_SQ.to_spec()
-        rows = []
-        tapped = list(dissipativity_rows(iter(convolve_prefixes(spec, 20)), 50, rows))
-        assert rows == dissipativity_trace(spec, 50, 20)
-        for got, want in zip(tapped, convolve_prefixes(spec, 20)):
-            assert got.min_index == want.min_index
-            assert np.array_equal(got.weights, want.weights)
+        sim = sweepout_simulation(sys, spec, 0.1, 20, window_k=50)
+        assert sim.dissipativity == dissipativity_trace(spec, 50, 20)
+        plain = sweepout_simulation(sys, spec, 0.1, 20)
+        assert plain.dissipativity is None
+        assert np.array_equal(sim.sup_trace, plain.sup_trace)
+        assert np.array_equal(sim.inf_trace, plain.inf_trace)
         with pytest.raises(ValueError):
-            dissipativity_rows([], 0, [])
+            sweepout_simulation(sys, spec, 0.1, 20, window_k=0)
 
     def test_family_trace_is_nonincreasing(self):
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
@@ -244,13 +246,6 @@ class TestSweepoutSimulation:
         )
         assert sim.frac_high == 1.0
         assert sim.frac_low == 1.0
-
-    def test_shared_stream_must_hold_n_prefixes(self):
-        spec = INV_SQ.to_spec()
-        with pytest.raises(ValueError):
-            sweepout_simulation(
-                DynSystem.cyclic(64), spec, 0.1, 5, prefixes=iter(convolve_prefixes(spec, 4))
-            )
 
     def test_support_cap_surfaces(self):
         spec = geometric_family(0.5).to_spec()

@@ -7,6 +7,13 @@ renormalized, so stored weights plus the defect always account for total
 mass 1.  All values are immutable after construction and every operation
 here is a pure function.
 
+Construction checks and trims the weights without full-size temporaries,
+and copies them only when someone else could still write them: a
+read-only array that owns its data, or a slice of one, is adopted as is;
+any other array is copied, so a caller who later writes to their array
+cannot change the measure.  :func:`convolve` hands over its fresh result
+read-only, so each convolution allocates its output once.
+
 The running products mu_n = nu_1 * ... * nu_n have one engine,
 :func:`iter_prefixes`, which yields them one at a time and keeps none: the
 experiments that reduce over the chain (maximal functions, traces, the
@@ -36,9 +43,35 @@ _CONSTRUCTION_TOL = 1e-9
 #: Convolutions switch to shifted-adds when one side has few atoms.
 _SPARSE_NNZ_CUTOFF = 32
 
+#: First chunk length when scanning a weight vector for its support hull.
+_TRIM_SCAN_CHUNK = 64
+
 
 class SupportCapError(RuntimeError):
     """A convolution result would exceed the configured support cap."""
+
+
+def _first_nonzero(w: np.ndarray) -> int:
+    """Index of the first nonzero entry of ``w``, or ``len(w)`` if none.
+
+    Scans in doubling chunks from the front: zero runs are short
+    (underflowed tails), so this reads a few entries, not the whole array.
+    """
+    start, chunk = 0, _TRIM_SCAN_CHUNK
+    while start < len(w):
+        nz = np.flatnonzero(w[start : start + chunk])
+        if nz.size:
+            return start + int(nz[0])
+        start += chunk
+        chunk *= 2
+    return len(w)
+
+
+def _is_frozen(w: np.ndarray) -> bool:
+    """True if no one can write ``w``'s data: the array owning its memory is
+    a read-only ndarray (views of it are read-only too)."""
+    owner = w if w.base is None else w.base
+    return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +85,10 @@ class LatticeMeasure:
       is trimmed to the support hull);
     * ``sum(weights) + mass_defect`` is 1 up to rounding;
     * ``mass_defect >= 0``.
+
+    ``weights`` is adopted without a copy when it, and the array owning its
+    memory, are read-only (a read-only owned array, or a slice of one);
+    otherwise the trimmed window is copied and made read-only.
     """
 
     min_index: int
@@ -62,15 +99,18 @@ class LatticeMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
+        # Two reductions settle the common case without a full-size mask.
+        if not (w.min() >= 0.0 and np.isfinite(w.max())):
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             raise ValueError("weights must be nonnegative")
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
+        first = _first_nonzero(w)
+        if first == len(w):
             raise ValueError("measure carries no mass")
-        w = w[nz[0] : nz[-1] + 1].copy()
-        w.setflags(write=False)
+        w = w[first : len(w) - _first_nonzero(w[::-1])]
+        if not _is_frozen(w):
+            w = w.copy()
+            w.setflags(write=False)
         defect = float(self.mass_defect)
         if defect < -PROBABILITY_TOL:
             raise ValueError(f"mass_defect must be nonnegative, got {defect}")
@@ -80,7 +120,7 @@ class LatticeMeasure:
             raise ValueError(
                 f"weights plus mass_defect must sum to 1, got {total!r}"
             )
-        object.__setattr__(self, "min_index", int(self.min_index) + int(nz[0]))
+        object.__setattr__(self, "min_index", int(self.min_index) + first)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mass_defect", defect)
 
@@ -204,13 +244,25 @@ def convolve(
         raise SupportCapError(
             f"convolution support {out_len} exceeds cap {support_cap}"
         )
-    sparse, dense = (a, b) if a.nnz <= b.nnz else (b, a)
-    if sparse.nnz <= _SPARSE_NNZ_CUTOFF:
-        out = np.zeros(out_len, dtype=float)
-        for i in np.flatnonzero(sparse.weights):
-            out[i : i + len(dense.weights)] += sparse.weights[i] * dense.weights
+    nnz_a, nnz_b = a.nnz, b.nnz
+    sparse, dense = (a, b) if nnz_a <= nnz_b else (b, a)
+    if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
+        # Shifted adds, atom by atom in ascending order: each element gets
+        # the sums 0 + s_0 d + s_1 d' + ... in that order, written without a
+        # zeroed buffer (0 + x == x) or a temporary per atom.  The first atom
+        # sits at offset 0, since stored windows start at an atom.
+        s, d, L = sparse.weights, dense.weights, len(dense.weights)
+        atoms = np.flatnonzero(s)
+        out = np.empty(out_len, dtype=float)
+        np.multiply(d, s[0], out=out[:L])
+        out[L:] = 0.0
+        if len(atoms) > 1:
+            scratch = np.empty(L, dtype=float)
+            for i in atoms[1:]:
+                out[i : i + L] += np.multiply(d, s[i], out=scratch)
     else:
         out = np.convolve(a.weights, b.weights)
+    out.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
     return LatticeMeasure(a.min_index + b.min_index, out, defect)

@@ -9,8 +9,8 @@ positive floor on |mu_n_hat| away from the trivial character.
 The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`),
 so their memory is one dense prefix plus, on the rotation, a table of
-state cells as wide as the widest prefix window so far; it is no longer
-the sum of all N windows.  Given ``window_k``, :func:`sweepout_simulation`
+state cells covering the widest prefix window so far, in a buffer at most
+twice that wide; it is no longer the sum of all N windows.  Given ``window_k``, :func:`sweepout_simulation`
 also records the dissipativity rows from the same stream, so one chain
 feeds both.
 """
@@ -258,32 +258,45 @@ class _CellTable:
     The cell of k is the number of boundaries at or below the circle
     position k alpha mod 1, so the mass a prefix puts below boundary j is
     the cumulative sum of its mass per cell up to cell j.  The table covers
-    only the window the prefixes seen so far have reached, and grows to
-    each new window exactly.
+    only the points [lo, hi) that the windows seen so far have reached,
+    each computed once.  They sit in ``cells``, a buffer whose first entry
+    is point ``offset``; it is regrown to twice the covered width, with
+    half the slack on each side, only when a window runs past it, so a
+    growing chain regrows it O(log width) times, not once per prefix.
     """
 
     def __init__(self, alpha: float, edges: np.ndarray) -> None:
         self.alpha = alpha
         self.edges = edges
-        self.lo = self.hi = 0
-        self.cells = self._cells_of(0, 0)
+        self.cells = np.empty(0, dtype=np.intp)
+        self.offset = self.lo = self.hi = 0
 
-    def _cells_of(self, lo: int, hi: int) -> np.ndarray:
+    def _fill(self, lo: int, hi: int) -> None:
         positions = (np.arange(lo, hi, dtype=np.int64) * self.alpha) % 1.0
-        return np.searchsorted(self.edges, positions, side="right")
+        self.cells[lo - self.offset : hi - self.offset] = np.searchsorted(
+            self.edges, positions, side="right"
+        )
 
     def window(self, mu: LatticeMeasure) -> np.ndarray:
         """Cells of mu's window [min_index, max_index], growing the table to cover it."""
         lo, hi = mu.min_index, mu.max_index + 1
         if self.lo == self.hi:
             self.lo = self.hi = lo
-        if lo < self.lo or hi > self.hi:
-            lo, hi = min(lo, self.lo), max(hi, self.hi)
-            self.cells = np.concatenate(
-                (self._cells_of(lo, self.lo), self.cells, self._cells_of(self.hi, hi))
-            )
-            self.lo, self.hi = lo, hi
-        i0 = mu.min_index - self.lo
+        new_lo, new_hi = min(lo, self.lo), max(hi, self.hi)
+        if new_lo < self.offset or new_hi > self.offset + len(self.cells):
+            width = new_hi - new_lo
+            grown = np.empty(2 * width, dtype=np.intp)
+            offset = new_lo - width // 2
+            grown[self.lo - offset : self.hi - offset] = self.cells[
+                self.lo - self.offset : self.hi - self.offset
+            ]
+            self.cells, self.offset = grown, offset
+        if new_lo < self.lo:
+            self._fill(new_lo, self.lo)
+        if self.hi < new_hi:
+            self._fill(self.hi, new_hi)
+        self.lo, self.hi = new_lo, new_hi
+        i0 = lo - self.offset
         return self.cells[i0 : i0 + len(mu.weights)]
 
 

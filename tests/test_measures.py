@@ -40,8 +40,20 @@ class TestLatticeMeasure:
         assert mu.min_index == 5
         assert len(mu.weights) == 1
 
+    def test_trims_zero_runs_longer_than_one_scan_chunk(self):
+        w = np.zeros(1000 + 3 + 700)
+        w[1000:1003] = [0.25, 0.0, 0.75]
+        mu = LatticeMeasure(-7, w)
+        assert mu.min_index == -7 + 1000
+        assert list(mu.weights) == [0.25, 0.0, 0.75]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            LatticeMeasure(0, np.array([0.5, bad, 0.5]))
+
     def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
             LatticeMeasure(0, np.array([0.5, -0.1, 0.6]))
 
     def test_rejects_wrong_total(self):
@@ -49,13 +61,35 @@ class TestLatticeMeasure:
             LatticeMeasure(0, np.array([0.5, 0.2]))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="carries no mass"):
             LatticeMeasure(0, np.array([0.0, 0.0]))
 
     def test_weights_are_immutable(self):
         mu = delta(0)
         with pytest.raises(ValueError):
             mu.weights[0] = 2.0
+
+    def test_writeable_source_is_copied(self):
+        src = np.array([0.0, 0.25, 0.5, 0.25])
+        mu = LatticeMeasure(0, src)
+        src[1:] = [1.0, 0.0, 0.0]
+        assert list(mu.weights) == [0.25, 0.5, 0.25]
+        # A read-only view still lets the caller write through the source.
+        view = src[:]
+        view.setflags(write=False)
+        src[:] = [0.0, 0.5, 0.0, 0.5]
+        nu = LatticeMeasure(0, view)
+        src[:] = [0.0, 1.0, 0.0, 0.0]
+        assert list(nu.weights) == [0.5, 0.0, 0.5]
+
+    def test_frozen_source_is_adopted(self):
+        src = np.array([0.0, 0.25, 0.5, 0.25, 0.0])
+        src.setflags(write=False)
+        mu = LatticeMeasure(0, src)
+        assert mu.min_index == 1
+        assert np.shares_memory(mu.weights, src)
+        again = LatticeMeasure(mu.min_index, mu.weights)
+        assert np.shares_memory(again.weights, src)
 
     def test_weight_lookup(self):
         mu = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})

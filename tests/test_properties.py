@@ -55,6 +55,44 @@ def test_convolution_commutes(a, b):
     assert l1_distance(convolve(a, b), convolve(b, a)) <= 1e-12
 
 
+@st.composite
+def tiny_ended_measures(draw, max_span):
+    """Gapped weights whose end weights may be near 1e-200, so that the
+    extreme products of two of them underflow to zero."""
+    span = draw(st.integers(min_value=1, max_value=max_span))
+    body = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=span, max_size=span))
+    ends = st.sampled_from([1.0, 1e-200, 3e-201])
+    w = np.array([draw(ends), *body, 1.0, draw(ends)])
+    defect = draw(st.sampled_from([0.0, 1e-3]))
+    w *= (1.0 - defect) / w.sum()
+    offset = draw(st.integers(min_value=-6, max_value=6))
+    return LatticeMeasure(offset, w, defect)
+
+
+def _shifted_add_oracle(a, b):
+    """Zeroed output, then out[i:i+L] += s*dense per sparse atom in ascending order."""
+    sparse, dense = (a, b) if a.nnz <= b.nnz else (b, a)
+    L = len(dense.weights)
+    out = np.zeros(len(a.weights) + len(b.weights) - 1)
+    for i in np.flatnonzero(sparse.weights):
+        out[i : i + L] += sparse.weights[i] * dense.weights
+    nz = np.flatnonzero(out)
+    return a.min_index + b.min_index + int(nz[0]), out[nz[0] : nz[-1] + 1]
+
+
+@given(tiny_ended_measures(max_span=29), tiny_ended_measures(max_span=60), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_sparse_convolution_is_bit_exact(a, b, swap):
+    # a has at most 32 atoms, so the shifted-add path runs.
+    if swap:
+        a, b = b, a
+    min_index, weights = _shifted_add_oracle(a, b)
+    conv = convolve(a, b)
+    assert conv.min_index == min_index
+    assert np.array_equal(conv.weights, weights)
+    assert conv.mass_defect == a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
+
+
 @given(lattice_measures(), lattice_measures(), lattice_measures())
 @settings(max_examples=40, deadline=None)
 def test_convolution_associates(a, b, c):

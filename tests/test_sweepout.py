@@ -15,6 +15,7 @@ from convergence_lab import (
     fourier_floor_scan,
     from_pairs,
     geometric_family,
+    iter_prefixes,
     inverse_square_family,
     l1_distance,
     moment,
@@ -22,6 +23,8 @@ from convergence_lab import (
     sweepout_simulation,
     weighted_average_all,
 )
+from convergence_lab.measures import LatticeMeasure
+from convergence_lab.sweepout import _CellTable
 
 INV_SQ = inverse_square_family(1.0)
 
@@ -251,3 +254,31 @@ class TestSweepoutSimulation:
         spec = geometric_family(0.5).to_spec()
         with pytest.raises(SupportCapError):
             sweepout_simulation(DynSystem.cyclic(64), spec, 0.1, 25)
+
+
+class TestCellTable:
+    ALPHA = np.sqrt(2.0) - 1.0
+    EDGES = np.sort(np.random.default_rng(3).random(9))
+
+    @staticmethod
+    def _uniform(lo, hi):
+        return LatticeMeasure(lo, np.full(hi - lo + 1, 1.0 / (hi - lo + 1)))
+
+    def test_cells_of_every_window(self):
+        table = _CellTable(self.ALPHA, self.EDGES)
+        # left, right, both sides, inside, then far past the buffer both ways
+        for lo, hi in [(0, 4), (-9, 4), (-9, 17), (-30, 40), (-5, 2), (-1000, 41), (-1000, 5000), (3, 3)]:
+            ks = np.arange(lo, hi + 1, dtype=np.int64)
+            expected = np.searchsorted(self.EDGES, (ks * self.ALPHA) % 1.0, side="right")
+            assert np.array_equal(table.window(self._uniform(lo, hi)), expected)
+
+    def test_growing_chain_regrows_buffer_logarithmically(self):
+        table = _CellTable(self.ALPHA, self.EDGES)
+        regrows, buffer = 0, table.cells
+        for mu in iter_prefixes(INV_SQ.to_spec(), 120):
+            table.window(mu)
+            if table.cells is not buffer:
+                regrows, buffer = regrows + 1, table.cells
+        width = table.hi - table.lo
+        assert width == len(mu.weights) > 500_000
+        assert regrows <= 2 * np.log2(width)

@@ -3,6 +3,7 @@ import pytest
 
 from convergence_lab import (
     DynSystem,
+    LatticeMeasure,
     SequenceSpec,
     SupportCapError,
     TestFunction,
@@ -15,15 +16,14 @@ from convergence_lab import (
     fourier_floor_scan,
     from_pairs,
     geometric_family,
-    iter_prefixes,
     inverse_square_family,
+    iter_prefixes,
     l1_distance,
     moment,
     scan_points,
     sweepout_simulation,
     weighted_average_all,
 )
-from convergence_lab.measures import LatticeMeasure
 from convergence_lab.sweepout import _CellTable
 
 INV_SQ = inverse_square_family(1.0)

@@ -18,7 +18,7 @@ import sys as _sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -323,12 +323,14 @@ def validate_config(path: str | os.PathLike) -> list[str]:
 
 
 # -- output helpers ------------------------------------------------------------------
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, parts: Iterable[str]) -> None:
+    """Write the concatenated ``parts`` to ``path`` through a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -351,17 +353,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(col: Iterable) -> Iterable[str]:
+    """Cell texts of one column: ``repr`` of each float64 and ``str`` of each
+    integer of a numpy column, ``_fmt`` of each value of anything else (a
+    sequence, or an iterator read as the rows are joined)."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+    return map(_fmt, col)
+
+
+def _rows_block(rows: Iterable[Sequence]) -> tuple:
+    """The columns of a list of rows, as one block for :func:`_write_csv`."""
+    return tuple(zip(*rows))
+
+
 def _write_csv(
     path: Path,
     config: ExperimentConfig,
     subcommand: str,
     columns: Sequence[str],
-    rows: Iterable[Sequence],
+    blocks: Iterable[Sequence[Iterable]],
     extra: Iterable[tuple[str, str]] = (),
 ) -> None:
-    body = [",".join(columns)]
-    body.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, _header(config, subcommand, extra) + "\n".join(body) + "\n")
+    """Write a CSV of ``columns`` whose rows come in ``blocks`` of equal-length
+    columns, each block formatted and written before the next is asked for."""
+
+    def parts() -> Iterator[str]:
+        yield _header(config, subcommand, extra) + ",".join(columns) + "\n"
+        for block in blocks:
+            text = "\n".join(map(",".join, zip(*map(_format_column, block))))
+            if text:
+                yield text + "\n"
+
+    _atomic_write(path, parts())
 
 
 def _make_test_function(config: ExperimentConfig) -> TestFunction:
@@ -382,16 +409,20 @@ def _make_test_function(config: ExperimentConfig) -> TestFunction:
 # -- subcommands -------------------------------------------------------------------------
 def _cmd_convolve(config: ExperimentConfig, out: Path) -> int:
     mus = convolve_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
-    rows = []
-    for n, mu in enumerate(mus, start=1):
-        for i, w in enumerate(mu.weights):
-            rows.append((n, mu.min_index + i, float(w)))
+    blocks = (
+        (
+            np.full(len(mu.weights), n),
+            np.arange(mu.min_index, mu.max_index + 1),
+            mu.weights,
+        )
+        for n, mu in enumerate(mus, start=1)
+    )
     _write_csv(
         out / "prefixes.csv",
         config,
         "convolve",
         ("n", "k", "weight"),
-        rows,
+        blocks,
         extra=[("final_mass_defect", repr(mus[-1].mass_defect))],
     )
     return EXIT_OK
@@ -402,16 +433,20 @@ def _cmd_spectrum(config: ExperimentConfig, out: Path) -> int:
     mus = convolve_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
     for n in ladder:
         prof = fourier_eval(mus[n - 1], config.grid_size)
-        rows = (
-            (float(t), float(v.real), float(v.imag), float(abs(v)), float(abs(a)), float(abs(b)))
-            for t, v, a, b in zip(prof.grid, prof.values, prof.d1, prof.d2)
+        # Moduli one scalar at a time: np.abs of a complex array can differ
+        # from the scalar abs in the last bit.
+        block = (
+            prof.grid,
+            prof.values.real,
+            prof.values.imag,
+            *((float(abs(v)) for v in col) for col in (prof.values, prof.d1, prof.d2)),
         )
         _write_csv(
             out / f"spectrum_mu_{n:04d}.csv",
             config,
             "spectrum",
             ("t", "re", "im", "abs", "abs_d1", "abs_d2"),
-            rows,
+            [block],
             extra=[("prefix_n", str(n)), ("lipschitz_bound", repr(prof.lipschitz_bound))],
         )
     return EXIT_OK
@@ -424,13 +459,17 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
         grid_size=config.grid_size,
         prune_eps=config.prune_eps,
     )
-    _write_csv(out / "hypothesis_rows.csv", config, "check", report.row_header, report.rows)
+    _write_csv(
+        out / "hypothesis_rows.csv", config, "check", report.row_header, [_rows_block(report.rows)]
+    )
     summary = report.summary_text()
     if config.spec.has_decomposition:
         sweep = check_sweepout_hypotheses(config.spec, config.horizon)
-        _write_csv(out / "sweepout_rows.csv", config, "check", sweep.row_header, sweep.rows)
+        _write_csv(
+            out / "sweepout_rows.csv", config, "check", sweep.row_header, [_rows_block(sweep.rows)]
+        )
         summary += "\n" + sweep.summary_text()
-    _atomic_write(out / "hypothesis_summary.txt", _header(config, "check") + summary + "\n")
+    _atomic_write(out / "hypothesis_summary.txt", [_header(config, "check"), summary, "\n"])
     print(summary)
     cap_ns = report.traces["d2_depth_cap_n"]
     if cap_ns:
@@ -458,7 +497,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
         config,
         "simulate",
         ("lambda", "level_measure", "empirical_constant"),
-        rows,
+        [_rows_block(rows)],
         extra=[("f_l1_norm", repr(f.norm_l1(config.system)))],
     )
     _write_csv(
@@ -466,7 +505,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
         config,
         "simulate",
         ("n", "value"),
-        ((n, v) for n, v in enumerate(trace.values, start=1)),
+        [_rows_block(enumerate(trace.values, start=1))],
         extra=[
             ("oscillation_window_start", str(trace.window_start)),
             ("tail_oscillation", repr(trace.oscillation)),
@@ -494,7 +533,7 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         config,
         "sweepout",
         ("n", "window_max"),
-        sim.dissipativity,
+        [_rows_block(sim.dissipativity)],
         extra=[("window_k", str(config.window_k))],
     )
     _write_csv(
@@ -502,7 +541,7 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         config,
         "sweepout",
         ("t", "floor_min", "product_bound"),
-        scan.rows,
+        [_rows_block(scan.rows)],
         extra=[
             ("window", f"[{scan.window_start},{scan.horizon}]"),
             ("product_bound_vacuous", str(scan.vacuous).lower()),
@@ -516,7 +555,7 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         config,
         "sweepout",
         ("state_index", "running_max", "running_min"),
-        ((i, float(hi), float(lo)) for i, (hi, lo) in enumerate(zip(sim.sup_trace, sim.inf_trace))),
+        [(np.arange(len(sim.sup_trace)), sim.sup_trace, sim.inf_trace)],
         extra=[
             ("set_measure", repr(sim.set_measure)),
             ("high_threshold", repr(sim.high_threshold)),

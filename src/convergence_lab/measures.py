@@ -12,7 +12,11 @@ and copies them only when someone else could still write them: a
 read-only array that owns its data, or a slice of one, is adopted as is;
 any other array is copied, so a caller who later writes to their array
 cannot change the measure.  :func:`convolve` hands over its fresh result
-read-only, so each convolution allocates its output once.
+read-only, so each convolution allocates its output once.  When one side
+has few atoms it sums shifted copies of the other block by block over the
+output, through one block-sized scratch that stays in cache, and it picks
+that side after counting the atoms of the narrower operand and only as
+many of the wider one as it takes to tell which has fewer.
 
 The running products mu_n = nu_1 * ... * nu_n have one engine,
 :func:`iter_prefixes`, which yields them one at a time and keeps none: the
@@ -43,8 +47,13 @@ _CONSTRUCTION_TOL = 1e-9
 #: Convolutions switch to shifted-adds when one side has few atoms.
 _SPARSE_NNZ_CUTOFF = 32
 
-#: First chunk length when scanning a weight vector for its support hull.
+#: First chunk length when scanning a weight vector for its support hull
+#: or counting its atoms.
 _TRIM_SCAN_CHUNK = 64
+
+#: Output block of the shifted-add convolution, in doubles: the adds run one
+#: block at a time through a scratch of this size, which stays in cache.
+_CONVOLVE_BLOCK = 1 << 14
 
 
 class SupportCapError(RuntimeError):
@@ -65,6 +74,18 @@ def _first_nonzero(w: np.ndarray) -> int:
         start += chunk
         chunk *= 2
     return len(w)
+
+
+def _count_nonzero_past(w: np.ndarray, limit: int) -> int:
+    """Nonzero entries of ``w``, counted in doubling chunks from the front
+    only until the count exceeds ``limit``: the exact count when it is at
+    most ``limit``, otherwise some number above ``limit``."""
+    count, start, chunk = 0, 0, _TRIM_SCAN_CHUNK
+    while count <= limit and start < len(w):
+        count += int(np.count_nonzero(w[start : start + chunk]))
+        start += chunk
+        chunk *= 2
+    return count
 
 
 def _is_frozen(w: np.ndarray) -> bool:
@@ -244,28 +265,47 @@ def convolve(
         raise SupportCapError(
             f"convolution support {out_len} exceeds cap {support_cap}"
         )
-    nnz_a, nnz_b = a.nnz, b.nnz
-    sparse, dense = (a, b) if nnz_a <= nnz_b else (b, a)
+    # Count the narrower operand, then the wider one only until it has more.
+    narrow, wide = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
+    nnz_narrow = narrow.nnz
+    nnz_wide = _count_nonzero_past(wide.weights, nnz_narrow)
+    nnz_a, nnz_b = (nnz_narrow, nnz_wide) if narrow is a else (nnz_wide, nnz_narrow)
     if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
-        # Shifted adds, atom by atom in ascending order: each element gets
-        # the sums 0 + s_0 d + s_1 d' + ... in that order, written without a
-        # zeroed buffer (0 + x == x) or a temporary per atom.  The first atom
-        # sits at offset 0, since stored windows start at an atom.
-        s, d, L = sparse.weights, dense.weights, len(dense.weights)
-        atoms = np.flatnonzero(s)
-        out = np.empty(out_len, dtype=float)
-        np.multiply(d, s[0], out=out[:L])
-        out[L:] = 0.0
-        if len(atoms) > 1:
-            scratch = np.empty(L, dtype=float)
-            for i in atoms[1:]:
-                out[i : i + L] += np.multiply(d, s[i], out=scratch)
+        sparse, dense = (a, b) if nnz_a <= nnz_b else (b, a)
+        out = _shifted_adds(sparse.weights, dense.weights, out_len)
     else:
         out = np.convolve(a.weights, b.weights)
     out.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
     return LatticeMeasure(a.min_index + b.min_index, out, defect)
+
+
+def _shifted_adds(s: np.ndarray, d: np.ndarray, out_len: int) -> np.ndarray:
+    """Sum of the shifts ``s[i] * d`` to offset ``i`` over the atoms of ``s``.
+
+    Runs block by block over the output through one block-sized scratch.
+    Each element gets ``s[0] * d`` (``s[0]`` is an atom: stored windows
+    start at one), or 0.0 past its reach, then ``+ s[i] * d`` for the other
+    atoms in ascending order: the sums of a zeroed buffer (0 + x == x), so
+    the result does not depend on the block size.
+    """
+    L = len(d)
+    s0, atoms = s[0], np.flatnonzero(s)[1:].tolist()
+    out = np.empty(out_len, dtype=float)
+    scratch = np.empty(min(_CONVOLVE_BLOCK, out_len), dtype=float)
+    for b0 in range(0, out_len, _CONVOLVE_BLOCK):
+        b1 = min(b0 + _CONVOLVE_BLOCK, out_len)
+        reach = min(b1, L)
+        if b0 < reach:
+            np.multiply(d[b0:reach], s0, out=out[b0:reach])
+        out[max(b0, reach) : b1] = 0.0
+        for i in atoms:
+            lo, hi = max(b0, i), min(b1, i + L)
+            if lo < hi:
+                part = np.multiply(d[lo - i : hi - i], s[i], out=scratch[: hi - lo])
+                out[lo:hi] += part
+    return out
 
 
 def prune(mu: LatticeMeasure, eps: float) -> LatticeMeasure:

@@ -10,7 +10,10 @@ The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`),
 so their memory is one dense prefix plus, on the rotation, a table of
 state cells covering the widest prefix window so far, in a buffer at most
-twice that wide; it is no longer the sum of all N windows.  Given ``window_k``, :func:`sweepout_simulation`
+twice that wide; it is no longer the sum of all N windows.  The table
+finds most points' cells by one lookup in a bucket table of the circle,
+and searches the state-set boundaries only for points in the few buckets
+that a boundary splits.  Given ``window_k``, :func:`sweepout_simulation`
 also records the dissipativity rows from the same stream, so one chain
 feeds both.
 """
@@ -33,6 +36,9 @@ from .measures import (
 )
 from .spectral import fourier_at
 from .dynamics import DynSystem
+
+#: Points whose cells are computed at once when the rotation cell table grows.
+_FILL_CHUNK = 1 << 16
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -256,13 +262,20 @@ class _CellTable:
     """Cell of each lattice point k among the sorted state-set boundaries.
 
     The cell of k is the number of boundaries at or below the circle
-    position k alpha mod 1, so the mass a prefix puts below boundary j is
-    the cumulative sum of its mass per cell up to cell j.  The table covers
-    only the points [lo, hi) that the windows seen so far have reached,
-    each computed once.  They sit in ``cells``, a buffer whose first entry
-    is point ``offset``; it is regrown to twice the covered width, with
-    half the slack on each side, only when a window runs past it, so a
-    growing chain regrows it O(log width) times, not once per prefix.
+    position p = k alpha mod 1, so the mass a prefix puts below boundary j
+    is the cumulative sum of its mass per cell up to cell j.  The table
+    covers only the points [lo, hi) that the windows seen so far have
+    reached, each computed once.  They sit in ``cells``, a buffer whose
+    first entry is point ``offset``; it is regrown to twice the covered
+    width, with half the slack on each side, only when a window runs past
+    it, so a growing chain regrows it O(log width) times, not once per
+    prefix.
+
+    A point's cell is looked up by its bucket floor(p M) among M equal
+    buckets of [0, 1], M a power of two at least 16 times the number of
+    boundaries, so p M is exact.  A bucket with no boundary strictly inside
+    has one cell, that of its left end; only points in the other buckets,
+    at most one in 16 of the buckets, are searched among the boundaries.
     """
 
     def __init__(self, alpha: float, edges: np.ndarray) -> None:
@@ -270,12 +283,23 @@ class _CellTable:
         self.edges = edges
         self.cells = np.empty(0, dtype=np.intp)
         self.offset = self.lo = self.hi = 0
+        n_buckets = 1 << (16 * len(edges) - 1).bit_length()
+        self.scale = float(n_buckets)
+        # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.
+        bucket_cell = np.searchsorted(edges, np.arange(n_buckets + 1) / self.scale, side="right")
+        scaled = edges * self.scale
+        inside = np.floor(scaled)
+        bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
+        self.bucket_cell = bucket_cell.astype(np.int32)
 
     def _fill(self, lo: int, hi: int) -> None:
-        positions = (np.arange(lo, hi, dtype=np.int64) * self.alpha) % 1.0
-        self.cells[lo - self.offset : hi - self.offset] = np.searchsorted(
-            self.edges, positions, side="right"
-        )
+        for start in range(lo, hi, _FILL_CHUNK):
+            stop = min(start + _FILL_CHUNK, hi)
+            positions = (np.arange(start, stop, dtype=np.int64) * self.alpha) % 1.0
+            cells = self.bucket_cell[(positions * self.scale).astype(np.intp)]
+            split = np.flatnonzero(cells < 0)
+            cells[split] = np.searchsorted(self.edges, positions[split], side="right")
+            self.cells[start - self.offset : stop - self.offset] = cells
 
     def window(self, mu: LatticeMeasure) -> np.ndarray:
         """Cells of mu's window [min_index, max_index], growing the table to cover it."""
@@ -361,7 +385,8 @@ def sweepout_simulation(
         # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
         il = np.searchsorted(edges, lo) + 1
         ih = np.searchsorted(edges, hi) + 1
-        wraps = lo > hi
+        # [lo, lo + B) wraps past 1 even where (lo + B) % 1 rounds back onto lo.
+        wraps = (lo + B_measure >= 1.0) & (B_measure < 1.0)
         table = _CellTable(sys.alpha, edges)
 
         def masses(mu: LatticeMeasure) -> np.ndarray:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from convergence_lab import convolve_prefixes
 from convergence_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -176,6 +177,20 @@ class TestMain:
         header = (out / "spectrum_mu_0012.csv").read_text().splitlines()
         data_start = next(i for i, ln in enumerate(header) if not ln.startswith("#"))
         assert header[data_start] == "t,re,im,abs,abs_d1,abs_d2"
+
+    def test_prefix_rows_match_prefix_chain(self, tmp_path):
+        path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
+        out = tmp_path / "out"
+        assert main(["convolve", "--config", path, "--out", str(out)]) == EXIT_OK
+        lines = [ln for ln in (out / "prefixes.csv").read_text().splitlines() if not ln.startswith("#")]
+        config = load_config(path)
+        mus = convolve_prefixes(config.spec, config.horizon)
+        expected = [
+            f"{n},{mu.min_index + i},{float(w)!r}"
+            for n, mu in enumerate(mus, start=1)
+            for i, w in enumerate(mu.weights)
+        ]
+        assert lines == ["n,k,weight", *expected]
 
     def test_config_error_exit_code(self, tmp_path):
         path = write(tmp_path, "a.cfg", IID_CFG.replace("q = 128", "q = 0"))

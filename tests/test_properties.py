@@ -4,10 +4,11 @@ Strategies build small random probability measures directly, so shrinking
 produces readable counterexamples (a handful of atoms near the origin).
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convergence_lab import (
@@ -30,6 +31,9 @@ from convergence_lab import (
     two_atom_bound,
     weighted_average_all,
 )
+from convergence_lab import measures
+from convergence_lab.cli import _format_column
+from convergence_lab.measures import _count_nonzero_past
 from convergence_lab.spectral import _grid_sums, _transform_sums
 
 
@@ -91,6 +95,60 @@ def test_sparse_convolution_is_bit_exact(a, b, swap):
     assert conv.min_index == min_index
     assert np.array_equal(conv.weights, weights)
     assert conv.mass_defect == a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
+
+
+@st.composite
+def spread_atoms(draw):
+    """At most 32 atoms scattered over a window up to 150 wide, offsets down to -60."""
+    width = draw(st.integers(min_value=1, max_value=150))
+    atoms = [0, width - 1, *draw(st.lists(st.integers(min_value=0, max_value=width - 1), max_size=30))]
+    w = np.zeros(width)
+    w[atoms] = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).random(len(atoms)) + 1e-3
+    offset = draw(st.integers(min_value=-60, max_value=60))
+    return LatticeMeasure(offset, w / w.sum())
+
+
+@given(spread_atoms(), tiny_ended_measures(max_span=60), st.integers(min_value=1, max_value=16), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_blocked_convolution_is_bit_exact_across_blocks(a, b, block, swap):
+    # Blocks of 1..16 doubles: outputs up to ~210 wide span many blocks, and
+    # each atom's shifted copy of the dense side straddles block edges.
+    if swap:
+        a, b = b, a
+    min_index, weights = _shifted_add_oracle(a, b)
+    with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):
+        conv = convolve(a, b)
+    assert conv.min_index == min_index
+    assert np.array_equal(conv.weights, weights)
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 9, 1 << 14])
+def test_blocked_convolution_atoms_on_block_edges(block):
+    # Atoms at, just before and just after multiples of 8, far past the
+    # dense side's reach, with negative offsets on both sides.
+    s = np.zeros(49)
+    s[[0, 7, 8, 9, 16, 31, 40, 48]] = np.arange(1.0, 9.0)
+    sparse = LatticeMeasure(-17, s / s.sum())
+    d = np.random.default_rng(5).random(37) + 1e-3
+    dense = LatticeMeasure(-30, d / d.sum())
+    with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):
+        for a, b in ((sparse, dense), (dense, sparse)):
+            min_index, weights = _shifted_add_oracle(a, b)
+            conv = convolve(a, b)
+            assert conv.min_index == min_index
+            assert np.array_equal(conv.weights, weights)
+
+
+@given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5]), max_size=700), st.integers(min_value=0, max_value=200))
+@settings(max_examples=80, deadline=None)
+def test_nonzero_count_stops_past_limit(values, limit):
+    w = np.array(values)
+    exact = int(np.count_nonzero(w))
+    got = _count_nonzero_past(w, limit)
+    if exact <= limit:
+        assert got == exact
+    else:
+        assert limit < got <= exact
 
 
 @given(lattice_measures(), lattice_measures(), lattice_measures())
@@ -273,6 +331,8 @@ def test_streamed_maximal_function_matches_per_prefix(spec_n, sys, seed, prune_e
     systems(),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
 )
+# Just below 1, (lo + B) % 1 rounds back onto lo: the interval still wraps.
+@example((SequenceSpec.iid(delta(0)), 1), DynSystem.rotation(alpha=0.5, samples=1, seed=0), 1.0 - 2.0**-53)
 @settings(max_examples=80, deadline=None)
 def test_windowed_binning_matches_direct_averages(spec_n, sys, B):
     spec, N = spec_n
@@ -305,3 +365,22 @@ def test_prefix_stream_rejects_bad_arguments_when_called(N, prune_eps):
     spec = SequenceSpec.iid(delta(1))
     with pytest.raises(ValueError):
         iter_prefixes(spec, N, prune_eps)
+
+
+# -- CSV cell formatting ------------------------------------------------------------
+csv_floats = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 + 2, 0.1]),
+)
+
+
+@given(st.lists(csv_floats, max_size=40), st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_column_formatter_matches_repr_and_str(floats, ints):
+    assert list(_format_column(np.array(floats, dtype=np.float64))) == [repr(x) for x in floats]
+    assert list(_format_column(np.array(ints, dtype=np.int64))) == [str(x) for x in ints]
+    # Columns that are not numpy arrays are formatted one value at a time.
+    mixed = (*ints[:3], *floats[:3])
+    assert list(_format_column(mixed)) == [repr(x) if isinstance(x, float) else str(x) for x in mixed]

@@ -272,6 +272,42 @@ class TestCellTable:
             expected = np.searchsorted(self.EDGES, (ks * self.ALPHA) % 1.0, side="right")
             assert np.array_equal(table.window(self._uniform(lo, hi)), expected)
 
+    @staticmethod
+    def _assert_cells(alpha, edges, lo, hi):
+        table = _CellTable(alpha, edges)
+        ks = np.arange(lo, hi + 1, dtype=np.int64)
+        positions = (ks * alpha) % 1.0
+        got = table.window(TestCellTable._uniform(lo, hi))
+        assert np.array_equal(got, np.searchsorted(edges, positions, side="right"))
+        return table, positions
+
+    def test_edges_on_bucket_boundaries_and_positions_on_edges(self):
+        # 5 edges give 128 buckets; every edge is some j/128, and alpha = 3/128
+        # puts positions exactly on edges and on bucket boundaries.
+        edges = np.array([0.0, 1 / 128, 0.5, 77 / 128, 127 / 128])
+        table, positions = self._assert_cells(3 / 128, edges, -300, 300)
+        assert table.scale == 128.0
+        assert np.isin(positions, edges).sum() > 20
+
+    def test_position_one(self):
+        # (-1e-20) % 1.0 rounds to 1.0, past every bucket of [0, 1).
+        for edges in (np.array([0.2, 0.7]), np.array([0.0, 0.2, 1.0])):
+            _, positions = self._assert_cells(1e-20, edges, -3, 3)
+            assert positions[2] == 1.0
+
+    def test_single_edge(self):
+        for edge in (0.0, 0.3, 0.5, 1.0):
+            self._assert_cells(self.ALPHA, np.array([edge]), -500, 500)
+
+    def test_edges_denser_than_buckets(self):
+        # 60 edges (1024 buckets) clustered inside one bucket and across a
+        # few, so that many points fall where a bucket holds several edges.
+        cluster = 0.5 + np.linspace(1e-6, 1 / 1024 - 1e-6, 30)
+        spread = 0.25 + np.linspace(0.0, 4 / 1024, 30)
+        edges = np.unique(np.concatenate((cluster, spread)))
+        _, positions = self._assert_cells(self.ALPHA, edges, -20000, 20000)
+        assert np.count_nonzero((positions > cluster[0]) & (positions < cluster[-1])) > 10
+
     def test_growing_chain_regrows_buffer_logarithmically(self):
         table = _CellTable(self.ALPHA, self.EDGES)
         regrows, buffer = 0, table.cells

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys as _sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,44 +48,6 @@ EXIT_CONTRACT = 4
 
 _FLOOR_CONTRACT_TOL = 1e-10
 
-_ALLOWED_KEYS = {
-    "family": {"kind", "weights", "offset", "a_rule", "coeff", "ratio", "measures_file"},
-    "system": {"kind", "q", "alpha", "samples", "seed"},
-    "run": {
-        "horizon",
-        "grid_size",
-        "prune_eps",
-        "lambdas",
-        "b_measure",
-        "window_k",
-        "scan_max_denominator",
-        "scan_uniform",
-        "test_function",
-        "block_fraction",
-        "trig_freq",
-        "trace_state",
-        "out",
-    },
-}
-
-_DEFAULTS = {
-    "system": {"kind": "cyclic", "q": "1024", "alpha": repr(DEFAULT_ALPHA), "samples": "4096", "seed": "0"},
-    "run": {
-        "horizon": "64",
-        "grid_size": "4096",
-        "prune_eps": "0",
-        "lambdas": "1,2,4,8",
-        "b_measure": "0.05",
-        "window_k": "50",
-        "scan_max_denominator": "8",
-        "scan_uniform": "0",
-        "test_function": "point_mass",
-        "block_fraction": "0.125",
-        "trig_freq": "1",
-        "trace_state": "0",
-    },
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries all diagnostics."""
@@ -92,29 +55,6 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics: Sequence[str]):
         super().__init__("; ".join(diagnostics))
         self.diagnostics = list(diagnostics)
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated experiment parameters plus the raw key/value echo."""
-
-    family_kind: str
-    system: DynSystem
-    horizon: int
-    grid_size: int
-    prune_eps: float
-    lambdas: list[float]
-    b_measure: float
-    window_k: int
-    scan_max_denominator: int
-    scan_uniform: int
-    test_function: str
-    block_fraction: float
-    trig_freq: int
-    trace_state: float
-    spec: SequenceSpec
-    out_dir: str = ""
-    echo: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _parse_weights(text: str) -> np.ndarray:
@@ -125,6 +65,115 @@ def _parse_weights(text: str) -> np.ndarray:
     if vals.size == 0:
         raise ConfigError(["family.weights: empty list"])
     return vals
+
+
+def _parse_levels(text: str) -> list[float]:
+    diags: list[str] = []
+    levels: list[float] = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            lam = float(tok)
+        except ValueError:
+            diags.append(f"run.lambdas: cannot parse {tok!r}")
+            continue
+        if lam <= 0:
+            diags.append(f"run.lambdas: levels must be positive (got {tok})")
+        elif not math.isfinite(lam):
+            diags.append(f"run.lambdas: levels must be finite (got {tok})")
+        levels.append(lam)
+    if not levels:
+        diags.append("run.lambdas: at least one level required")
+    if diags:
+        raise ConfigError(diags)
+    return levels
+
+
+def _one_of(*choices: str) -> tuple:
+    """Parser, check and message of a key whose value is one of ``choices``."""
+    return str, set(choices).__contains__, f"must be {', '.join(choices[:-1])} or {choices[-1]}"
+
+
+class _Key(NamedTuple):
+    """One config key: its default text and how its value is read.
+
+    ``parse`` turns the text into a value; a ``ValueError`` means "cannot
+    parse" and a :class:`ConfigError` carries its own diagnostics.  The value
+    must then pass ``check``, else ``message`` is reported, and a float must
+    be finite.  Without ``parse`` the text itself is the value.
+    """
+
+    section: str
+    key: str
+    default: str = ""
+    parse: Optional[Callable[[str], object]] = None
+    check: Callable[[object], bool] = lambda v: True
+    message: str = ""
+
+
+_SECTIONS = ("family", "system", "run")
+
+#: Every accepted key.  [system] and [run] keys are read in this order, so
+#: their diagnostics come in it; [family] keys are read by the code of the
+#: family kind, which supplies their defaults, after them.
+_KEYS = {
+    (k.section, k.key): k
+    for k in (
+        _Key("family", "kind", "", *_one_of("iid", "sweepout", "list")),
+        _Key("family", "weights", "", _parse_weights),
+        _Key("family", "offset", "", int),
+        _Key("family", "a_rule", "", *_one_of("inverse_square", "geometric")),
+        _Key("family", "coeff", "", float, lambda v: v >= 1.0, "must be >= 1"),
+        _Key("family", "ratio", "", float, lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+        _Key("family", "measures_file"),
+        _Key("system", "q", "1024", int, lambda v: v >= 1, "must be a positive integer"),
+        _Key("system", "alpha", repr(DEFAULT_ALPHA), float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+        _Key("system", "samples", "4096", int, lambda v: v >= 1, "must be positive"),
+        _Key("system", "seed", "0", int),
+        _Key("system", "kind", "cyclic", *_one_of("cyclic", "rotation")),
+        _Key("run", "horizon", "64", int, lambda v: v >= 1, "must be >= 1"),
+        _Key("run", "grid_size", "4096", int, lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16"),
+        _Key("run", "prune_eps", "0", float, lambda v: 0.0 <= v <= 1e-8, "must lie in [0, 1e-8]"),
+        _Key("run", "b_measure", "0.05", float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+        _Key("run", "window_k", "50", int, lambda v: v >= 1, "must be >= 1"),
+        _Key("run", "scan_max_denominator", "8", int, lambda v: v >= 1, "must be >= 1"),
+        _Key("run", "scan_uniform", "0", int, lambda v: v >= 0, "must be >= 0"),
+        _Key("run", "block_fraction", "0.125", float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+        _Key("run", "trig_freq", "1", int, lambda v: v >= 0, "must be >= 0"),
+        _Key("run", "trace_state", "0", float),
+        _Key("run", "test_function", "point_mass", *_one_of("point_mass", "block", "trig")),
+        _Key("run", "lambdas", "1,2,4,8", _parse_levels),
+        _Key("run", "out"),
+    )
+}
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated experiment parameters plus the raw key/value echo.
+
+    ``system`` and ``spec`` are built from the [system] and [family]
+    sections; every other field is the value of the [run] key of its name.
+    """
+
+    system: DynSystem
+    spec: SequenceSpec
+    echo: list[tuple[str, str]]
+    horizon: int
+    grid_size: int
+    prune_eps: float
+    b_measure: float
+    window_k: int
+    scan_max_denominator: int
+    scan_uniform: int
+    block_fraction: float
+    trig_freq: int
+    trace_state: float
+    test_function: str
+    lambdas: list[float]
+    out: str
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -142,11 +191,11 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
 
     diags: list[str] = []
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _SECTIONS:
             diags.append(f"unknown section [{section}]")
             continue
         for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
+            if (section, key) not in _KEYS:
                 diags.append(f"unknown key {section}.{key}")
     if "family" not in parser:
         diags.append("missing section [family]")
@@ -154,103 +203,61 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     def get(section: str, key: str) -> str:
         if section in parser and key in parser[section]:
             return parser[section][key]
-        return _DEFAULTS.get(section, {}).get(key, "")
+        return _KEYS[section, key].default
 
-    def get_num(section: str, key: str, conv: Callable, check, describe: str):
-        raw = get(section, key)
+    def read(section: str, key: str, fallback: str = ""):
+        """The checked value of a key (``fallback`` stands in for empty text),
+        or None after a diagnostic."""
+        entry = _KEYS[section, key]
+        raw = get(section, key) or fallback
+        if entry.parse is None:
+            return raw
         try:
-            val = conv(raw)
+            val = entry.parse(raw)
+        except ConfigError as exc:
+            diags.extend(exc.diagnostics)
+            return None
         except ValueError:
             diags.append(f"{section}.{key}: cannot parse {raw!r}")
             return None
-        if not check(val):
-            diags.append(f"{section}.{key}: {describe} (got {raw})")
-            return None
-        return val
+        if not entry.check(val):
+            problem = entry.message
+        elif isinstance(val, float) and not math.isfinite(val):
+            problem = "must be finite"
+        else:
+            return val
+        diags.append(f"{section}.{key}: {problem} (got {repr(raw) if isinstance(val, str) else raw})")
+        return None
 
-    q = get_num("system", "q", int, lambda v: v >= 1, "must be a positive integer")
-    alpha = get_num("system", "alpha", float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-    samples = get_num("system", "samples", int, lambda v: v >= 1, "must be positive")
-    seed = get_num("system", "seed", int, lambda v: True, "")
-    sys_kind = get("system", "kind")
-    if sys_kind not in {"cyclic", "rotation"}:
-        diags.append(f"system.kind: must be cyclic or rotation (got {sys_kind!r})")
+    sysv = {key: read(section, key) for section, key in _KEYS if section == "system"}
+    run = {key: read(section, key) for section, key in _KEYS if section == "run"}
 
-    horizon = get_num("run", "horizon", int, lambda v: v >= 1, "must be >= 1")
-    grid_size = get_num(
-        "run", "grid_size", int, lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16"
-    )
-    prune_eps = get_num(
-        "run", "prune_eps", float, lambda v: 0.0 <= v <= 1e-8, "must lie in [0, 1e-8]"
-    )
-    b_measure = get_num(
-        "run", "b_measure", float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"
-    )
-    window_k = get_num("run", "window_k", int, lambda v: v >= 1, "must be >= 1")
-    scan_den = get_num("run", "scan_max_denominator", int, lambda v: v >= 1, "must be >= 1")
-    scan_uni = get_num("run", "scan_uniform", int, lambda v: v >= 0, "must be >= 0")
-    block_fraction = get_num(
-        "run", "block_fraction", float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"
-    )
-    trig_freq = get_num("run", "trig_freq", int, lambda v: v >= 0, "must be >= 0")
-    trace_state = get_num("run", "trace_state", float, lambda v: True, "")
-    test_function = get("run", "test_function")
-    if test_function not in {"point_mass", "block", "trig"}:
-        diags.append(f"run.test_function: must be point_mass, block or trig (got {test_function!r})")
-
-    lambdas: list[float] = []
-    for tok in get("run", "lambdas").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            lam = float(tok)
-        except ValueError:
-            diags.append(f"run.lambdas: cannot parse {tok!r}")
-            continue
-        if lam <= 0:
-            diags.append(f"run.lambdas: levels must be positive (got {tok})")
-        lambdas.append(lam)
-    if not lambdas:
-        diags.append("run.lambdas: at least one level required")
-
-    family_kind = get("family", "kind")
+    family_kind = read("family", "kind")
     spec: Optional[SequenceSpec] = None
     if family_kind == "iid":
-        weights = None
-        try:
-            weights = _parse_weights(get("family", "weights") or "0.25,0.5,0.25")
-        except ConfigError as exc:
-            diags.extend(exc.diagnostics)
-        offset_raw = get("family", "offset") or "-1"
-        try:
-            offset = int(offset_raw)
-        except ValueError:
-            diags.append(f"family.offset: cannot parse {offset_raw!r}")
-            offset = 0
+        weights = read("family", "weights", "0.25,0.5,0.25")
+        offset = read("family", "offset", "-1")
         if weights is not None:
             total = float(np.sum(weights))
             if abs(total - 1.0) > 1e-9:
                 diags.append(f"family.weights: must sum to 1 (got {total!r})")
+            elif not np.all(np.isfinite(weights)):
+                diags.append(f"family.weights: must be finite (got {get('family', 'weights')})")
             elif np.any(weights < 0):
                 diags.append("family.weights: must be nonnegative")
-            else:
+            elif offset is not None:
                 spec = SequenceSpec.iid(LatticeMeasure(offset, weights), name="iid")
     elif family_kind == "sweepout":
-        a_rule = get("family", "a_rule") or "inverse_square"
-        family: Optional[SweepoutFamily] = None
-        if a_rule == "inverse_square":
-            coeff = get_num("family", "coeff", float, lambda v: v >= 1.0, "must be >= 1") if get("family", "coeff") else 1.0
-            if coeff is not None:
-                family = inverse_square_family(coeff)
-        elif a_rule == "geometric":
-            ratio = get_num("family", "ratio", float, lambda v: 0.0 < v < 1.0, "must lie in (0,1)") if get("family", "ratio") else 0.5
-            if ratio is not None:
-                family = geometric_family(ratio)
-        else:
-            diags.append(f"family.a_rule: must be inverse_square or geometric (got {a_rule!r})")
-        if family is not None:
-            spec = family.to_spec(length_hint=horizon or 0)
+        a_rule = read("family", "a_rule", "inverse_square")
+        if a_rule is not None:
+            key, fallback, make = (
+                ("coeff", "1.0", inverse_square_family)
+                if a_rule == "inverse_square"
+                else ("ratio", "0.5", geometric_family)
+            )
+            param = read("family", key, fallback)
+            if param is not None:
+                spec = make(param).to_spec()
     elif family_kind == "list":
         mpath = get("family", "measures_file")
         if not mpath:
@@ -264,9 +271,9 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
                 measures = [LatticeMeasure.from_text(b) for b in blocks]
                 if not measures:
                     diags.append(f"family.measures_file: no measures in {mpath}")
-                elif horizon is not None and horizon > len(measures):
+                elif run["horizon"] is not None and run["horizon"] > len(measures):
                     diags.append(
-                        f"run.horizon: {horizon} exceeds the {len(measures)} measures in {mpath}"
+                        f"run.horizon: {run['horizon']} exceeds the {len(measures)} measures in {mpath}"
                     )
                 else:
                     spec = SequenceSpec.from_measures(measures, name=f"list:{mfile.name}")
@@ -274,43 +281,21 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
                 raise ConfigError([f"family.measures_file: cannot read ({exc})"])
             except ValueError as exc:
                 diags.append(f"family.measures_file: {exc}")
-    else:
-        diags.append(f"family.kind: must be iid, sweepout or list (got {family_kind!r})")
 
     if diags:
         raise ConfigError(diags)
 
     system = (
-        DynSystem.cyclic(q)
-        if sys_kind == "cyclic"
-        else DynSystem.rotation(alpha=alpha, samples=samples, seed=seed)
+        DynSystem.cyclic(sysv["q"])
+        if sysv["kind"] == "cyclic"
+        else DynSystem.rotation(alpha=sysv["alpha"], samples=sysv["samples"], seed=sysv["seed"])
     )
-    echo = []
-    for section in ("family", "system", "run"):
-        keys = sorted(_ALLOWED_KEYS[section])
-        for key in keys:
-            val = get(section, key)
-            if val != "":
-                echo.append((f"{section}.{key}", val))
-    return ExperimentConfig(
-        family_kind=family_kind,
-        system=system,
-        horizon=horizon,
-        grid_size=grid_size,
-        prune_eps=prune_eps,
-        lambdas=lambdas,
-        b_measure=b_measure,
-        window_k=window_k,
-        scan_max_denominator=scan_den,
-        scan_uniform=scan_uni,
-        test_function=test_function,
-        block_fraction=block_fraction,
-        trig_freq=trig_freq,
-        trace_state=trace_state,
-        spec=spec,
-        out_dir=get("run", "out"),
-        echo=echo,
-    )
+    echo = [
+        (f"{section}.{key}", get(section, key))
+        for section, key in sorted(_KEYS, key=lambda sk: (_SECTIONS.index(sk[0]), sk[1]))
+        if get(section, key) != ""
+    ]
+    return ExperimentConfig(system=system, spec=spec, echo=echo, **run)
 
 
 def validate_config(path: str | os.PathLike) -> list[str]:
@@ -433,20 +418,12 @@ def _cmd_spectrum(config: ExperimentConfig, out: Path) -> int:
     mus = convolve_prefixes(config.spec, config.horizon, prune_eps=config.prune_eps)
     for n in ladder:
         prof = fourier_eval(mus[n - 1], config.grid_size)
-        # Moduli one scalar at a time: np.abs of a complex array can differ
-        # from the scalar abs in the last bit.
-        block = (
-            prof.grid,
-            prof.values.real,
-            prof.values.imag,
-            *((float(abs(v)) for v in col) for col in (prof.values, prof.d1, prof.d2)),
-        )
         _write_csv(
             out / f"spectrum_mu_{n:04d}.csv",
             config,
             "spectrum",
-            ("t", "re", "im", "abs", "abs_d1", "abs_d2"),
-            [block],
+            prof.COLUMNS,
+            [prof.columns()],
             extra=[("prefix_n", str(n)), ("lipschitz_bound", repr(prof.lipschitz_bound))],
         )
     return EXIT_OK
@@ -488,7 +465,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     rows = weak11_table(
         config.system, config.spec, f, config.horizon, config.lambdas, prune_eps=config.prune_eps
     )
-    x0 = int(config.trace_state) if config.system.is_cyclic else float(config.trace_state)
+    x0 = int(config.trace_state) % config.system.q if config.system.is_cyclic else config.trace_state
     trace = convergence_trace(
         config.system, config.spec, f, x0, config.horizon, prune_eps=config.prune_eps
     )
@@ -635,7 +612,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(d, file=_sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(args.out if args.out is not None else (config.out_dir or "out"))
+    out = Path(args.out if args.out is not None else (config.out or "out"))
     try:
         return _SUBCOMMANDS[args.subcommand](config, out)
     except SupportCapError as exc:

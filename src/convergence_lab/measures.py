@@ -404,13 +404,11 @@ class SequenceSpec:
 
     ``measure_at`` is 1-based.  ``decomposition_at`` optionally exposes an
     atom-plus-remainder split of each factor; sweep-out diagnostics need it.
-    ``length_hint`` is advisory (how far the rule is meant to be driven).
     """
 
     name: str
     measure_at: Callable[[int], LatticeMeasure]
     decomposition_at: Optional[Callable[[int], Decomposition]] = None
-    length_hint: int = 0
     iid_measure: Optional[LatticeMeasure] = None
 
     @classmethod
@@ -418,7 +416,6 @@ class SequenceSpec:
         cls,
         measure: LatticeMeasure,
         name: str = "iid",
-        length_hint: int = 0,
         decomposition: Optional[Decomposition] = None,
     ) -> "SequenceSpec":
         decomp = (lambda n: decomposition) if decomposition is not None else None
@@ -426,7 +423,6 @@ class SequenceSpec:
             name=name,
             measure_at=lambda n: measure,
             decomposition_at=decomp,
-            length_hint=length_hint,
             iid_measure=measure,
         )
 
@@ -454,7 +450,6 @@ class SequenceSpec:
             name=name,
             measure_at=lambda n: at(ms, n),
             decomposition_at=decomp,
-            length_hint=len(ms),
         )
 
     @property

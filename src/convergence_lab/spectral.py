@@ -69,17 +69,32 @@ class FourierProfile:
     d2: np.ndarray
     lipschitz_bound: float
 
+    #: Names of the :meth:`columns`.
+    COLUMNS = ("t", "re", "im", "abs", "abs_d1", "abs_d2")
+
     @property
     def grid_step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Grid, real and imaginary parts, and the moduli of the transform
+        and of both derivatives.
+
+        Moduli come from ``np.hypot``, which gives the scalar ``abs`` of
+        each value to the last bit (a NaN may keep its sign); ``np.abs`` of
+        a complex array can differ from it in the last bit.
+        """
+        return (
+            self.grid,
+            self.values.real,
+            self.values.imag,
+            *(np.hypot(z.real, z.imag) for z in (self.values, self.d1, self.d2)),
+        )
+
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("t,re,im,abs,abs_d1,abs_d2\n")
-        for t, v, a, b in zip(self.grid, self.values, self.d1, self.d2):
-            stream.write(
-                f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},"
-                f"{float(abs(v))!r},{float(abs(a))!r},{float(abs(b))!r}\n"
-            )
+        stream.write(",".join(self.COLUMNS) + "\n")
+        for row in zip(*(col.tolist() for col in self.columns())):
+            stream.write(",".join(map(repr, row)) + "\n")
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:

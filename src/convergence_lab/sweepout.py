@@ -31,6 +31,7 @@ from .measures import (
     Decomposition,
     LatticeMeasure,
     SequenceSpec,
+    SupportCapError,
     from_pairs,
     iter_prefixes,
 )
@@ -46,10 +47,16 @@ LOW_THRESHOLD = 0.1
 
 
 def example_measure(b: int) -> LatticeMeasure:
-    """Three-atom centered measure with parameter b >= 1."""
+    """Three-atom centered measure with parameter b >= 1.
+
+    Raises :class:`SupportCapError` before allocating when its diameter
+    b + 2 exceeds the support cap.
+    """
     b = int(b)
     if b < 1:
         raise ValueError("b must be at least 1")
+    if b + 2 > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(f"factor diameter {b + 2} exceeds cap {DEFAULT_SUPPORT_CAP}")
     denom = 3 + 2 * b
     return from_pairs({1: (1 + 2 * b) / denom, -b: 1.0 / denom, -b - 1: 1.0 / denom})
 
@@ -90,12 +97,11 @@ class SweepoutFamily:
     def decomposition_at(self, n: int) -> Decomposition:
         return example_decomposition(self.b_at(n))
 
-    def to_spec(self, length_hint: int = 0) -> SequenceSpec:
+    def to_spec(self) -> SequenceSpec:
         return SequenceSpec(
             name=self.name,
             measure_at=self.measure_at,
             decomposition_at=self.decomposition_at,
-            length_hint=length_hint,
         )
 
 

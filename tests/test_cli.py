@@ -1,3 +1,4 @@
+import configparser
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from convergence_lab.cli import (
     main,
     validate_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 IID_CFG = """\
 [family]
@@ -274,3 +277,277 @@ class TestMain:
         path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
         code = main(["sweepout", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 4
+
+
+# Every numeric and enum key broken at once: out of range where the key has a
+# range, unparsable where it has none.
+ALL_KEYS_BAD_CFG = """\
+[family]
+kind = iid
+weights = 0.5,0.25
+offset = x
+
+[system]
+kind = torus
+q = 0
+alpha = 1.5
+samples = 0
+seed = s
+
+[run]
+horizon = 0
+grid_size = 15
+prune_eps = 1
+lambdas = 0,-1,abc,,2
+b_measure = 2
+window_k = 0
+scan_max_denominator = 0
+scan_uniform = -1
+test_function = gauss
+block_fraction = 0
+trig_freq = -1
+trace_state = t
+"""
+
+ALL_KEYS_UNPARSABLE_CFG = """\
+[family]
+kind = iid
+weights = 0.5,w
+
+[system]
+q = 1.5
+alpha = a
+samples = 2.0
+seed = 1e3
+
+[run]
+horizon = h
+grid_size = 1e3
+prune_eps = p
+lambdas = ,
+b_measure = b
+window_k = 5.5
+scan_max_denominator = x
+scan_uniform = y
+block_fraction = f
+trig_freq = 0.5
+trace_state = z
+"""
+
+GOLDEN_DIAGNOSTICS = {
+    "all_keys_bad": (
+        ALL_KEYS_BAD_CFG,
+        [
+            "system.q: must be a positive integer (got 0)",
+            "system.alpha: must lie in (0, 1) (got 1.5)",
+            "system.samples: must be positive (got 0)",
+            "system.seed: cannot parse 's'",
+            "system.kind: must be cyclic or rotation (got 'torus')",
+            "run.horizon: must be >= 1 (got 0)",
+            "run.grid_size: must be even and >= 16 (got 15)",
+            "run.prune_eps: must lie in [0, 1e-8] (got 1)",
+            "run.b_measure: must lie in [0, 1] (got 2)",
+            "run.window_k: must be >= 1 (got 0)",
+            "run.scan_max_denominator: must be >= 1 (got 0)",
+            "run.scan_uniform: must be >= 0 (got -1)",
+            "run.block_fraction: must lie in (0, 1] (got 0)",
+            "run.trig_freq: must be >= 0 (got -1)",
+            "run.trace_state: cannot parse 't'",
+            "run.test_function: must be point_mass, block or trig (got 'gauss')",
+            "run.lambdas: levels must be positive (got 0)",
+            "run.lambdas: levels must be positive (got -1)",
+            "run.lambdas: cannot parse 'abc'",
+            "family.offset: cannot parse 'x'",
+            "family.weights: must sum to 1 (got 0.75)",
+        ],
+    ),
+    "all_keys_unparsable": (
+        ALL_KEYS_UNPARSABLE_CFG,
+        [
+            "system.q: cannot parse '1.5'",
+            "system.alpha: cannot parse 'a'",
+            "system.samples: cannot parse '2.0'",
+            "system.seed: cannot parse '1e3'",
+            "run.horizon: cannot parse 'h'",
+            "run.grid_size: cannot parse '1e3'",
+            "run.prune_eps: cannot parse 'p'",
+            "run.b_measure: cannot parse 'b'",
+            "run.window_k: cannot parse '5.5'",
+            "run.scan_max_denominator: cannot parse 'x'",
+            "run.scan_uniform: cannot parse 'y'",
+            "run.block_fraction: cannot parse 'f'",
+            "run.trig_freq: cannot parse '0.5'",
+            "run.trace_state: cannot parse 'z'",
+            "run.lambdas: at least one level required",
+            "family.weights: could not convert string to float: 'w'",
+        ],
+    ),
+    "bad_family_kind": (
+        "[family]\nkind = gauss\n",
+        ["family.kind: must be iid, sweepout or list (got 'gauss')"],
+    ),
+    "bad_a_rule": (
+        "[family]\nkind = sweepout\na_rule = cubic\n",
+        ["family.a_rule: must be inverse_square or geometric (got 'cubic')"],
+    ),
+    "bad_coeff": (
+        "[family]\nkind = sweepout\ncoeff = 0.5\n",
+        ["family.coeff: must be >= 1 (got 0.5)"],
+    ),
+    "unparsable_coeff": (
+        "[family]\nkind = sweepout\na_rule = inverse_square\ncoeff = one\n",
+        ["family.coeff: cannot parse 'one'"],
+    ),
+    "bad_ratio": (
+        "[family]\nkind = sweepout\na_rule = geometric\nratio = 1.5\n",
+        ["family.ratio: must lie in (0,1) (got 1.5)"],
+    ),
+    "missing_measures_file": (
+        "[family]\nkind = list\n",
+        ["family.measures_file: required for kind = list"],
+    ),
+    "negative_weights": (
+        "[family]\nkind = iid\nweights = 1.5,-0.5\n",
+        ["family.weights: must be nonnegative"],
+    ),
+    "empty_weights": (
+        "[family]\nkind = iid\nweights = ,\n",
+        ["family.weights: empty list"],
+    ),
+    "unknown_section_and_keys": (
+        "[family]\nkind = iid\ncolour = red\n\n[extra]\nx = 1\n\n[run]\nhorizon = 3\nspeed = 9\n",
+        ["unknown key family.colour", "unknown section [extra]", "unknown key run.speed"],
+    ),
+    "missing_family": (
+        "[system]\nkind = cyclic\n",
+        ["missing section [family]", "family.kind: must be iid, sweepout or list (got '')"],
+    ),
+}
+
+
+class TestGoldenDiagnostics:
+    """Exact diagnostics, in order, and the exact config echo."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIAGNOSTICS))
+    def test_diagnostics(self, tmp_path, name):
+        text, expected = GOLDEN_DIAGNOSTICS[name]
+        assert validate_config(write(tmp_path, "a.cfg", text)) == expected
+
+    def test_echo_of_all_defaults(self, tmp_path):
+        config = load_config(write(tmp_path, "a.cfg", "[family]\nkind = iid\n"))
+        assert config.echo == [
+            ("family.kind", "iid"),
+            ("system.alpha", "0.41421356237309515"),
+            ("system.kind", "cyclic"),
+            ("system.q", "1024"),
+            ("system.samples", "4096"),
+            ("system.seed", "0"),
+            ("run.b_measure", "0.05"),
+            ("run.block_fraction", "0.125"),
+            ("run.grid_size", "4096"),
+            ("run.horizon", "64"),
+            ("run.lambdas", "1,2,4,8"),
+            ("run.prune_eps", "0"),
+            ("run.scan_max_denominator", "8"),
+            ("run.scan_uniform", "0"),
+            ("run.test_function", "point_mass"),
+            ("run.trace_state", "0"),
+            ("run.trig_freq", "1"),
+            ("run.window_k", "50"),
+        ]
+
+    def test_echo_of_given_keys(self, tmp_path):
+        text = SWEEPOUT_CFG.replace("coeff = 1.0", "coeff = 2\nratio = 0.25") + "out = res\n"
+        config = load_config(write(tmp_path, "f.cfg", text))
+        assert config.echo == [
+            ("family.a_rule", "inverse_square"),
+            ("family.coeff", "2"),
+            ("family.kind", "sweepout"),
+            ("family.ratio", "0.25"),
+            ("system.alpha", "0.41421356237309515"),
+            ("system.kind", "rotation"),
+            ("system.q", "1024"),
+            ("system.samples", "256"),
+            ("system.seed", "1"),
+            ("run.b_measure", "0.05"),
+            ("run.block_fraction", "0.125"),
+            ("run.grid_size", "4096"),
+            ("run.horizon", "12"),
+            ("run.lambdas", "1,2,4,8"),
+            ("run.out", "res"),
+            ("run.prune_eps", "0"),
+            ("run.scan_max_denominator", "5"),
+            ("run.scan_uniform", "0"),
+            ("run.test_function", "point_mass"),
+            ("run.trace_state", "0"),
+            ("run.trig_freq", "1"),
+            ("run.window_k", "8"),
+        ]
+
+
+NON_FINITE = {
+    "trace_state_nan": (IID_CFG + "trace_state = nan\n", ["run.trace_state: must be finite (got nan)"]),
+    "trace_state_inf": (IID_CFG + "trace_state = -inf\n", ["run.trace_state: must be finite (got -inf)"]),
+    "weights_nan": (
+        IID_CFG.replace("0.25,0.5,0.25", "0.5,nan,0.5"),
+        ["family.weights: must be finite (got 0.5,nan,0.5)"],
+    ),
+    "coeff_inf": (
+        SWEEPOUT_CFG.replace("coeff = 1.0", "coeff = inf"),
+        ["family.coeff: must be finite (got inf)"],
+    ),
+    "lambdas_inf": (
+        IID_CFG.replace("lambdas = 1,2,4", "lambdas = 1,inf"),
+        ["run.lambdas: levels must be finite (got inf)"],
+    ),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, name):
+        text, expected = NON_FINITE[name]
+        path = write(tmp_path, "a.cfg", text)
+        assert validate_config(path) == expected
+        for subcommand in ("validate", "simulate", "check"):
+            assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_cyclic_trace_state_is_taken_mod_q(self, tmp_path):
+        def trace_rows(state: str) -> list[str]:
+            path = write(tmp_path, "a.cfg", IID_CFG + f"trace_state = {state}\n")
+            out = tmp_path / state
+            assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+            text = (out / "convergence_trace.csv").read_text()
+            return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+        huge = trace_rows("1e300")
+        assert huge == trace_rows(str(int(1e300) % 128))
+        assert trace_rows("-1") == trace_rows("127")
+        assert trace_rows("130.7") == trace_rows("2")
+
+    @pytest.mark.parametrize("subcommand", ["convolve", "spectrum", "check", "simulate", "sweepout"])
+    def test_factor_over_the_cap_is_a_resource_error(self, tmp_path, subcommand):
+        # b_1 is about 1e10: the first factor alone would need 75 GiB.  Horizon
+        # 2, not 1, because check and simulate need two prefixes.
+        cfg = SWEEPOUT_CFG.replace("a_rule = inverse_square\ncoeff = 1.0", "a_rule = geometric\nratio = 1e-10")
+        path = write(tmp_path, "g.cfg", cfg.replace("horizon = 12", "horizon = 2"))
+        assert validate_config(path) == []
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    from convergence_lab.cli import _KEYS
+
+    text = README.read_text()
+    start = text.index("```ini\n", text.index("Config files are")) + len("```ini\n")
+    block = text[start : text.index("```", start)]
+    parsed = configparser.ConfigParser(interpolation=None)
+    parsed.read_string(block)
+    assert {(s, k) for s in parsed.sections() for k in parsed[s]} == set(_KEYS)
+    for (section, key), entry in _KEYS.items():
+        if entry.default:
+            assert parsed[section][key] == entry.default, (section, key)
+    assert validate_config(write(tmp_path, "readme.cfg", block)) == []

@@ -331,7 +331,7 @@ class TestStrictAperiodicity:
 
 class TestSequenceSpec:
     def test_iid_measures(self):
-        spec = SequenceSpec.iid(delta(1), length_hint=5)
+        spec = SequenceSpec.iid(delta(1))
         assert len(spec.measures(5)) == 5
         assert spec.is_iid
 

@@ -384,3 +384,26 @@ def test_column_formatter_matches_repr_and_str(floats, ints):
     # Columns that are not numpy arrays are formatted one value at a time.
     mixed = (*ints[:3], *floats[:3])
     assert list(_format_column(mixed)) == [repr(x) if isinstance(x, float) else str(x) for x in mixed]
+
+
+# -- complex moduli -----------------------------------------------------------------
+modulus_parts = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 1e200, -1e-200]),
+)
+
+
+@given(st.lists(st.tuples(modulus_parts, modulus_parts), min_size=1, max_size=40))
+@example([(3.0, 4.0), (1e308, 1e308), (5e-324, 5e-324), (math.nan, math.inf), (-math.inf, math.nan), (-0.0, 0.0)])
+@settings(max_examples=200, deadline=None)
+def test_hypot_matches_scalar_abs(parts):
+    # FourierProfile takes its moduli from np.hypot a column at a time; the
+    # CSV must read as if each were the scalar abs of its complex value.
+    z = np.array([complex(re, im) for re, im in parts])
+    with np.errstate(over="ignore"):
+        got = np.hypot(z.real, z.imag)
+        want = np.array([float(abs(v)) for v in z])
+    assert [repr(x) for x in got.tolist()] == [repr(x) for x in want.tolist()]
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))

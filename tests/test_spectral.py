@@ -163,6 +163,19 @@ class TestFourierEval:
         fourier_eval(delta(0), 16).to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "t,re,im,abs,abs_d1,abs_d2"
 
+    def test_csv_rows_match_scalar_format(self):
+        import io
+
+        prof = fourier_eval(from_pairs({-3: 0.2, 0: 0.5, 7: 0.3}), 64)
+        buf = io.StringIO()
+        prof.to_csv(buf)
+        expected = [
+            f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},"
+            f"{float(abs(v))!r},{float(abs(a))!r},{float(abs(b))!r}"
+            for t, v, a, b in zip(prof.grid, prof.values, prof.d1, prof.d2)
+        ]
+        assert buf.getvalue().splitlines()[1:] == expected
+
 
 class TestWrap:
     def test_wraps_into_window(self):

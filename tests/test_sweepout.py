@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convergence_lab import (
+    DEFAULT_SUPPORT_CAP,
     DynSystem,
     LatticeMeasure,
     SequenceSpec,
@@ -62,6 +63,12 @@ class TestExampleMeasure:
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
             example_measure(0)
+
+    def test_diameter_over_cap_raises_before_allocating(self):
+        assert example_measure(DEFAULT_SUPPORT_CAP - 2).max_index == 1
+        for b in (DEFAULT_SUPPORT_CAP - 1, 10**10, 2**64):
+            with pytest.raises(SupportCapError):
+                example_measure(b)
 
 
 class TestFamilies:

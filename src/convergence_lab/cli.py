@@ -611,6 +611,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for d in exc.diagnostics:
             print(d, file=_sys.stderr)
         return EXIT_CONFIG
+    if config.horizon < 2 and args.subcommand in ("check", "simulate"):
+        print(f"run.horizon: must be >= 2 for {args.subcommand} (got {config.horizon})", file=_sys.stderr)
+        return EXIT_CONFIG
 
     out = Path(args.out if args.out is not None else (config.out or "out"))
     try:

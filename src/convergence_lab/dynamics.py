@@ -14,12 +14,19 @@ factor nu_n to the previous vector of averages, at a cost of nnz(nu_n) * q
 instead of nnz(mu_n) * q.  It falls back to the prefix stream on the
 rotation, whose state sample is not closed under the dynamics, and on
 pruned chains, whose prefixes are not the exact products.
+
+Averages of a streamed prefix over every state have one engine,
+``_state_averages``, used by :func:`maximal_function_all` and the sweep-out
+simulation.  It bins an indicator's prefix mass by residue or by rotation
+cell and reads every state's average off one cumulative sum; any other
+function is summed atom by atom by :func:`weighted_average_all`, which is
+also the tests' oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -178,12 +185,9 @@ def weighted_average(sys: DynSystem, mu: LatticeMeasure, f: TestFunction, x: Sta
     return float(np.dot(ws, f.evaluate(sys, pts)))
 
 
-def weighted_average_all(
-    sys: DynSystem, mu: LatticeMeasure, f: TestFunction, extra_shift: int = 0
-) -> np.ndarray:
-    """Vector of mu f(tau^extra_shift x) over every state of the system."""
+def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) -> np.ndarray:
+    """Vector of mu f(x) over every state of the system, summed atom by atom."""
     ks, ws = _support_arrays(mu)
-    ks = ks + extra_shift
     if sys.is_cyclic:
         fvals = f.evaluate(sys, np.arange(sys.q, dtype=np.int64))
         out = np.zeros(sys.q)
@@ -195,6 +199,118 @@ def weighted_average_all(
     for k, w in zip(ks, ws):
         out += w * f.evaluate(sys, (xs + k * sys.alpha) % 1.0)
     return out
+
+
+#: Points whose cells are computed at once when the rotation cell table grows.
+_FILL_CHUNK = 1 << 16
+
+
+class _CellTable:
+    """Cell of each lattice point k among the sorted state-set boundaries.
+
+    The cell of k is the number of boundaries at or below the circle
+    position p = k alpha mod 1, so the mass a prefix puts below boundary j
+    is the cumulative sum of its mass per cell up to cell j.  The table
+    covers only the points [lo, hi) that the windows seen so far have
+    reached, each computed once.  They sit in ``cells``, a buffer whose
+    first entry is point ``offset``; it is regrown to twice the covered
+    width, with half the slack on each side, only when a window runs past
+    it, so a growing chain regrows it O(log width) times, not once per
+    prefix.
+
+    A point's cell is looked up by its bucket floor(p M) among M equal
+    buckets of [0, 1], M a power of two at least 16 times the number of
+    boundaries, so p M is exact.  A bucket with no boundary strictly inside
+    has one cell, that of its left end; only points in the other buckets,
+    at most one in 16 of the buckets, are searched among the boundaries.
+    """
+
+    def __init__(self, alpha: float, edges: np.ndarray) -> None:
+        self.alpha = alpha
+        self.edges = edges
+        self.cells = np.empty(0, dtype=np.intp)
+        self.offset = self.lo = self.hi = 0
+        n_buckets = 1 << (16 * len(edges) - 1).bit_length()
+        self.scale = float(n_buckets)
+        # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.
+        bucket_cell = np.searchsorted(edges, np.arange(n_buckets + 1) / self.scale, side="right")
+        scaled = edges * self.scale
+        inside = np.floor(scaled)
+        bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
+        self.bucket_cell = bucket_cell.astype(np.int32)
+
+    def _fill(self, lo: int, hi: int) -> None:
+        for start in range(lo, hi, _FILL_CHUNK):
+            stop = min(start + _FILL_CHUNK, hi)
+            positions = (np.arange(start, stop, dtype=np.int64) * self.alpha) % 1.0
+            cells = self.bucket_cell[(positions * self.scale).astype(np.intp)]
+            split = np.flatnonzero(cells < 0)
+            cells[split] = np.searchsorted(self.edges, positions[split], side="right")
+            self.cells[start - self.offset : stop - self.offset] = cells
+
+    def window(self, mu: LatticeMeasure) -> np.ndarray:
+        """Cells of mu's window [min_index, max_index], growing the table to cover it."""
+        lo, hi = mu.min_index, mu.max_index + 1
+        if self.lo == self.hi:
+            self.lo = self.hi = lo
+        new_lo, new_hi = min(lo, self.lo), max(hi, self.hi)
+        if new_lo < self.offset or new_hi > self.offset + len(self.cells):
+            width = new_hi - new_lo
+            grown = np.empty(2 * width, dtype=np.intp)
+            offset = new_lo - width // 2
+            grown[self.lo - offset : self.hi - offset] = self.cells[
+                self.lo - self.offset : self.hi - self.offset
+            ]
+            self.cells, self.offset = grown, offset
+        if new_lo < self.lo:
+            self._fill(new_lo, self.lo)
+        if self.hi < new_hi:
+            self._fill(self.hi, new_hi)
+        self.lo, self.hi = new_lo, new_hi
+        i0 = lo - self.offset
+        return self.cells[i0 : i0 + len(mu.weights)]
+
+
+def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure], np.ndarray]:
+    """The map mu -> (mu f(x)) over every state x of the system.
+
+    For an indicator on its own system, mu f(x) is scale times the mass mu
+    puts on the points k whose residue, or circle position k alpha mod 1,
+    lies in the state's arc [lo, hi), which may wrap past the top.  Any
+    other f goes to :func:`weighted_average_all`.
+    """
+    xs = sys.states()
+    if f.kind == "indicator_block" and sys.is_cyclic:
+        q = n_bins = sys.q
+        width = min(f.length, q)
+        il = (f.start - xs) % q
+        wraps = il + width > q
+        ih = np.where(wraps, il + width - q, il + width)
+
+        def bins(mu: LatticeMeasure) -> np.ndarray:
+            return np.arange(mu.min_index, mu.max_index + 1, dtype=np.int64) % q
+
+    elif f.kind == "indicator_interval" and not sys.is_cyclic:
+        width = f.b - f.a
+        lo = (f.a - xs) % 1.0 if width < 1.0 else np.zeros(len(xs))
+        hi = lo + width
+        # [lo, lo + width) wraps past 1 even where hi - 1 rounds back onto lo;
+        # an empty arc never wraps, not even from lo == 1.0.
+        wraps = (hi >= 1.0) & (0.0 < width < 1.0)
+        hi = np.where(wraps, hi - 1.0, hi)
+        edges = np.unique(np.concatenate((lo, hi)))
+        # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
+        il = np.searchsorted(edges, lo) + 1
+        ih = np.searchsorted(edges, hi) + 1
+        bins, n_bins = _CellTable(sys.alpha, edges).window, len(edges) + 1
+    else:
+        return lambda mu: weighted_average_all(sys, mu, f)
+
+    def averages(mu: LatticeMeasure) -> np.ndarray:
+        cs = np.concatenate(([0.0], np.cumsum(np.bincount(bins(mu), weights=mu.weights, minlength=n_bins))))
+        return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
+
+    return averages
 
 
 def maximal_function(
@@ -261,9 +377,10 @@ def maximal_function_all(
             vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
             np.maximum(mf, np.abs(vals), out=mf)
         return mf
+    averages = _state_averages(sys, f)
     mf = None
     for mu in iter_prefixes(spec, N, prune_eps=prune_eps):
-        vals = np.abs(weighted_average_all(sys, mu, f))
+        vals = np.abs(averages(mu))
         mf = vals if mf is None else np.maximum(mf, vals)
     return mf
 
@@ -277,7 +394,7 @@ def coboundary_bound_check(
     lhs never exceeds the rhs (up to rounding).
     """
     direct = weighted_average_all(sys, mu, g)
-    shifted = weighted_average_all(sys, mu, g, extra_shift=1)
+    shifted = weighted_average_all(sys, LatticeMeasure(mu.min_index + 1, mu.weights, mu.mass_defect), g)
     lhs = float(np.max(np.abs(direct - shifted)))
     rhs = tv_shift_distance(mu) * g.sup_norm(sys)
     return lhs, rhs

@@ -7,15 +7,13 @@ remainder, which drives both dissipativity of the running products and a
 positive floor on |mu_n_hat| away from the trivial character.
 
 The dissipativity rows and the sweep-out simulation are reductions over
-one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`),
-so their memory is one dense prefix plus, on the rotation, a table of
-state cells covering the widest prefix window so far, in a buffer at most
-twice that wide; it is no longer the sum of all N windows.  The table
-finds most points' cells by one lookup in a bucket table of the circle,
-and searches the state-set boundaries only for points in the few buckets
-that a boundary splits.  Given ``window_k``, :func:`sweepout_simulation`
-also records the dissipativity rows from the same stream, so one chain
-feeds both.
+one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`).
+The simulation is a running max and min over the averages of chi_B that
+the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
+each prefix, so its memory is one dense prefix plus, on the rotation, the
+engine's table of state cells.  Given ``window_k``,
+:func:`sweepout_simulation` also records the dissipativity rows from the
+same stream, so one chain feeds both.
 """
 from __future__ import annotations
 
@@ -36,10 +34,7 @@ from .measures import (
     iter_prefixes,
 )
 from .spectral import fourier_at
-from .dynamics import DynSystem
-
-#: Points whose cells are computed at once when the rotation cell table grows.
-_FILL_CHUNK = 1 << 16
+from .dynamics import DynSystem, TestFunction, _state_averages
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -264,72 +259,6 @@ class SweepoutSimulation:
     dissipativity: Optional[list[DissipativityRow]] = None
 
 
-class _CellTable:
-    """Cell of each lattice point k among the sorted state-set boundaries.
-
-    The cell of k is the number of boundaries at or below the circle
-    position p = k alpha mod 1, so the mass a prefix puts below boundary j
-    is the cumulative sum of its mass per cell up to cell j.  The table
-    covers only the points [lo, hi) that the windows seen so far have
-    reached, each computed once.  They sit in ``cells``, a buffer whose
-    first entry is point ``offset``; it is regrown to twice the covered
-    width, with half the slack on each side, only when a window runs past
-    it, so a growing chain regrows it O(log width) times, not once per
-    prefix.
-
-    A point's cell is looked up by its bucket floor(p M) among M equal
-    buckets of [0, 1], M a power of two at least 16 times the number of
-    boundaries, so p M is exact.  A bucket with no boundary strictly inside
-    has one cell, that of its left end; only points in the other buckets,
-    at most one in 16 of the buckets, are searched among the boundaries.
-    """
-
-    def __init__(self, alpha: float, edges: np.ndarray) -> None:
-        self.alpha = alpha
-        self.edges = edges
-        self.cells = np.empty(0, dtype=np.intp)
-        self.offset = self.lo = self.hi = 0
-        n_buckets = 1 << (16 * len(edges) - 1).bit_length()
-        self.scale = float(n_buckets)
-        # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.
-        bucket_cell = np.searchsorted(edges, np.arange(n_buckets + 1) / self.scale, side="right")
-        scaled = edges * self.scale
-        inside = np.floor(scaled)
-        bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
-        self.bucket_cell = bucket_cell.astype(np.int32)
-
-    def _fill(self, lo: int, hi: int) -> None:
-        for start in range(lo, hi, _FILL_CHUNK):
-            stop = min(start + _FILL_CHUNK, hi)
-            positions = (np.arange(start, stop, dtype=np.int64) * self.alpha) % 1.0
-            cells = self.bucket_cell[(positions * self.scale).astype(np.intp)]
-            split = np.flatnonzero(cells < 0)
-            cells[split] = np.searchsorted(self.edges, positions[split], side="right")
-            self.cells[start - self.offset : stop - self.offset] = cells
-
-    def window(self, mu: LatticeMeasure) -> np.ndarray:
-        """Cells of mu's window [min_index, max_index], growing the table to cover it."""
-        lo, hi = mu.min_index, mu.max_index + 1
-        if self.lo == self.hi:
-            self.lo = self.hi = lo
-        new_lo, new_hi = min(lo, self.lo), max(hi, self.hi)
-        if new_lo < self.offset or new_hi > self.offset + len(self.cells):
-            width = new_hi - new_lo
-            grown = np.empty(2 * width, dtype=np.intp)
-            offset = new_lo - width // 2
-            grown[self.lo - offset : self.hi - offset] = self.cells[
-                self.lo - self.offset : self.hi - self.offset
-            ]
-            self.cells, self.offset = grown, offset
-        if new_lo < self.lo:
-            self._fill(new_lo, self.lo)
-        if self.hi < new_hi:
-            self._fill(self.hi, new_hi)
-        self.lo, self.hi = new_lo, new_hi
-        i0 = lo - self.offset
-        return self.cells[i0 : i0 + len(mu.weights)]
-
-
 def sweepout_simulation(
     sys: DynSystem,
     spec: SequenceSpec,
@@ -362,48 +291,17 @@ def sweepout_simulation(
         rows = []
         prefixes = _tap_window_max(prefixes, window_k, rows)
 
-    xs = sys.states()
     if sys.is_cyclic:
-        q = sys.q
-        block_len = int(round(B_measure * q))
-        set_measure = block_len / q
-        # windowed sum of block_len residues starting at r, wrapping mod q
-        starts = (-xs) % q
-        ends = starts + block_len
-        plain, wraps = ends <= q, ends > q
-
-        def masses(mu: LatticeMeasure) -> np.ndarray:
-            residues = np.arange(mu.min_index, mu.max_index + 1, dtype=np.int64) % q
-            mass_mod = np.bincount(residues, weights=mu.weights, minlength=q)
-            cs = np.concatenate(([0.0], np.cumsum(mass_mod), [0.0]))
-            return np.where(plain, cs[np.minimum(ends, q)] - cs[starts], 0.0) + np.where(
-                wraps, (cs[q] - cs[starts]) + cs[ends - q], 0.0
-            )
-
+        block_len = int(round(B_measure * sys.q))
+        f, set_measure = TestFunction.indicator_block(0, block_len), block_len / sys.q
     else:
-        set_measure = B_measure
-        lo = (-xs) % 1.0
-        hi = (lo + B_measure) % 1.0
-        if B_measure >= 1.0:
-            lo = np.zeros_like(lo)
-            hi = np.ones_like(hi)
-        edges = np.unique(np.concatenate((lo, hi)))
-        # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
-        il = np.searchsorted(edges, lo) + 1
-        ih = np.searchsorted(edges, hi) + 1
-        # [lo, lo + B) wraps past 1 even where (lo + B) % 1 rounds back onto lo.
-        wraps = (lo + B_measure >= 1.0) & (B_measure < 1.0)
-        table = _CellTable(sys.alpha, edges)
-
-        def masses(mu: LatticeMeasure) -> np.ndarray:
-            cell_mass = np.bincount(table.window(mu), weights=mu.weights, minlength=len(edges) + 1)
-            cs = np.concatenate(([0.0], np.cumsum(cell_mass)))
-            return np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
+        f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
+    averages = _state_averages(sys, f)
 
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None
     for mu in prefixes:
-        vals = masses(mu)
+        vals = averages(mu)
         sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
         inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
 

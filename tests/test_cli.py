@@ -537,6 +537,28 @@ class TestRejections:
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "subcommand, code",
+        [
+            ("convolve", EXIT_OK),
+            ("spectrum", EXIT_OK),
+            ("sweepout", EXIT_OK),
+            ("check", EXIT_CONFIG),
+            ("simulate", EXIT_CONFIG),
+        ],
+    )
+    def test_horizon_one(self, tmp_path, capsys, subcommand, code):
+        # check and simulate need two prefixes; the other subcommands run on one.
+        path = write(tmp_path, "a.cfg", "[family]\nkind = iid\n\n[run]\nhorizon = 1\n")
+        assert validate_config(path) == []
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err == f"run.horizon: must be >= 2 for {subcommand} (got 1)\n"
+            assert not out.exists()
+        else:
+            assert any(out.iterdir())
+
 
 def test_readme_config_block_lists_every_key(tmp_path):
     from convergence_lab.cli import _KEYS

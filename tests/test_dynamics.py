@@ -189,6 +189,18 @@ class TestMaximalFunction:
                 assert np.all(mf >= prev - 1e-15)
             prev = mf
 
+    def test_rotation_indicator_is_binned_not_summed(self, monkeypatch):
+        import convergence_lab.dynamics as dynamics_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("indicator averaged atom by atom")
+
+        sysr = DynSystem.rotation(samples=256, seed=1)
+        f = TestFunction.indicator_interval(0.0, 1.0 / 256, scale=256.0)
+        expected = maximal_function_all(sysr, IID_TRIPLE, f, 12)
+        monkeypatch.setattr(dynamics_mod, "weighted_average_all", unreachable)
+        assert np.array_equal(maximal_function_all(sysr, IID_TRIPLE, f, 12), expected)
+
 
 class TestWeak11Table:
     def test_constant_function_never_exceeds_two(self):

@@ -33,6 +33,7 @@ from convergence_lab import (
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column
+from convergence_lab.dynamics import _state_averages
 from convergence_lab.measures import _count_nonzero_past
 from convergence_lab.spectral import _grid_sums, _transform_sums
 
@@ -314,16 +315,85 @@ def test_cyclic_recursion_matches_per_prefix_maximal_function(spec_n, sys, seed)
         assert np.count_nonzero(fast > lam) == np.count_nonzero(oracle > lam)
 
 
-@given(specs(), systems(), st.integers(min_value=0, max_value=2**16), st.sampled_from([0.0, 1e-9, 1e-8]))
+@given(specs(), systems(cyclic_only=True), st.integers(min_value=0, max_value=2**16), st.sampled_from([1e-9, 1e-8]))
 @settings(max_examples=60, deadline=None)
 def test_streamed_maximal_function_matches_per_prefix(spec_n, sys, seed, prune_eps):
-    # The rotation, and any pruned chain, averages each streamed prefix.
+    # A pruned cyclic chain with a table f averages each streamed prefix atom by atom.
     spec, N = spec_n
-    if sys.is_cyclic and prune_eps == 0.0:
-        prune_eps = 1e-8
     f = _test_function(sys, seed)
     fast = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
     assert np.array_equal(fast, _maximal_oracle(sys, spec, f, N, prune_eps))
+
+
+@st.composite
+def indicators(draw, sys):
+    """An indicator on ``sys`` with a drawn position, size and scale."""
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0, 4096.0]))
+    if sys.is_cyclic:
+        start = draw(st.integers(min_value=-2 * sys.q, max_value=2 * sys.q))
+        length = draw(st.integers(min_value=0, max_value=2 * sys.q + 1))
+        return TestFunction.indicator_block(start, length, scale)
+    ends = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    a, b = sorted((draw(ends), draw(ends)))
+    return TestFunction.indicator_interval(a, b, scale)
+
+
+@st.composite
+def indicator_cases(draw, max_n=8):
+    sys = draw(systems())
+    return sys, draw(indicators(sys)), draw(specs(max_n))
+
+
+@given(indicator_cases(), st.sampled_from([0.0, 1e-9, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_binned_maximal_function_matches_per_prefix(case, prune_eps):
+    # The rotation, and any pruned chain, bins each streamed prefix by state cell.
+    sys, f, (spec, N) = case
+    if sys.is_cyclic and prune_eps == 0.0:
+        prune_eps = 1e-8
+    fast = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
+    oracle = _maximal_oracle(sys, spec, f, N, prune_eps)
+    # sup|f| is the scale; the sampled states may all miss the interval.
+    np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12 * abs(f.scale))
+    for lam in _robust_levels(oracle):
+        assert np.count_nonzero(fast > lam) == np.count_nonzero(oracle > lam)
+
+
+_CYC, _ROT = DynSystem.cyclic(5), DynSystem.rotation(0.3, 8, 1)
+# Just below the one state x, (a - x) % 1 rounds up to 1.0: the arc starts at the top.
+_TOP = DynSystem.rotation(0.3, 1, 3)
+_BELOW_STATE = float(np.nextafter(_TOP.states()[0], 0.0))
+_block, _interval = TestFunction.indicator_block, TestFunction.indicator_interval
+
+
+def _iid_case(sys, f, k=1, N=3):
+    return sys, f, (SequenceSpec.iid(delta(k)), N)
+
+
+@given(indicator_cases())
+# Cyclic: start != 0, length 0, length q, length > q, scale != 1.
+@example(_iid_case(_CYC, _block(3, 0, 2.0), 2, 1))
+@example(_iid_case(_CYC, _block(-7, 5), 1, 2))
+@example(_iid_case(_CYC, _block(4, 9, 0.5), -3, 1))
+# Rotation: a > 0, a == b, b == 1, [0, 1].
+@example(_iid_case(_ROT, _interval(0.25, 0.75)))
+@example(_iid_case(_ROT, _interval(0.4, 0.4, 3.0)))
+@example(_iid_case(_ROT, _interval(0.6, 1.0)))
+@example(_iid_case(_ROT, _interval(0.0, 1.0, 0.5)))
+@example(_iid_case(_TOP, _interval(_BELOW_STATE, _BELOW_STATE)))
+# There an empty arc must not wrap: the atom at -1 sits at (-1e-20) % 1 == 1.0.
+@example(_iid_case(DynSystem.rotation(1e-20, 1, 3), _interval(_BELOW_STATE, _BELOW_STATE), -1, 1))
+@example(_iid_case(_TOP, _interval(_BELOW_STATE, 0.3)))
+# Just below 1, lo + b - 1 rounds back onto lo: the interval still wraps.
+@example(_iid_case(DynSystem.rotation(0.5, 1, 0), _interval(0.0, 1.0 - 2.0**-53), 0, 1))
+@settings(max_examples=100, deadline=None)
+def test_state_averages_match_atom_sums(case):
+    sys, f, (spec, N) = case
+    averages = _state_averages(sys, f)
+    for mu in convolve_prefixes(spec, N):
+        np.testing.assert_allclose(
+            averages(mu), weighted_average_all(sys, mu, f), rtol=0, atol=1e-12 * abs(f.scale)
+        )
 
 
 @given(

@@ -25,7 +25,7 @@ from convergence_lab import (
     sweepout_simulation,
     weighted_average_all,
 )
-from convergence_lab.sweepout import _CellTable
+from convergence_lab.dynamics import _CellTable
 
 INV_SQ = inverse_square_family(1.0)
 

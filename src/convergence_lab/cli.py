@@ -453,7 +453,7 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
         print(
             f"d2 quadrature hit its depth cap {len(cap_ns)} time(s), at prefix n = "
             + ",".join(map(str, cap_ns))
-            + "; those rows hold the mean of the last two estimates",
+            + "; those rows hold the last estimate",
             file=_sys.stderr,
         )
     return EXIT_OK

@@ -166,6 +166,10 @@ class TestFunction:
         return float(np.mean(np.abs(self.evaluate(sys, sys.states()))))
 
     def sup_norm(self, sys: DynSystem) -> float:
+        """Sup of |f| over the whole space, which on the rotation is more than
+        the sampled states: there an interval gives |scale| unless empty."""
+        if not sys.is_cyclic and self.kind in ("indicator_interval", "trig"):
+            return abs(self.scale) if self.kind == "trig" or self.a < self.b else 0.0
         return float(np.max(np.abs(self.evaluate(sys, sys.states()))))
 
 

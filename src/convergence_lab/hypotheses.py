@@ -20,6 +20,7 @@ from .measures import (
     coset_mass_sup,
     expectation,
     is_strictly_aperiodic,
+    map_factors,
     moment,
     tv_shift_distance,
 )
@@ -121,40 +122,25 @@ def check_convergence_hypotheses(
 
     When the second-derivative integrand oscillates at the scale of a fast
     growing support, its quadrature can hit the depth cap; the row then
-    records the mean of the last two estimates and the event is counted in
+    records the last estimate and the event is counted in
     ``traces["d2_depth_cap_hits"]``, with the prefix indices n in
     ``traces["d2_depth_cap_n"]``, instead of aborting the report.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    factors = spec.measures(N)
-    products = convolve_prefixes(spec, N, prune_eps=prune_eps)
-
-    # Per-factor metrics are cached by object identity (iid rules return
-    # the same measure object for every n).
-    factor_cache: dict[int, tuple] = {}
 
     def factor_metrics(nu):
-        key = id(nu)
-        if key not in factor_cache:
-            factor_cache[key] = (
-                nu,
-                expectation(nu),
-                moment(nu, 1.0),
-                moment(nu, 2.0),
-                decay_constant(nu, grid_size),
-                coset_mass_sup(nu).rho,
-                is_strictly_aperiodic(nu),
-            )
-        return factor_cache[key][1:]
+        return (
+            expectation(nu),
+            moment(nu, 1.0),
+            moment(nu, 2.0),
+            decay_constant(nu, grid_size),
+            coset_mass_sup(nu).rho,
+            is_strictly_aperiodic(nu),
+        )
 
-    metrics = [factor_metrics(nu) for nu in factors]
-    expectations = [m[0] for m in metrics]
-    m1s = [m[1] for m in metrics]
-    m2s = [m[2] for m in metrics]
-    decays = [m[3] for m in metrics]
-    rhos = [m[4] for m in metrics]
-    aperiodic = [m[5] for m in metrics]
+    expectations, m1s, m2s, decays, rhos, aperiodic = zip(*map_factors(spec, N, factor_metrics))
+    products = convolve_prefixes(spec, N, prune_eps=prune_eps)
     phis = np.cumsum(m2s)
     phi_over_n = [float(phis[n - 1] / n) for n in range(1, N + 1)]
 
@@ -165,7 +151,7 @@ def check_convergence_hypotheses(
             d2s.append(weighted_d2_integral(mu, target=d2_target, max_depth=d2_max_depth))
         except QuadratureError as exc:
             d2_cap_ns.append(n)
-            d2s.append(0.5 * (exc.last_two[0] + exc.last_two[1]))
+            d2s.append(exc.last_two[1])
     shifts = [tv_shift_distance(mu) for mu in products]
 
     rows = [
@@ -361,13 +347,13 @@ def second_derivative_majorant_ratio(
     rounding) confirms the bound chain at grid resolution for all n <= N.
     """
     if C is None:
-        C = min(decay_constant(spec.measure_at(n), grid_size) for n in range(1, N + 1))
+        C = min(map_factors(spec, N, lambda nu: decay_constant(nu, grid_size)))
     if C <= 0.0:
         raise ValueError("majorant requires a positive decay constant")
     worst = 0.0
-    phi = 0.0
-    for n, profile in enumerate(prefix_fourier_profiles(spec, N, grid_size), start=1):
-        phi += moment(spec.measure_at(n), 2.0)
+    phis = np.cumsum(list(map_factors(spec, N, lambda nu: moment(nu, 2.0))))
+    profiles = prefix_fourier_profiles(spec, N, grid_size)
+    for n, (profile, phi) in enumerate(zip(profiles, phis), start=1):
         t2 = profile.grid**2
         bound = (
             4.0 * math.pi**2 * phi * np.exp(-(n - 1) * C * t2)

@@ -26,13 +26,18 @@ sweep-out simulation) hold one dense prefix at a time instead of N.
 for callers that index prefixes or walk them twice (spectra, hypothesis
 checks); it returns a list, never a generator, so that wrappers that
 iterate its result do not drain it before the caller sees it.
+
+Per-factor work has one reuse rule, :func:`map_factors`: a result is
+computed again only when the spec hands out a new factor object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 #: Hard ceiling on the dense support length a convolution may produce.
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -409,7 +414,6 @@ class SequenceSpec:
     name: str
     measure_at: Callable[[int], LatticeMeasure]
     decomposition_at: Optional[Callable[[int], Decomposition]] = None
-    iid_measure: Optional[LatticeMeasure] = None
 
     @classmethod
     def iid(
@@ -423,7 +427,6 @@ class SequenceSpec:
             name=name,
             measure_at=lambda n: measure,
             decomposition_at=decomp,
-            iid_measure=measure,
         )
 
     @classmethod
@@ -453,15 +456,8 @@ class SequenceSpec:
         )
 
     @property
-    def is_iid(self) -> bool:
-        return self.iid_measure is not None
-
-    @property
     def has_decomposition(self) -> bool:
         return self.decomposition_at is not None
-
-    def measures(self, N: int) -> list[LatticeMeasure]:
-        return [self.measure_at(n) for n in range(1, N + 1)]
 
     def decomposition(self, n: int) -> Decomposition:
         if self.decomposition_at is None:
@@ -475,6 +471,18 @@ class SequenceSpec:
         for k, w in zip(gamma.support, gamma.weights[np.flatnonzero(gamma.weights)]):
             scaled[int(k)] = scaled.get(int(k), 0.0) + (1.0 - a) * float(w)
         return l1_distance(self.measure_at(n), from_pairs(scaled))
+
+
+def map_factors(spec: SequenceSpec, N: int, fn: Callable[[LatticeMeasure], T]) -> Iterator[T]:
+    """Yield fn(nu_n) for n = 1..N, calling ``fn`` again only when
+    ``measure_at(n)`` is not the previous factor's object; an iid spec hands
+    out one object, so ``fn`` runs once for it."""
+    prev = result = None
+    for n in range(1, N + 1):
+        nu = spec.measure_at(n)
+        if nu is not prev:
+            prev, result = nu, fn(nu)
+        yield result
 
 
 def iter_prefixes(

@@ -6,11 +6,14 @@ checked on a uniform grid and extended between grid points by the Lipschitz
 certificate ``|mu_hat(s) - mu_hat(t)| <= 2 pi m1(mu) |s - t|``, so boolean
 verdicts are certificates at grid resolution rather than sampled guesses.
 
-Every uniform grid (the ``fourier_eval`` grid, the factor transforms of
-``prefix_fourier_profiles`` and each Simpson level of the second-derivative
-quadrature) is evaluated by one engine, :func:`_grid_sums`: the sums are
-folded by k mod n and finished by one FFT per derivative order.  Direct sums
-remain only for arbitrary points (:func:`fourier_at`).
+Every uniform grid (the ``fourier_eval`` grid and each Simpson level of the
+second-derivative quadrature) is evaluated by one engine, :func:`_grid_sums`:
+the sums are folded by k mod n and finished by one FFT per derivative order.
+Direct sums remain only for arbitrary points (:func:`fourier_at`).
+
+Running products nu_1 * ... * nu_n take their transforms from one engine,
+:func:`_product_rule`, fed with factor transforms (``fourier_eval`` on the
+grid, ``fourier_at`` at points) taken once per distinct factor.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .measures import (
     LatticeMeasure,
     SequenceSpec,
     is_strictly_aperiodic,
+    map_factors,
     moment,
     variance,
 )
@@ -310,11 +314,11 @@ def _simpson_doubling(
     and depth d adds the midpoints -1/2 + 1/2^d + i/2^(d-1), themselves a
     uniform grid of 2^(d-1) points.  Refines until two successive estimates
     differ by less than ``target``; raises :class:`QuadratureError` carrying
-    the last two estimates otherwise.
+    the last two estimates otherwise, in order (second-to-last, last).
     """
     head = f(-0.5, 2**min_depth)
     ys = np.append(head, head[0])
-    prev = _composite_simpson(ys, 1.0 / 2**min_depth)
+    current = _composite_simpson(ys, 1.0 / 2**min_depth)
     for depth in range(min_depth + 1, max_depth + 1):
         n = 2**depth
         my = f(-0.5 + 1.0 / n, n // 2)
@@ -322,10 +326,9 @@ def _simpson_doubling(
         merged[0::2] = ys
         merged[1::2] = my
         ys = merged
-        current = _composite_simpson(ys, 1.0 / n)
+        prev, current = current, _composite_simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current
-        prev = current
     raise QuadratureError(
         f"no convergence to {target} within depth {max_depth}",
         last_two=(prev, current),
@@ -403,6 +406,23 @@ def two_atom_bound(delta: float, eta: float) -> float:
 
 
 # -- transforms of running products ----------------------------------------------------
+def _product_rule(F: np.ndarray, g: tuple[np.ndarray, ...]) -> None:
+    """Multiply the running transform ``F`` by a factor transform ``g`` in place.
+
+    ``g`` is the factor's values, optionally with its first two derivatives,
+    and ``F`` has as many rows: F g, F' g + F g', F'' g + 2 F' g' + F g''.
+    In place, since numpy rounds a one-element complex product differently
+    out of place, and a one-point floor scan keeps the rounding of F *= g.
+    """
+    if len(g) == 3:
+        F[2] *= g[0]
+        F[2] += 2.0 * F[1] * g[1]
+        F[2] += F[0] * g[2]
+        F[1] *= g[0]
+        F[1] += F[0] * g[1]
+    F[0] *= g[0]
+
+
 def prefix_fourier_profiles(
     spec: SequenceSpec,
     N: int,
@@ -411,32 +431,13 @@ def prefix_fourier_profiles(
     """Profiles of the running products via the product rule on the grid.
 
     Yields the profile of nu_1*...*nu_n for n = 1..N without ever forming
-    the (large) convolutions: values and derivatives obey
-    ``F_n = F_{n-1} g``, ``F_n' = F_{n-1}' g + F_{n-1} g'`` and so on.
+    the (large) convolutions, starting from the transform of delta(0);
+    ``lipschitz_bound`` is the sum of the factors' bounds.
     """
-    # The cache is keyed by object identity, so each entry keeps its measure
-    # alive to prevent id reuse after garbage collection.
-    cache: dict[int, tuple] = {}
-    grid = uniform_grid(grid_size)
-
-    def factor(n: int):
-        nu = spec.measure_at(n)
-        key = id(nu)
-        if key not in cache:
-            if not spec.is_iid and len(cache) >= 8:
-                cache.pop(next(iter(cache)))
-            v, d1, d2 = _grid_sums(nu, -0.5, grid_size, (0, 1, 2))
-            cache[key] = (nu, v, d1, d2, moment(nu, 1.0))
-        return cache[key][1:]
-
-    v, d1, d2, m1 = factor(1)
-    vals, der1, der2 = v.copy(), d1.copy(), d2.copy()
-    lip = TWO_PI * m1
-    yield FourierProfile(grid, vals.copy(), der1.copy(), der2.copy(), lip)
-    for n in range(2, N + 1):
-        g, g1, g2, m1 = factor(n)
-        der2 = der2 * g + 2.0 * der1 * g1 + vals * g2
-        der1 = der1 * g + vals * g1
-        vals = vals * g
-        lip += TWO_PI * m1
-        yield FourierProfile(grid, vals.copy(), der1.copy(), der2.copy(), lip)
+    running = np.zeros((3, grid_size), dtype=complex)
+    running[0] = 1.0
+    lip = 0.0
+    for g in map_factors(spec, N, lambda nu: fourier_eval(nu, grid_size)):
+        _product_rule(running, (g.values, g.d1, g.d2))
+        lip += g.lipschitz_bound
+        yield FourierProfile(g.grid, *running.copy(), lip)

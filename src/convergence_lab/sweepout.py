@@ -32,8 +32,9 @@ from .measures import (
     SupportCapError,
     from_pairs,
     iter_prefixes,
+    map_factors,
 )
-from .spectral import fourier_at
+from .spectral import _product_rule, fourier_at
 from .dynamics import DynSystem, TestFunction, _state_averages
 
 #: Reporting conventions for the simulation summaries.
@@ -204,8 +205,8 @@ def fourier_floor_scan(
     The bound prod_l (2 a_l - 1) uses the decomposition atom weights; it is
     reported as vacuous (0) when the decomposition is missing or some atom
     weight is at most 1/2.  The transforms of the running products are
-    evaluated as pointwise products of the factor transforms, so no large
-    convolutions are formed.
+    evaluated as pointwise products of the factor transforms, each taken
+    once per distinct factor, so no large convolutions are formed.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -215,12 +216,12 @@ def fourier_floor_scan(
     window_start = max(1, N // 2) if window_start is None else int(window_start)
     if not 1 <= window_start <= N:
         raise ValueError("window_start must lie in [1, N]")
-    running = np.ones(len(ts), dtype=complex)
+    running = np.ones((1, len(ts)), dtype=complex)
     floor = np.full(len(ts), np.inf)
-    for n in range(1, N + 1):
-        running *= fourier_at(spec.measure_at(n), ts)
+    for n, g in enumerate(map_factors(spec, N, lambda nu: (fourier_at(nu, ts),)), start=1):
+        _product_rule(running, g)
         if n >= window_start:
-            floor = np.minimum(floor, np.abs(running))
+            floor = np.minimum(floor, np.abs(running[0]))
 
     vacuous = not spec.has_decomposition
     product = 1.0

@@ -92,7 +92,7 @@ class TestValidateConfig:
 class TestLoadConfig:
     def test_iid_family(self, tmp_path):
         cfg = load_config(write(tmp_path, "a.cfg", IID_CFG))
-        assert cfg.spec.is_iid
+        assert cfg.spec.measure_at(1) is cfg.spec.measure_at(7)
         assert cfg.system.is_cyclic
         assert cfg.lambdas == [1.0, 2.0, 4.0]
 

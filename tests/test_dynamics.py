@@ -88,6 +88,13 @@ class TestTestFunction:
         f = TestFunction.trig(1)
         assert f.sup_norm(sysq) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rotation_sup_norm_runs_over_the_whole_circle(self):
+        # The one sampled state lies outside [0, 1/2) and off the peaks of the cosine.
+        sysr = DynSystem.rotation(alpha=0.5, samples=1, seed=0)
+        assert TestFunction.indicator_interval(0.0, 0.5, scale=-2.0).sup_norm(sysr) == 2.0
+        assert TestFunction.indicator_interval(0.3, 0.3, scale=2.0).sup_norm(sysr) == 0.0
+        assert TestFunction.trig(3, scale=-1.5).sup_norm(sysr) == 1.5
+
     def test_kind_system_mismatch(self):
         with pytest.raises(ValueError):
             TestFunction.indicator_block(0, 1).evaluate(DynSystem.rotation(), np.array([0.5]))
@@ -254,6 +261,13 @@ class TestCoboundaryBound:
         lhs, rhs = coboundary_bound_check(sysq, delta(0), TestFunction.indicator_block(0, 1))
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(2.0)
+
+    def test_rotation_bound_covers_unsampled_points(self):
+        # The sampled state misses [0, 1/2) while its shift by alpha hits it.
+        sysr = DynSystem.rotation(alpha=0.5, samples=1, seed=0)
+        lhs, rhs = coboundary_bound_check(sysr, delta(1), TestFunction.indicator_interval(0.0, 0.5))
+        assert lhs == 1.0
+        assert lhs <= rhs
 
     def test_constant_function_gives_zero(self):
         sysq = DynSystem.cyclic(16)

@@ -6,9 +6,11 @@ import pytest
 
 from convergence_lab import (
     Decomposition,
+    QuadratureError,
     SequenceSpec,
     check_convergence_hypotheses,
     check_sweepout_hypotheses,
+    convolve_prefixes,
     delta,
     example_measure,
     from_pairs,
@@ -17,6 +19,7 @@ from convergence_lab import (
     moment,
     second_derivative_majorant_ratio,
     second_moment_floor,
+    weighted_d2_integral,
 )
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
@@ -55,6 +58,18 @@ class TestConvergenceReport:
         assert not report.condition("moment_growth").ok
         assert not report.overall_ok
         assert report.traces["d2_depth_cap_hits"] > 0
+
+    def test_cap_hit_row_holds_the_last_estimate(self):
+        report = check_convergence_hypotheses(IID_TRIPLE, 4, d2_target=1e-16, d2_max_depth=6)
+        cap_ns = report.traces["d2_depth_cap_n"]
+        assert cap_ns
+        mus = convolve_prefixes(IID_TRIPLE, 4)
+        for n in cap_ns:
+            with pytest.raises(QuadratureError) as err:
+                weighted_d2_integral(mus[n - 1], target=1e-16, max_depth=6)
+            second_to_last, last = err.value.last_two
+            assert second_to_last != last
+            assert report.rows[n - 1][7] == last
 
     def test_rows_have_pinned_header(self):
         report = check_convergence_hypotheses(IID_TRIPLE, 4)

@@ -22,10 +22,15 @@ from convergence_lab import (
     doubling_defect,
     expectation,
     fourier_at,
+    fourier_eval,
+    fourier_floor_scan,
+    from_pairs,
     iter_prefixes,
     l1_distance,
     maximal_function_all,
     moment,
+    prefix_fourier_profiles,
+    scan_points,
     sweepout_simulation,
     tv_shift_distance,
     two_atom_bound,
@@ -34,7 +39,7 @@ from convergence_lab import (
 from convergence_lab import measures
 from convergence_lab.cli import _format_column
 from convergence_lab.dynamics import _state_averages
-from convergence_lab.measures import _count_nonzero_past
+from convergence_lab.measures import _count_nonzero_past, map_factors
 from convergence_lab.spectral import _grid_sums, _transform_sums
 
 
@@ -325,6 +330,23 @@ def test_streamed_maximal_function_matches_per_prefix(spec_n, sys, seed, prune_e
     assert np.array_equal(fast, _maximal_oracle(sys, spec, f, N, prune_eps))
 
 
+@pytest.mark.parametrize(
+    "sys, f",
+    [
+        (DynSystem.rotation(alpha=0.3, samples=64, seed=2), TestFunction.indicator_interval(0.1, 0.45)),
+        (DynSystem.cyclic(16), TestFunction.table(np.random.default_rng(5).random(16) * 2.0 - 1.0)),
+    ],
+    ids=["rotation", "cyclic"],
+)
+def test_maximal_function_prunes_a_chain_that_loses_mass(sys, f):
+    # Outer atoms of 1e-5 give mu_2 atoms of 1e-10, below prune_eps, and pruning
+    # moves the averages by ~1e-9; the rotation's binning matches the oracle to 1e-12.
+    spec = SequenceSpec.iid(from_pairs({-1: 1e-5, 0: 1.0 - 2e-5, 1: 1e-5}))
+    fast = maximal_function_all(sys, spec, f, 4, prune_eps=1e-8)
+    assert np.max(np.abs(fast - _maximal_oracle(sys, spec, f, 4, 1e-8))) <= 1e-12
+    assert np.max(np.abs(fast - _maximal_oracle(sys, spec, f, 4))) > 1e-12
+
+
 @st.composite
 def indicators(draw, sys):
     """An indicator on ``sys`` with a drawn position, size and scale."""
@@ -435,6 +457,60 @@ def test_prefix_stream_rejects_bad_arguments_when_called(N, prune_eps):
     spec = SequenceSpec.iid(delta(1))
     with pytest.raises(ValueError):
         iter_prefixes(spec, N, prune_eps)
+
+
+# -- transforms of running products from factor transforms --------------------------
+@st.composite
+def repeating_specs(draw, max_n=8):
+    """An iid spec, or a list spec that may hand out one object on
+    consecutive steps, with the horizon N it is driven to."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        return SequenceSpec.iid(draw(gapped_measures())), n
+    ms = [draw(gapped_measures())]
+    for repeat in draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)):
+        ms.append(ms[-1] if repeat else draw(gapped_measures()))
+    return SequenceSpec.from_measures(ms), n
+
+
+@given(repeating_specs(), st.sampled_from([16, 128]))
+@settings(max_examples=60, deadline=None)
+def test_product_rule_profiles_match_convolved_prefixes(spec_n, grid):
+    # The tolerances of TestPrefixProfiles, applied to both derivatives.
+    spec, N = spec_n
+    profiles = list(prefix_fourier_profiles(spec, N, grid))
+    assert len(profiles) == N
+    for prof, mu in zip(profiles, iter_prefixes(spec, N)):
+        direct = fourier_eval(mu, grid)
+        assert np.max(np.abs(prof.values - direct.values)) <= 1e-11
+        for got, want in ((prof.d1, direct.d1), (prof.d2, direct.d2)):
+            assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+@given(repeating_specs(), st.integers(min_value=1, max_value=8), st.sampled_from([0, 12]))
+@settings(max_examples=60, deadline=None)
+def test_floor_scan_matches_convolved_prefixes(spec_n, window_start, uniform):
+    spec, N = spec_n
+    window_start = min(window_start, N)
+    ts = scan_points(6, uniform=uniform)
+    scan = fourier_floor_scan(spec, ts, N, window_start)
+    moduli = [np.abs(fourier_at(mu, ts)) for mu in iter_prefixes(spec, N)]
+    oracle = np.min(moduli[window_start - 1 :], axis=0)
+    np.testing.assert_allclose([r.floor_min for r in scan.rows], oracle, rtol=0, atol=1e-12)
+
+
+@given(repeating_specs(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_factor_reuse_calls_once_per_run_of_one_object(spec_n):
+    spec, N = spec_n
+    factors = [spec.measure_at(n) for n in range(1, N + 1)]
+    starts = [i == 0 or nu is not factors[i - 1] for i, nu in enumerate(factors)]
+    calls = []
+    results = list(map_factors(spec, N, lambda nu: calls.append(nu) or len(calls)))
+    # One call per run of one object on consecutive steps, so one for an iid spec.
+    heads = [nu for nu, start in zip(factors, starts) if start]
+    assert len(calls) == len(heads) and all(a is b for a, b in zip(calls, heads))
+    assert results == np.cumsum(starts).tolist()
 
 
 # -- CSV cell formatting ------------------------------------------------------------

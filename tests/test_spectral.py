@@ -74,17 +74,16 @@ def direct_sum_simpson_d2(mu, target, max_depth, min_depth=4):
         return h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-1:2]))
 
     ys = f(np.linspace(-0.5, 0.5, 2**min_depth + 1))
-    prev = simpson(ys, 1.0 / 2**min_depth)
+    current = simpson(ys, 1.0 / 2**min_depth)
     for depth in range(min_depth + 1, max_depth + 1):
         n = 2**depth
         merged = np.empty(n + 1)
         merged[0::2] = ys
         merged[1::2] = f(-0.5 + (2.0 * np.arange(n // 2) + 1.0) / n)
         ys = merged
-        current = simpson(ys, 1.0 / n)
+        prev, current = current, simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current, False
-        prev = current
     return (prev, current), True
 
 
@@ -283,7 +282,11 @@ class TestWeightedD2Integral:
     def test_depth_cap_raises_with_estimates(self):
         with pytest.raises(QuadratureError) as err:
             weighted_d2_integral(CENTERED_TRIPLE, target=1e-16, max_depth=6)
-        assert len(err.value.last_two) == 2
+        with pytest.raises(QuadratureError) as shallower:
+            weighted_d2_integral(CENTERED_TRIPLE, target=1e-16, max_depth=5)
+        # (second-to-last, last): depth 5's last estimate precedes depth 6's.
+        second_to_last, last = err.value.last_two
+        assert second_to_last == shallower.value.last_two[1] != last
 
 
 class TestHolderSmoothness:

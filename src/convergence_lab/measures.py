@@ -32,6 +32,7 @@ computed again only when the spec hands out a new factor object.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO, TypeVar
 
@@ -361,9 +362,12 @@ class CosetMass(NamedTuple):
 def coset_mass_sup(nu: LatticeMeasure) -> CosetMass:
     """Largest mass the measure puts on a proper coset ``beta*Z + r``.
 
-    Only beta >= 2 counts: beta in {0, +-1} covers the whole group.  Strides
-    exceeding the support diameter isolate single atoms, so the search runs
-    beta over 2..diameter and then compares against the largest atom.
+    Only beta >= 2 counts: beta in {0, +-1} covers the whole group.  A
+    stride that divides no difference of two support points puts at most
+    one atom in each coset, so it cannot beat the largest atom, which the
+    search starts from (with the stride diameter + 1 as its witness).  The
+    search then runs, in ascending order, over the strides from 2 to the
+    diameter that divide some difference.
     """
     ks = nu.support
     ws = nu.weights[np.flatnonzero(nu.weights)]
@@ -373,12 +377,32 @@ def coset_mass_sup(nu: LatticeMeasure) -> CosetMass:
     diam = int(ks[-1] - ks[0])
     atom = int(np.argmax(ws))
     best = CosetMass(float(ws[atom]), diam + 1, int(ks[atom] % (diam + 1)))
-    for beta in range(2, diam + 1):
+    for beta in _difference_divisors(ks).tolist():
         masses = np.bincount(ks % beta, weights=ws, minlength=beta)
         r = int(np.argmax(masses))
         if masses[r] > best.rho:
             best = CosetMass(float(masses[r]), beta, r)
     return best
+
+
+def _difference_divisors(ks: np.ndarray) -> np.ndarray:
+    """Ascending divisors >= 2 of the differences of two points of ``ks``.
+
+    ``ks`` is sorted and has at least two points.  Each difference d has
+    its divisors in pairs (r, d / r) with r <= sqrt(d), so trial divisors
+    up to the square root of the diameter find them all.
+    """
+    marked = np.zeros(int(ks[-1] - ks[0]) + 1, dtype=bool)
+    for i in range(len(ks) - 1):
+        marked[ks[i + 1 :] - ks[i]] = True
+    diffs = np.flatnonzero(marked)
+    # Each difference divides itself; mark the other divisors beside them.
+    for r in range(2, math.isqrt(int(diffs[-1])) + 1):
+        multiples = diffs[diffs % r == 0]
+        if multiples.size:
+            marked[r] = True
+            marked[multiples // r] = True
+    return np.flatnonzero(marked[2:]) + 2
 
 
 def is_strictly_aperiodic(nu: LatticeMeasure) -> bool:

@@ -6,10 +6,17 @@ checked on a uniform grid and extended between grid points by the Lipschitz
 certificate ``|mu_hat(s) - mu_hat(t)| <= 2 pi m1(mu) |s - t|``, so boolean
 verdicts are certificates at grid resolution rather than sampled guesses.
 
-Every uniform grid (the ``fourier_eval`` grid and each Simpson level of the
-second-derivative quadrature) is evaluated by one engine, :func:`_grid_sums`:
-the sums are folded by k mod n and finished by one FFT per derivative order.
-Direct sums remain only for arbitrary points (:func:`fourier_at`).
+Uniform grids have two engines, both folding the coefficients by k mod n
+and finishing with an FFT.  The full-grid engine, :func:`_grid_sums`, gives
+the transform and both derivatives at every point -1/2 + j/n of the window,
+as ``fourier_eval`` needs: complex coefficients, one complex FFT per order.
+The second-derivative quadrature needs much less.  mu_hat'' has the real
+coefficients -(2 pi k)^2 mu(k), so its modulus is even and only [0, 1/2]
+is integrated, and each Simpson level adds only the odd multiples of 1/n.
+:func:`_odd_frequency_sums` gives exactly those from one complex FFT of n/4
+points, with no phase per atom.  Serving both from one engine would double
+the quadrature's FFT length and add a complex phase per atom at every
+level.  Direct sums remain only for arbitrary points (:func:`fourier_at`).
 
 Running products nu_1 * ... * nu_n take their transforms from one engine,
 :func:`_product_rule`, fed with factor transforms (``fourier_eval`` on the
@@ -40,6 +47,15 @@ _NEAR_ZERO_WINDOW = 1.0 / 16.0
 
 #: Direct sums build their phase matrix at most this many entries at a time.
 _DIRECT_BLOCK = 1 << 20
+
+#: The first Simpson level of the d2 quadrature has 2^_MIN_DEPTH panels.
+_MIN_DEPTH = 4
+
+#: Simpson levels of up to this many panels share one FFT.
+_SHARED_LEVEL = 1 << 10
+
+#: Root table of :func:`_unit_roots`, e^{2 pi i j / N} for j < N/2.
+_roots = np.ones(1, dtype=complex)
 
 
 class QuadratureError(RuntimeError):
@@ -126,25 +142,18 @@ def _transform_sums(
     return list(out.T)
 
 
-def _grid_sums(
-    mu: LatticeMeasure, t0: float, n: int, orders: tuple[int, ...]
-) -> list[np.ndarray]:
-    """The sums of :func:`_transform_sums` on the uniform grid t0 + j/n, j < n.
+def _grid_sums(mu: LatticeMeasure, n: int, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """The sums of :func:`_transform_sums` on the grid -1/2 + j/n, j < n.
 
-    There ``e^{2 pi i k t_j} = e^{2 pi i k t0} e^{2 pi i (k mod n) j / n}``, so
+    There ``e^{2 pi i k t_j} = e^{-pi i k} e^{2 pi i (k mod n) j / n}``, so
     the phased coefficients are folded by k mod n and one unscaled inverse
-    FFT per order yields all n sums, in O(nnz + n log n).  The origin t0 is a
-    dyadic rational p/q and ``k p mod q`` is reduced in integers, so only an
-    angle in [0, 2 pi) is ever rounded and supports much wider than the grid
+    FFT per order yields all n sums, in O(nnz + n log n).  The phase of the
+    origin depends on k mod 2 only, so supports much wider than the grid
     keep full accuracy.
     """
-    p, q = float(t0).as_integer_ratio()
-    if q > 2**31:
-        raise ValueError("grid origin must be a dyadic rational with denominator <= 2^31")
     nz = np.flatnonzero(mu.weights)
     ks = mu.min_index + nz
-    turns = (ks % q) * (p % q) % q
-    phased = mu.weights[nz] * np.exp((TWO_PI * 1j / q) * turns)
+    phased = mu.weights[nz] * np.exp((TWO_PI * 1j / 2) * (ks % 2))
     folds = ks % n
     out = []
     for m in orders:
@@ -152,6 +161,49 @@ def _grid_sums(
         folded = np.bincount(folds, c.real, n) + 1j * np.bincount(folds, c.imag, n)
         out.append(np.fft.ifft(folded, norm="forward"))
     return out
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """The roots e^{2 pi i j / n} for j < n/2, n a power of two.
+
+    They are read by stride from one table for the largest n requested so
+    far.  The angle 2 pi j / n is rounded once, and it scales exactly by
+    powers of two, so a root is the same to the bit whichever table it is
+    read from.  A larger request replaces the read-only table; none is ever
+    written.
+    """
+    global _roots
+    table = _roots
+    if 2 * len(table) < n:
+        table = np.exp(1j * (np.arange(n // 2) * (TWO_PI / n)))
+        table.flags.writeable = False
+        _roots = table
+    return table[:: 2 * len(table) // n]
+
+
+def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Sums ``sum_k c_k e^{2 pi i k t}`` with real c_k at t = (2i+1)/n, i < n/4.
+
+    These are the odd multiples of 1/n in (0, 1/2), for n >= 4 a power of
+    two.  With the fold G_r = sum of c_k over k = r mod n, the sum at
+    (2i+1)/n is sum_{r < n/2} H_r w^{r(2i+1)}, where H_r = G_r - G_{r+n/2}
+    and w = e^{2 pi i/n}.  The even and odd H are packed as one complex
+    sequence p_s = (H_{2s} + i H_{2s+1}) w^{2s} of n/4 points, whose inverse
+    FFT P splits by conjugate symmetry, with q_i = conj(P_{n/4-1-i}), into
+    the even part (P + q)/2 and the odd part (P - q)/2i; the odd part is
+    twiddled by w^{2i+1}.
+    """
+    folded = np.bincount(ks & (n - 1), c, n)
+    roots = _unit_roots(n)
+    # The difference is contiguous, so its complex view is H_{2s} + i H_{2s+1}.
+    p = np.fft.ifft((folded[: n // 2] - folded[n // 2 :]).view(complex) * roots[0::2], norm="forward")
+    q = np.conj(p[::-1])
+    odd = p - q
+    odd *= roots[1::2]
+    p += q
+    p -= 1j * odd
+    p *= 0.5
+    return p
 
 
 def fourier_at(mu: LatticeMeasure, ts: np.ndarray) -> np.ndarray:
@@ -170,7 +222,7 @@ def fourier_eval(mu: LatticeMeasure, grid_size: int = 4096) -> FourierProfile:
         raise ValueError("grid_size must be at least 16")
     if grid_size % 2:
         raise ValueError("grid_size must be even so that t=0 is on the grid")
-    vals, d1, d2 = _grid_sums(mu, -0.5, grid_size, (0, 1, 2))
+    vals, d1, d2 = _grid_sums(mu, grid_size, (0, 1, 2))
     return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
 
 
@@ -301,32 +353,31 @@ def _composite_simpson(ys: np.ndarray, h: float) -> float:
 
 
 def _simpson_doubling(
-    f: Callable[[float, int], np.ndarray],
+    head: np.ndarray,
+    refine: Callable[[int], np.ndarray],
     target: float,
     max_depth: int,
-    min_depth: int = 4,
 ) -> float:
-    """Composite Simpson over the window [-1/2, 1/2] with panel doubling and node reuse.
+    """Composite Simpson of an even integrand over the window [-1/2, 1/2],
+    with panel doubling and node reuse.
 
-    ``f(t0, n)`` evaluates the integrand on the uniform grid t0 + j/n, j < n;
-    the integrand must take the same value at both ends of the window.  The
-    first level is the grid -1/2 + j/2^min_depth closed by its endpoint +1/2,
-    and depth d adds the midpoints -1/2 + 1/2^d + i/2^(d-1), themselves a
-    uniform grid of 2^(d-1) points.  Refines until two successive estimates
-    differ by less than ``target``; raises :class:`QuadratureError` carrying
-    the last two estimates otherwise, in order (second-to-last, last).
+    The estimate at depth d is twice composite Simpson over [0, 1/2] with
+    2^(d-1) panels, which is composite Simpson over the window with 2^d.
+    ``head`` holds the integrand at the nodes j/2^_MIN_DEPTH of [0, 1/2], and
+    ``refine(n)`` at the nodes that depth log2(n) adds, the odd multiples
+    (2i+1)/n < 1/2.  Refines until two successive estimates differ by less
+    than ``target``; raises :class:`QuadratureError` carrying the last two
+    estimates otherwise, in order (second-to-last, last).
     """
-    head = f(-0.5, 2**min_depth)
-    ys = np.append(head, head[0])
-    current = _composite_simpson(ys, 1.0 / 2**min_depth)
-    for depth in range(min_depth + 1, max_depth + 1):
+    ys = head
+    current = 2.0 * _composite_simpson(ys, 1.0 / 2**_MIN_DEPTH)
+    for depth in range(_MIN_DEPTH + 1, max_depth + 1):
         n = 2**depth
-        my = f(-0.5 + 1.0 / n, n // 2)
-        merged = np.empty(n + 1, dtype=float)
+        merged = np.empty(n // 2 + 1, dtype=float)
         merged[0::2] = ys
-        merged[1::2] = my
+        merged[1::2] = refine(n)
         ys = merged
-        prev, current = current, _composite_simpson(ys, 1.0 / n)
+        prev, current = current, 2.0 * _composite_simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current
     raise QuadratureError(
@@ -343,15 +394,31 @@ def weighted_d2_integral(
     """Adaptive quadrature of ``int |mu_hat''(t)| |t| dt`` over the window.
 
     The integrand is smooth except for |.| kinks at zeros of the second
-    derivative; the doubling refinement resolves those.  Every Simpson level
-    is a uniform grid, so the second derivative comes from :func:`_grid_sums`.
+    derivative; the doubling refinement resolves those.  The coefficients
+    g_k = -(2 pi k)^2 mu(k) of mu_hat'' are real, so the integrand is even
+    and only nodes in [0, 1/2] are evaluated.  Levels of up to
+    ``_SHARED_LEVEL`` panels read their nodes by stride from one real FFT of
+    the fold by k mod ``_SHARED_LEVEL``; each deeper level takes its new
+    nodes from :func:`_odd_frequency_sums`.  No level depends on
+    ``max_depth``, which must exceed ``_MIN_DEPTH``.
     """
+    if max_depth <= _MIN_DEPTH:
+        raise ValueError(f"max_depth must exceed {_MIN_DEPTH}")
+    nz = np.flatnonzero(mu.weights)
+    ks = mu.min_index + nz
+    g = mu.weights[nz] * -((TWO_PI * ks) ** 2)
+    folded = np.bincount(ks & (_SHARED_LEVEL - 1), g, _SHARED_LEVEL)
+    ts = np.arange(_SHARED_LEVEL // 2 + 1) / _SHARED_LEVEL
+    # rfft sums with e^{-2 pi i k t}, the conjugates, which have the same modulus.
+    shared = np.abs(np.fft.rfft(folded)) * ts
 
-    def integrand(t0: float, n: int) -> np.ndarray:
-        d2 = _grid_sums(mu, t0, n, (2,))[0]
-        return np.abs(d2) * np.abs(t0 + np.arange(n) / n)
+    def refine(n: int) -> np.ndarray:
+        if n <= _SHARED_LEVEL:
+            stride = _SHARED_LEVEL // n
+            return shared[stride :: 2 * stride]
+        return np.abs(_odd_frequency_sums(ks, g, n)) * ((2.0 * np.arange(n // 4) + 1.0) / n)
 
-    return _simpson_doubling(integrand, target, max_depth)
+    return _simpson_doubling(shared[:: _SHARED_LEVEL >> _MIN_DEPTH], refine, target, max_depth)
 
 
 # -- discrete smoothness ------------------------------------------------------------

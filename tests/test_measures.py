@@ -21,6 +21,7 @@ from convergence_lab import (
     prune,
     tv_shift_distance,
 )
+from convergence_lab.measures import CosetMass
 from conftest import random_measure
 
 
@@ -271,7 +272,43 @@ def brute_force_coset_sup(nu: LatticeMeasure) -> float:
     return best if len(ks) > 1 else 1.0
 
 
+def all_strides_coset_sup(nu: LatticeMeasure) -> CosetMass:
+    """Oracle for coset_mass_sup: the same search over every stride 2..diameter."""
+    ks = nu.support
+    ws = nu.weights[np.flatnonzero(nu.weights)]
+    if len(ks) == 1:
+        return CosetMass(1.0, 0, int(ks[0]))
+    diam = int(ks[-1] - ks[0])
+    atom = int(np.argmax(ws))
+    best = CosetMass(float(ws[atom]), diam + 1, int(ks[atom] % (diam + 1)))
+    for beta in range(2, diam + 1):
+        masses = np.bincount(ks % beta, weights=ws, minlength=beta)
+        r = int(np.argmax(masses))
+        if masses[r] > best.rho:
+            best = CosetMass(float(masses[r]), beta, r)
+    return best
+
+
+@st.composite
+def sparse_measures(draw):
+    """Up to 400 wide with offsets down to -400; few atoms, equal weights common."""
+    span = draw(st.integers(min_value=1, max_value=400))
+    atoms = draw(st.lists(st.integers(min_value=0, max_value=span - 1), max_size=12))
+    w = np.zeros(span)
+    w[0] = w[-1] = 1.0
+    w[atoms] = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=len(atoms), max_size=len(atoms)))
+    offset = draw(st.integers(min_value=-400, max_value=400))
+    return LatticeMeasure(offset, w / w.sum())
+
+
 class TestCosetMassSup:
+    @given(sparse_measures())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_search_over_every_stride(self, nu):
+        got, want = coset_mass_sup(nu), all_strides_coset_sup(nu)
+        assert (got.beta, got.residue) == (want.beta, want.residue)
+        assert got.rho.hex() == want.rho.hex()
+
     def test_fair_coin(self):
         rho, beta, _ = coset_mass_sup(from_pairs({0: 0.5, 1: 0.5}))
         assert rho == pytest.approx(0.5)

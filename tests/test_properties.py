@@ -40,7 +40,7 @@ from convergence_lab import measures
 from convergence_lab.cli import _format_column
 from convergence_lab.dynamics import _state_averages
 from convergence_lab.measures import _count_nonzero_past, map_factors
-from convergence_lab.spectral import _grid_sums, _transform_sums
+from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
 
 
 @st.composite
@@ -233,30 +233,41 @@ def wide_gapped_measures(draw):
     return LatticeMeasure(offset, w / w.sum())
 
 
-# A grid of the fourier_eval kind (origin -1/2, any even size) or a Simpson
-# midpoint level (origin -1/2 + 1/N, N/2 points); many are narrower than the
-# support, so the fold by k mod n wraps.
-uniform_grids = st.one_of(
-    st.integers(min_value=8, max_value=128).map(lambda h: (-0.5, 2 * h)),
-    st.integers(min_value=5, max_value=11).map(lambda d: (-0.5 + 1.0 / 2**d, 2 ** (d - 1))),
-)
-
-
-@given(wide_gapped_measures(), uniform_grids)
-@settings(max_examples=80, deadline=None)
-def test_grid_engine_matches_direct_sums(mu, grid):
-    t0, n = grid
-    ts = t0 + np.arange(n) / n
-    fast = _grid_sums(mu, t0, n, (0, 1, 2))
-    direct = [fourier_at(mu, ts), *_transform_sums(mu, ts, (1, 2))]
+def _direct_sum_tolerance(mu, m, n):
+    # Rounding of sum_k |w_k| (2 pi |k|)^m, times the direct sums' phase
+    # error eps |2 pi k t| <= eps pi |k| and the FFT's eps log2(n).
     ks = np.abs(mu.support).astype(float)
     ws = mu.weights[np.flatnonzero(mu.weights)]
+    scale = ws * (2.0 * np.pi * ks) ** m
+    return 2.0 * np.finfo(float).eps * float(np.sum(scale * (np.pi * ks + math.log2(n) + 4.0)))
+
+
+# Grids of the fourier_eval kind (origin -1/2, any even size); many are
+# narrower than the support, so the fold by k mod n wraps.
+@given(wide_gapped_measures(), st.integers(min_value=8, max_value=128).map(lambda h: 2 * h))
+@settings(max_examples=80, deadline=None)
+def test_grid_engine_matches_direct_sums(mu, n):
+    ts = -0.5 + np.arange(n) / n
+    fast = _grid_sums(mu, n, (0, 1, 2))
+    direct = [fourier_at(mu, ts), *_transform_sums(mu, ts, (1, 2))]
     for m in (0, 1, 2):
-        # Rounding of sum_k |w_k| (2 pi |k|)^m, times the direct sums' phase
-        # error eps |2 pi k t| <= eps pi |k| and the FFT's eps log2(n).
-        scale = ws * (2.0 * np.pi * ks) ** m
-        tol = 2.0 * np.finfo(float).eps * float(np.sum(scale * (np.pi * ks + math.log2(n) + 4.0)))
-        assert np.max(np.abs(fast[m] - direct[m])) <= tol
+        assert np.max(np.abs(fast[m] - direct[m])) <= _direct_sum_tolerance(mu, m, n)
+
+
+# The nodes a Simpson level of the d2 quadrature adds, (2i+1)/n in (0, 1/2),
+# for the real coefficients of the transform (m = 0) and of its second
+# derivative (m = 2); the folds of the wide levels wrap too.
+@given(wide_gapped_measures(), st.integers(min_value=2, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_odd_frequency_sums_match_direct_sums(mu, depth):
+    n = 2**depth
+    ts = (2.0 * np.arange(n // 4) + 1.0) / n
+    ks = mu.support
+    ws = mu.weights[np.flatnonzero(mu.weights)]
+    direct = _transform_sums(mu, ts, (0, 2))
+    for m, d in zip((0, 2), direct):
+        fast = _odd_frequency_sums(ks, (ws * (2j * np.pi * ks) ** m).real, n)
+        assert np.max(np.abs(fast - d)) <= _direct_sum_tolerance(mu, m, n)
 
 
 # -- the prefix stream and the reductions over it ---------------------------------

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convergence_lab import (
+    LatticeMeasure,
     PreconditionError,
     QuadratureError,
     SequenceSpec,
@@ -27,9 +30,27 @@ from convergence_lab import (
     weighted_d2_integral,
     wrap_to_fundamental,
 )
+from convergence_lab import spectral
 from conftest import random_measure, random_symmetric_measure
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
+
+
+@st.composite
+def sparse_wide_measures(draw):
+    """Up to 3,000 wide, offsets down to -3,000, most interior atoms knocked out.
+
+    Wider than the quadrature's shared level grid (1,024) and than its first
+    deeper levels, so their folds by k mod n wrap.
+    """
+    span = draw(st.integers(min_value=1, max_value=3000))
+    offset = draw(st.integers(min_value=-3000, max_value=100))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.random(span) + 1e-3
+    w[rng.random(span) < draw(st.floats(min_value=0.5, max_value=0.999))] = 0.0
+    w[0] = w[-1] = 0.5
+    return LatticeMeasure(offset, w / w.sum())
 
 
 def invert_by_grid_sum(profile, k: int) -> complex:
@@ -278,6 +299,37 @@ class TestWeightedD2Integral:
             direct_caps += capped
             np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
         assert fast_caps == direct_caps == cap_hits
+
+    @given(
+        sparse_wide_measures(),
+        st.sampled_from([1e-6, 1.0, 1e4]),
+        st.integers(min_value=5, max_value=13),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_sum_simpson_on_wrapping_folds(self, mu, target, max_depth):
+        try:
+            fast, fast_capped = weighted_d2_integral(mu, target=target, max_depth=max_depth), False
+        except QuadratureError as exc:
+            fast, fast_capped = exc.last_two, True
+        direct, capped = direct_sum_simpson_d2(mu, target=target, max_depth=max_depth)
+        assert fast_capped == capped
+        np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("max_depth", [-1, 0, 4])
+    def test_rejects_depth_without_two_levels(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            weighted_d2_integral(delta(1), max_depth=max_depth)
+
+    def test_result_does_not_depend_on_root_table_size(self, monkeypatch):
+        # Converges at a level above the shared FFT, so it reads roots.
+        mu = inverse_square_family(1.0).to_spec().measure_at(9)
+        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
+        before = weighted_d2_integral(mu, target=1e-3)
+        small = len(spectral._roots)
+        with pytest.raises(QuadratureError):
+            weighted_d2_integral(mu, target=0.0, max_depth=20)
+        assert 2**10 <= small < len(spectral._roots) == 2**19
+        assert weighted_d2_integral(mu, target=1e-3) == before
 
     def test_depth_cap_raises_with_estimates(self):
         with pytest.raises(QuadratureError) as err:

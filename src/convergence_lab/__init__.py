@@ -55,7 +55,6 @@ from .dynamics import (
     Weak11Row,
     coboundary_bound_check,
     convergence_trace,
-    maximal_function,
     maximal_function_all,
     weak11_table,
     weighted_average,

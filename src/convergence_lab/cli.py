@@ -33,7 +33,8 @@ from .measures import (
 )
 from .spectral import fourier_eval
 from .sweepout import (
-    SweepoutFamily,
+    HIGH_THRESHOLD,
+    LOW_THRESHOLD,
     fourier_floor_scan,
     geometric_family,
     inverse_square_family,
@@ -47,6 +48,10 @@ EXIT_RESOURCE = 3
 EXIT_CONTRACT = 4
 
 _FLOOR_CONTRACT_TOL = 1e-10
+
+#: Largest |k| a prefix window may reach: up to it every site is exactly a
+#: float, as moments and transforms take it.
+_MAX_SITE = 2**53
 
 
 class ConfigError(ValueError):
@@ -232,9 +237,16 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     sysv = {key: read(section, key) for section, key in _KEYS if section == "system"}
     run = {key: read(section, key) for section, key in _KEYS if section == "run"}
 
+    horizon = run["horizon"] or 0
     family_kind = read("family", "kind")
     spec: Optional[SequenceSpec] = None
+    # Once known, what reads the [family] keys and which keys it reads.
+    reader: Optional[str] = None
+    used: set[str] = set()
+    # Largest |k| of the prefix windows up to the horizon.
+    reach = 0
     if family_kind == "iid":
+        reader, used = "kind = iid", {"kind", "weights", "offset"}
         weights = read("family", "weights", "0.25,0.5,0.25")
         offset = read("family", "offset", "-1")
         if weights is not None:
@@ -246,7 +258,10 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
             elif np.any(weights < 0):
                 diags.append("family.weights: must be nonnegative")
             elif offset is not None:
-                spec = SequenceSpec.iid(LatticeMeasure(offset, weights), name="iid")
+                nu = LatticeMeasure(offset, weights)
+                spec = SequenceSpec.iid(nu, name="iid")
+                # The window of nu^{*n} is n times nu's.
+                reach = horizon * _site_reach([nu])
     elif family_kind == "sweepout":
         a_rule = read("family", "a_rule", "inverse_square")
         if a_rule is not None:
@@ -255,10 +270,12 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
                 if a_rule == "inverse_square"
                 else ("ratio", "0.5", geometric_family)
             )
+            reader, used = f"kind = sweepout, a_rule = {a_rule}", {"kind", "a_rule", key}
             param = read("family", key, fallback)
             if param is not None:
                 spec = make(param).to_spec()
     elif family_kind == "list":
+        reader, used = "kind = list", {"kind", "measures_file"}
         mpath = get("family", "measures_file")
         if not mpath:
             diags.append("family.measures_file: required for kind = list")
@@ -271,16 +288,22 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
                 measures = [LatticeMeasure.from_text(b) for b in blocks]
                 if not measures:
                     diags.append(f"family.measures_file: no measures in {mpath}")
-                elif run["horizon"] is not None and run["horizon"] > len(measures):
-                    diags.append(
-                        f"run.horizon: {run['horizon']} exceeds the {len(measures)} measures in {mpath}"
-                    )
+                elif horizon > len(measures):
+                    diags.append(f"run.horizon: {horizon} exceeds the {len(measures)} measures in {mpath}")
                 else:
                     spec = SequenceSpec.from_measures(measures, name=f"list:{mfile.name}")
+                    reach = _site_reach(measures[:horizon])
             except OSError as exc:
                 raise ConfigError([f"family.measures_file: cannot read ({exc})"])
             except ValueError as exc:
                 diags.append(f"family.measures_file: {exc}")
+    if reach > _MAX_SITE:
+        key = "offset" if family_kind == "iid" else "measures_file"
+        diags.append(f"family.{key}: prefix windows up to n = {horizon} reach |k| = {reach}, past 2**53")
+    if reader is not None:
+        for section, key in _KEYS:
+            if section == "family" and key not in used and get(section, key) != "":
+                diags.append(f"family.{key}: not read by {reader} (got {get(section, key)!r})")
 
     if diags:
         raise ConfigError(diags)
@@ -296,6 +319,15 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         if get(section, key) != ""
     ]
     return ExperimentConfig(system=system, spec=spec, echo=echo, **run)
+
+
+def _site_reach(factors: Iterable[LatticeMeasure]) -> int:
+    """Largest |k| in the windows of the running products of ``factors``."""
+    lo = hi = reach = 0
+    for nu in factors:
+        lo, hi = lo + nu.min_index, hi + nu.max_index
+        reach = max(reach, -lo, hi)
+    return reach
 
 
 def validate_config(path: str | os.PathLike) -> list[str]:
@@ -448,7 +480,7 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
         summary += "\n" + sweep.summary_text()
     _atomic_write(out / "hypothesis_summary.txt", [_header(config, "check"), summary, "\n"])
     print(summary)
-    cap_ns = report.traces["d2_depth_cap_n"]
+    cap_ns = report.d2_depth_cap_n
     if cap_ns:
         print(
             f"d2 quadrature hit its depth cap {len(cap_ns)} time(s), at prefix n = "
@@ -535,8 +567,8 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         [(np.arange(len(sim.sup_trace)), sim.sup_trace, sim.inf_trace)],
         extra=[
             ("set_measure", repr(sim.set_measure)),
-            ("high_threshold", repr(sim.high_threshold)),
-            ("low_threshold", repr(sim.low_threshold)),
+            ("high_threshold", repr(HIGH_THRESHOLD)),
+            ("low_threshold", repr(LOW_THRESHOLD)),
             ("frac_running_max_high", repr(sim.frac_high)),
             ("frac_running_min_low", repr(sim.frac_low)),
         ],

@@ -81,12 +81,6 @@ class DynSystem:
         offset = float(np.random.default_rng(self.seed).random())
         return ((np.arange(self.samples) + offset) / self.samples) % 1.0
 
-    def advance(self, xs: np.ndarray, k: int) -> np.ndarray:
-        """Apply tau^k; k may be negative (the shift is invertible)."""
-        if self.is_cyclic:
-            return (np.asarray(xs, dtype=np.int64) + int(k)) % self.q
-        return (np.asarray(xs, dtype=float) + k * self.alpha) % 1.0
-
     def measure_fraction(self, mask: np.ndarray) -> float:
         denom = self.q if self.is_cyclic else self.samples
         return float(np.count_nonzero(mask)) / float(denom)
@@ -174,14 +168,9 @@ class TestFunction:
 
 
 # -- weighted averaging --------------------------------------------------------------
-def _support_arrays(mu: LatticeMeasure) -> tuple[np.ndarray, np.ndarray]:
-    nz = np.flatnonzero(mu.weights)
-    return mu.min_index + nz, mu.weights[nz]
-
-
 def weighted_average(sys: DynSystem, mu: LatticeMeasure, f: TestFunction, x: State) -> float:
     """Exact finite sum ``sum_k mu(k) f(tau^k x)``."""
-    ks, ws = _support_arrays(mu)
+    ks, ws = mu.atoms()
     if sys.is_cyclic:
         pts = (int(x) + ks) % sys.q
     else:
@@ -191,7 +180,7 @@ def weighted_average(sys: DynSystem, mu: LatticeMeasure, f: TestFunction, x: Sta
 
 def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) -> np.ndarray:
     """Vector of mu f(x) over every state of the system, summed atom by atom."""
-    ks, ws = _support_arrays(mu)
+    ks, ws = mu.atoms()
     if sys.is_cyclic:
         fvals = f.evaluate(sys, np.arange(sys.q, dtype=np.int64))
         out = np.zeros(sys.q)
@@ -275,6 +264,17 @@ class _CellTable:
         return self.cells[i0 : i0 + len(mu.weights)]
 
 
+def _distinct_sorted(xs: np.ndarray) -> np.ndarray:
+    """The distinct values of ``xs`` in ascending order, as ``np.unique`` gives
+    them (the first of equal values after the same sort), without the import
+    of ``numpy.ma`` that the first ``np.unique`` call in a process pays."""
+    xs = np.sort(xs)
+    keep = np.empty(len(xs), dtype=bool)
+    keep[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=keep[1:])
+    return xs[keep]
+
+
 def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure], np.ndarray]:
     """The map mu -> (mu f(x)) over every state x of the system.
 
@@ -302,7 +302,7 @@ def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure
         # an empty arc never wraps, not even from lo == 1.0.
         wraps = (hi >= 1.0) & (0.0 < width < 1.0)
         hi = np.where(wraps, hi - 1.0, hi)
-        edges = np.unique(np.concatenate((lo, hi)))
+        edges = _distinct_sorted(np.concatenate((lo, hi)))
         # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
         il = np.searchsorted(edges, lo) + 1
         ih = np.searchsorted(edges, hi) + 1
@@ -315,15 +315,6 @@ def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure
         return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
 
     return averages
-
-
-def maximal_function(
-    sys: DynSystem, mus: Sequence[LatticeMeasure], f: TestFunction, x: State
-) -> float:
-    """max over the supplied prefix of |mu_n f(x)|."""
-    if not mus:
-        raise ValueError("need at least one measure")
-    return max(abs(weighted_average(sys, mu, f, x)) for mu in mus)
 
 
 class Weak11Row(NamedTuple):

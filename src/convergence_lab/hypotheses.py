@@ -9,13 +9,14 @@ never claims more than that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, TextIO
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .measures import (
     SequenceSpec,
+    _atom_products,
     convolve_prefixes,
     coset_mass_sup,
     expectation,
@@ -56,6 +57,8 @@ class HypothesisReport:
     ``row_header``; ``conditions`` maps hypothesis names to verdicts with
     witness numbers.  Verdict booleans are monotone in the horizon: they
     aggregate via max/min/all, so a failure at a small horizon persists.
+    ``d2_depth_cap_n`` holds the prefix indices n whose second-derivative
+    quadrature hit its depth cap.
     """
 
     kind: str
@@ -64,7 +67,7 @@ class HypothesisReport:
     conditions: tuple[Condition, ...]
     row_header: tuple[str, ...]
     rows: list[tuple]
-    traces: dict = field(default_factory=dict)
+    d2_depth_cap_n: tuple[int, ...] = ()
 
     @property
     def overall_ok(self) -> bool:
@@ -86,11 +89,6 @@ class HypothesisReport:
             lines.append(f"  [{mark}] {c.name}: witness={c.witness!r}{detail}")
         lines.append(f"  overall: {'pass' if self.overall_ok else 'FAIL'}")
         return "\n".join(lines)
-
-    def to_csv(self, stream: TextIO) -> None:
-        stream.write(",".join(self.row_header) + "\n")
-        for row in self.rows:
-            stream.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _trend_ratio(values: Sequence[float]) -> float:
@@ -122,9 +120,8 @@ def check_convergence_hypotheses(
 
     When the second-derivative integrand oscillates at the scale of a fast
     growing support, its quadrature can hit the depth cap; the row then
-    records the last estimate and the event is counted in
-    ``traces["d2_depth_cap_hits"]``, with the prefix indices n in
-    ``traces["d2_depth_cap_n"]``, instead of aborting the report.
+    records the last estimate and its prefix index n joins
+    ``d2_depth_cap_n``, instead of aborting the report.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -234,12 +231,7 @@ def check_convergence_hypotheses(
         conditions=conditions,
         row_header=("n", "E", "m1", "m2", "phi_over_n", "decay_C", "rho", "d2_integral", "shift_tv"),
         rows=rows,
-        traces={
-            "shift_distance_trace": shifts,
-            "phi": [float(p) for p in phis],
-            "d2_depth_cap_hits": len(d2_cap_ns),
-            "d2_depth_cap_n": d2_cap_ns,
-        },
+        d2_depth_cap_n=tuple(d2_cap_ns),
     )
 
 
@@ -266,8 +258,8 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
     mid = N // 2
     half_drift = float(s[-1] - s[mid - 1])
     drift_ok = abs(half_drift) >= (N - mid) / 2.0 and half_drift * s[-1] > 0.0
-    product = float(np.prod(2.0 * a - 1.0))
-    product_partials = np.cumprod(2.0 * a - 1.0)
+    factors, product_partials = _atom_products(spec, N)
+    product = float(product_partials[-1])
 
     rows = [
         (
@@ -301,7 +293,7 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
         ),
         Condition(
             "product_lower_bound",
-            product > 0.0 and bool(np.all(2.0 * a - 1.0 > 0.0)),
+            product > 0.0 and bool(np.all(factors > 0.0)),
             product,
             "prod (2 a_l - 1); vacuous when <= 0",
         ),
@@ -313,10 +305,6 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
         conditions=conditions,
         row_header=("n", "a_n", "x_n", "defect_partial_sum", "site_partial_sum", "product_partial"),
         rows=rows,
-        traces={
-            "site_partial_sums": [float(v) for v in s],
-            "product_partials": [float(v) for v in product_partials],
-        },
     )
 
 

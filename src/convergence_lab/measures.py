@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -170,9 +170,10 @@ class LatticeMeasure:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.weights))
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support points, ascending, and the weight at each."""
+        nz = np.flatnonzero(self.weights)
+        return self.min_index + nz, self.weights[nz]
 
     # -- pointwise access ----------------------------------------------------
     def weight(self, k: int) -> float:
@@ -218,12 +219,6 @@ class LatticeMeasure:
         # as recorded defect so the probability invariant survives a round trip.
         defect = max(0.0, 1.0 - float(np.sum(weights)))
         return cls(offset, weights, defect)
-
-    def to_csv(self, stream: TextIO) -> None:
-        """Write (k, weight) pairs for the stored window."""
-        stream.write("k,weight\n")
-        for i, w in enumerate(self.weights):
-            stream.write(f"{self.min_index + i},{float(w)!r}\n")
 
 
 # -- constructors --------------------------------------------------------------
@@ -369,8 +364,7 @@ def coset_mass_sup(nu: LatticeMeasure) -> CosetMass:
     search then runs, in ascending order, over the strides from 2 to the
     diameter that divide some difference.
     """
-    ks = nu.support
-    ws = nu.weights[np.flatnonzero(nu.weights)]
+    ks, ws = nu.atoms()
     if len(ks) == 1:
         # Whole mass in the one-point coset {k}.
         return CosetMass(1.0, 0, int(ks[0]))
@@ -440,44 +434,19 @@ class SequenceSpec:
     decomposition_at: Optional[Callable[[int], Decomposition]] = None
 
     @classmethod
-    def iid(
-        cls,
-        measure: LatticeMeasure,
-        name: str = "iid",
-        decomposition: Optional[Decomposition] = None,
-    ) -> "SequenceSpec":
-        decomp = (lambda n: decomposition) if decomposition is not None else None
-        return cls(
-            name=name,
-            measure_at=lambda n: measure,
-            decomposition_at=decomp,
-        )
+    def iid(cls, measure: LatticeMeasure, name: str = "iid") -> "SequenceSpec":
+        return cls(name=name, measure_at=lambda n: measure)
 
     @classmethod
-    def from_measures(
-        cls,
-        measures: Sequence[LatticeMeasure],
-        name: str = "list",
-        decompositions: Optional[Sequence[Decomposition]] = None,
-    ) -> "SequenceSpec":
+    def from_measures(cls, measures: Sequence[LatticeMeasure], name: str = "list") -> "SequenceSpec":
         ms = list(measures)
 
-        def at(items: list, n: int):
+        def at(n: int) -> LatticeMeasure:
             if not 1 <= n <= len(ms):
                 raise IndexError(f"sequence {name!r} holds factors 1..{len(ms)}, not {n}")
-            return items[n - 1]
+            return ms[n - 1]
 
-        decomp = None
-        if decompositions is not None:
-            ds = list(decompositions)
-            if len(ds) != len(ms):
-                raise ValueError("one decomposition per measure required")
-            decomp = lambda n: at(ds, n)
-        return cls(
-            name=name,
-            measure_at=lambda n: at(ms, n),
-            decomposition_at=decomp,
-        )
+        return cls(name=name, measure_at=at)
 
     @property
     def has_decomposition(self) -> bool:
@@ -488,13 +457,12 @@ class SequenceSpec:
             raise ValueError(f"sequence {self.name!r} carries no decomposition")
         return self.decomposition_at(n)
 
-    def decomposition_error(self, n: int) -> float:
-        """l1 gap between the factor and its reconstructed decomposition."""
-        a, site, gamma = self.decomposition(n)
-        scaled = {site: a}
-        for k, w in zip(gamma.support, gamma.weights[np.flatnonzero(gamma.weights)]):
-            scaled[int(k)] = scaled.get(int(k), 0.0) + (1.0 - a) * float(w)
-        return l1_distance(self.measure_at(n), from_pairs(scaled))
+
+def _atom_products(spec: SequenceSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors 2 a_l - 1 of the decomposition atom weights a_l, l = 1..N,
+    and their partial products prod_{l <= n}, n = 1..N, taken in order."""
+    factors = 2.0 * np.array([spec.decomposition(n).atom_weight for n in range(1, N + 1)]) - 1.0
+    return factors, np.cumprod(factors)
 
 
 def map_factors(spec: SequenceSpec, N: int, fn: Callable[[LatticeMeasure], T]) -> Iterator[T]:
@@ -509,42 +477,30 @@ def map_factors(spec: SequenceSpec, N: int, fn: Callable[[LatticeMeasure], T]) -
         yield result
 
 
-def iter_prefixes(
-    spec: SequenceSpec,
-    N: int,
-    prune_eps: float = 0.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> Iterator[LatticeMeasure]:
+def iter_prefixes(spec: SequenceSpec, N: int, prune_eps: float = 0.0) -> Iterator[LatticeMeasure]:
     """Stream the running products nu_1, nu_1*nu_2, ..., nu_1*...*nu_N.
 
     After each convolution, weights below ``prune_eps`` are removed and
     accumulated into the mass defect (never renormalized away); the first
     prefix is nu_1 itself, untouched.  ``N`` and ``prune_eps`` are checked
     here, before the first prefix is asked for; a product wider than
-    ``support_cap`` raises :class:`SupportCapError` when it is reached.
+    ``DEFAULT_SUPPORT_CAP`` raises :class:`SupportCapError` when it is reached.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= prune_eps <= 1e-8:
         raise ValueError("prune_eps must lie in [0, 1e-8]")
-    return _prefix_stream(spec, N, prune_eps, support_cap)
+    return _prefix_stream(spec, N, prune_eps)
 
 
-def _prefix_stream(
-    spec: SequenceSpec, N: int, prune_eps: float, support_cap: int
-) -> Iterator[LatticeMeasure]:
+def _prefix_stream(spec: SequenceSpec, N: int, prune_eps: float) -> Iterator[LatticeMeasure]:
     current = spec.measure_at(1)
     yield current
     for n in range(2, N + 1):
-        current = prune(convolve(current, spec.measure_at(n), support_cap), prune_eps)
+        current = prune(convolve(current, spec.measure_at(n)), prune_eps)
         yield current
 
 
-def convolve_prefixes(
-    spec: SequenceSpec,
-    N: int,
-    prune_eps: float = 0.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> list[LatticeMeasure]:
+def convolve_prefixes(spec: SequenceSpec, N: int, prune_eps: float = 0.0) -> list[LatticeMeasure]:
     """The prefixes of :func:`iter_prefixes`, all held at once in a list."""
-    return list(iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap))
+    return list(iter_prefixes(spec, N, prune_eps=prune_eps))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,11 +111,6 @@ class FourierProfile:
             *(np.hypot(z.real, z.imag) for z in (self.values, self.d1, self.d2)),
         )
 
-    def to_csv(self, stream: TextIO) -> None:
-        stream.write(",".join(self.COLUMNS) + "\n")
-        for row in zip(*(col.tolist() for col in self.columns())):
-            stream.write(",".join(map(repr, row)) + "\n")
-
 
 def uniform_grid(grid_size: int) -> np.ndarray:
     """Uniform grid on [-1/2, 1/2); even sizes place 0 on the grid."""
@@ -131,9 +126,9 @@ def _transform_sums(
     eps |k t| over wide supports.  Points are taken in blocks that keep the
     phase matrix within ``_DIRECT_BLOCK`` entries.
     """
-    nz = np.flatnonzero(mu.weights)
-    ks = (mu.min_index + nz).astype(float)
-    coeffs = np.stack([mu.weights[nz] * (TWO_PI * 1j * ks) ** m for m in orders], axis=1)
+    ks, ws = mu.atoms()
+    ks = ks.astype(float)
+    coeffs = np.stack([ws * (TWO_PI * 1j * ks) ** m for m in orders], axis=1)
     out = np.empty((len(ts), len(orders)), dtype=complex)
     rows = max(1, _DIRECT_BLOCK // len(ks))
     for start in range(0, len(ts), rows):
@@ -151,9 +146,8 @@ def _grid_sums(mu: LatticeMeasure, n: int, orders: tuple[int, ...]) -> list[np.n
     origin depends on k mod 2 only, so supports much wider than the grid
     keep full accuracy.
     """
-    nz = np.flatnonzero(mu.weights)
-    ks = mu.min_index + nz
-    phased = mu.weights[nz] * np.exp((TWO_PI * 1j / 2) * (ks % 2))
+    ks, ws = mu.atoms()
+    phased = ws * np.exp((TWO_PI * 1j / 2) * (ks % 2))
     folds = ks % n
     out = []
     for m in orders:
@@ -279,12 +273,8 @@ def decay_constant(mu: LatticeMeasure, grid_size: int = 4096) -> float:
     return max(0.0, min(candidates))
 
 
-def offzero_modulus_bound(
-    mu: LatticeMeasure,
-    grid_size: int = 4096,
-    exclude_below: float = _NEAR_ZERO_WINDOW,
-) -> tuple[float, float]:
-    """Certified upper bound for sup |mu_hat(t)| over |t| >= exclude_below.
+def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = 4096) -> tuple[float, float]:
+    """Certified upper bound for sup |mu_hat(t)| over |t| >= 1/16.
 
     Returns ``(bound, witness_t)``.  A bound < 1 certifies a spectral gap on
     that region; periodic measures always report a bound >= 1 because some
@@ -292,7 +282,7 @@ def offzero_modulus_bound(
     """
     profile = fourier_eval(mu, grid_size)
     h = profile.grid_step
-    region = np.abs(profile.grid) >= exclude_below - h / 2.0
+    region = np.abs(profile.grid) >= _NEAR_ZERO_WINDOW - h / 2.0
     vals = np.abs(profile.values[region]) + profile.lipschitz_bound * h / 2.0
     i = int(np.argmax(vals))
     return float(vals[i]), float(profile.grid[region][i])
@@ -404,9 +394,8 @@ def weighted_d2_integral(
     """
     if max_depth <= _MIN_DEPTH:
         raise ValueError(f"max_depth must exceed {_MIN_DEPTH}")
-    nz = np.flatnonzero(mu.weights)
-    ks = mu.min_index + nz
-    g = mu.weights[nz] * -((TWO_PI * ks) ** 2)
+    ks, ws = mu.atoms()
+    g = ws * -((TWO_PI * ks) ** 2)
     folded = np.bincount(ks & (_SHARED_LEVEL - 1), g, _SHARED_LEVEL)
     ts = np.arange(_SHARED_LEVEL // 2 + 1) / _SHARED_LEVEL
     # rfft sums with e^{-2 pi i k t}, the conjugates, which have the same modulus.

@@ -30,6 +30,7 @@ from .measures import (
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
+    _atom_products,
     from_pairs,
     iter_prefixes,
     map_factors,
@@ -128,18 +129,13 @@ class DissipativityRow(NamedTuple):
 
 
 def dissipativity_trace(
-    spec: SequenceSpec,
-    K: int,
-    N: int,
-    prune_eps: float = 0.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
+    spec: SequenceSpec, K: int, N: int, prune_eps: float = 0.0
 ) -> list[DissipativityRow]:
     """Rows (n, max_{|k| <= K} mu_n(k)) for the running products."""
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
     rows: list[DissipativityRow] = []
-    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
-    for _ in _tap_window_max(prefixes, K, rows):
+    for _ in _tap_window_max(iter_prefixes(spec, N, prune_eps=prune_eps), K, rows):
         pass
     return rows
 
@@ -224,15 +220,10 @@ def fourier_floor_scan(
             floor = np.minimum(floor, np.abs(running[0]))
 
     vacuous = not spec.has_decomposition
-    product = 1.0
     if not vacuous:
-        for n in range(1, N + 1):
-            factor = 2.0 * spec.decomposition(n).atom_weight - 1.0
-            if factor <= 0.0:
-                vacuous = True
-                break
-            product *= factor
-    bound = 0.0 if vacuous else product
+        factors, products = _atom_products(spec, N)
+        vacuous = bool(np.any(factors <= 0.0))
+    bound = 0.0 if vacuous else float(products[-1])
     rows = [ScanRow(float(t), float(f), bound) for t, f in zip(ts, floor)]
     return FloorScanResult(rows, bound, vacuous, window_start, N)
 
@@ -243,8 +234,8 @@ class SweepoutSimulation:
     """Per-state running extrema of mu_n chi_B and their distribution summary.
 
     ``frac_high`` is the fraction of sampled states whose running max reached
-    ``high_threshold``; ``frac_low`` the fraction whose running min fell to
-    ``low_threshold``.  These are finite-horizon reporting conventions, not
+    ``HIGH_THRESHOLD``; ``frac_low`` the fraction whose running min fell to
+    ``LOW_THRESHOLD``.  These are finite-horizon reporting conventions, not
     limit claims.
     """
 
@@ -252,8 +243,6 @@ class SweepoutSimulation:
     inf_trace: np.ndarray
     frac_high: float
     frac_low: float
-    high_threshold: float
-    low_threshold: float
     horizon: int
     set_measure: float
     #: Rows of :func:`dissipativity_trace` for ``window_k``, when it was given.
@@ -266,9 +255,6 @@ def sweepout_simulation(
     B_measure: float,
     N: int,
     prune_eps: float = 0.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    high_threshold: float = HIGH_THRESHOLD,
-    low_threshold: float = LOW_THRESHOLD,
     *,
     window_k: Optional[int] = None,
 ) -> SweepoutSimulation:
@@ -286,7 +272,7 @@ def sweepout_simulation(
         raise ValueError("N must be >= 1")
     if window_k is not None and window_k < 1:
         raise ValueError("window_k must be positive")
-    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps, support_cap=support_cap)
+    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps)
     rows: Optional[list[DissipativityRow]] = None
     if window_k is not None:
         rows = []
@@ -306,15 +292,13 @@ def sweepout_simulation(
         sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
         inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
 
-    frac_high = float(np.mean(sup_trace >= high_threshold))
-    frac_low = float(np.mean(inf_trace <= low_threshold))
+    frac_high = float(np.mean(sup_trace >= HIGH_THRESHOLD))
+    frac_low = float(np.mean(inf_trace <= LOW_THRESHOLD))
     return SweepoutSimulation(
         sup_trace=sup_trace,
         inf_trace=inf_trace,
         frac_high=frac_high,
         frac_low=frac_low,
-        high_threshold=high_threshold,
-        low_threshold=low_threshold,
         horizon=N,
         set_measure=set_measure,
         dissipativity=rows,

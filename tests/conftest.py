@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convergence_lab import LatticeMeasure
+from convergence_lab import LatticeMeasure, from_pairs, l1_distance, weighted_average
 
 
 def random_measure(
@@ -35,6 +35,29 @@ def random_symmetric_measure(rng: np.random.Generator, max_half: int = 10) -> La
     w = np.concatenate([right[::-1], [center], right])
     w /= w.sum()
     return LatticeMeasure(-half, w)
+
+
+def advance(sys, xs: np.ndarray, k: int) -> np.ndarray:
+    """Apply tau^k to the states ``xs``; k may be negative (the shift is invertible)."""
+    if sys.is_cyclic:
+        return (np.asarray(xs, dtype=np.int64) + int(k)) % sys.q
+    return (np.asarray(xs, dtype=float) + k * sys.alpha) % 1.0
+
+
+def maximal_function(sys, mus, f, x) -> float:
+    """max over the supplied prefixes of |mu_n f(x)|."""
+    if not mus:
+        raise ValueError("need at least one measure")
+    return max(abs(weighted_average(sys, mu, f, x)) for mu in mus)
+
+
+def decomposition_error(spec, n: int) -> float:
+    """l1 gap between the n-th factor and its reconstructed decomposition."""
+    a, site, gamma = spec.decomposition(n)
+    scaled = {site: a}
+    for k, w in zip(gamma.support, gamma.weights[np.flatnonzero(gamma.weights)]):
+        scaled[int(k)] = scaled.get(int(k), 0.0) + (1.0 - a) * float(w)
+    return l1_distance(spec.measure_at(n), from_pairs(scaled))
 
 
 @pytest.fixture

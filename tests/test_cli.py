@@ -1,4 +1,5 @@
 import configparser
+import re
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,25 @@ GOLDEN_DIAGNOSTICS = {
         "[system]\nkind = cyclic\n",
         ["missing section [family]", "family.kind: must be iid, sweepout or list (got '')"],
     ),
+    "stray_family_keys": (
+        "[family]\nkind = sweepout\na_rule = geometric\ncoeff = 0.5\nweights = x\n",
+        [
+            "family.weights: not read by kind = sweepout, a_rule = geometric (got 'x')",
+            "family.coeff: not read by kind = sweepout, a_rule = geometric (got '0.5')",
+        ],
+    ),
+    "stray_key_of_iid": (
+        "[family]\nkind = iid\nratio = 0.5\nmeasures_file =\n",
+        ["family.ratio: not read by kind = iid (got '0.5')"],
+    ),
+    "stray_keys_unchecked_without_a_rule": (
+        "[family]\nkind = sweepout\na_rule = cubic\ncoeff = 0.5\nweights = x\n",
+        ["family.a_rule: must be inverse_square or geometric (got 'cubic')"],
+    ),
+    "offset_past_2_53": (
+        IID_CFG.replace("offset = -1", "offset = 4611686018427387904").replace("horizon = 12", "horizon = 4"),
+        ["family.offset: prefix windows up to n = 4 reach |k| = 18446744073709551624, past 2**53"],
+    ),
 }
 
 
@@ -457,13 +477,12 @@ class TestGoldenDiagnostics:
         ]
 
     def test_echo_of_given_keys(self, tmp_path):
-        text = SWEEPOUT_CFG.replace("coeff = 1.0", "coeff = 2\nratio = 0.25") + "out = res\n"
+        text = SWEEPOUT_CFG.replace("coeff = 1.0", "coeff = 2") + "out = res\n"
         config = load_config(write(tmp_path, "f.cfg", text))
         assert config.echo == [
             ("family.a_rule", "inverse_square"),
             ("family.coeff", "2"),
             ("family.kind", "sweepout"),
-            ("family.ratio", "0.25"),
             ("system.alpha", "0.41421356237309515"),
             ("system.kind", "rotation"),
             ("system.q", "1024"),
@@ -537,6 +556,36 @@ class TestRejections:
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("config", ["stray_family_keys", "offset_past_2_53"])
+    def test_every_subcommand_rejects(self, tmp_path, config):
+        path = write(tmp_path, "a.cfg", GOLDEN_DIAGNOSTICS[config][0])
+        for subcommand in ("validate", "convolve", "spectrum", "check", "simulate", "sweepout"):
+            assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, key", [("iid", "offset"), ("list", "measures_file")])
+    def test_prefix_sites_may_reach_2_53_but_not_past(self, tmp_path, kind, key):
+        # Factors at 2**52: the second prefix reaches 2**53, the third 3 * 2**52.
+        (tmp_path / "m.txt").write_text("offset 4503599627370496\n1.0\n\n" * 3)
+        family = {
+            "iid": "kind = iid\nweights = 1\noffset = 4503599627370496\n",
+            "list": "kind = list\nmeasures_file = m.txt\n",
+        }[kind]
+
+        def diagnostics(horizon: int) -> list[str]:
+            return validate_config(write(tmp_path, "a.cfg", f"[family]\n{family}\n[run]\nhorizon = {horizon}\n"))
+
+        assert diagnostics(2) == []
+        assert diagnostics(3) == [f"family.{key}: prefix windows up to n = 3 reach |k| = {3 * 2**52}, past 2**53"]
+
+    def test_every_list_prefix_counts_toward_the_reach(self, tmp_path):
+        # mu_1 sits at 2**53 + 1, and mu_2 back at 0.
+        (tmp_path / "m.txt").write_text("offset 9007199254740993\n1.0\n\noffset -9007199254740993\n1.0\n")
+        path = write(tmp_path, "a.cfg", "[family]\nkind = list\nmeasures_file = m.txt\n\n[run]\nhorizon = 2\n")
+        assert validate_config(path) == [
+            "family.measures_file: prefix windows up to n = 2 reach |k| = 9007199254740993, past 2**53"
+        ]
+
     @pytest.mark.parametrize(
         "subcommand, code",
         [
@@ -567,7 +616,8 @@ def test_readme_config_block_lists_every_key(tmp_path):
     start = text.index("```ini\n", text.index("Config files are")) + len("```ini\n")
     block = text[start : text.index("```", start)]
     parsed = configparser.ConfigParser(interpolation=None)
-    parsed.read_string(block)
+    # Keys that the block's own kind does not read are comment lines "; key = value".
+    parsed.read_string(re.sub(r"^; (\w+ = )", r"\1", block, flags=re.M))
     assert {(s, k) for s in parsed.sections() for k in parsed[s]} == set(_KEYS)
     for (section, key), entry in _KEYS.items():
         if entry.default:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import convergence_lab
 from convergence_lab import (
     DynSystem,
     SequenceSpec,
@@ -12,14 +18,13 @@ from convergence_lab import (
     delta,
     from_pairs,
     inverse_square_family,
-    maximal_function,
     maximal_function_all,
     tv_shift_distance,
     weak11_table,
     weighted_average,
     weighted_average_all,
 )
-from conftest import random_measure
+from conftest import advance, maximal_function, random_measure
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")
@@ -29,8 +34,8 @@ class TestDynSystem:
     def test_cyclic_advance_is_bijective(self):
         sysq = DynSystem.cyclic(8)
         xs = sysq.states()
-        assert sorted(sysq.advance(xs, 3)) == list(range(8))
-        assert sorted(sysq.advance(xs, -3)) == list(range(8))
+        assert sorted(advance(sysq, xs, 3)) == list(range(8))
+        assert sorted(advance(sysq, xs, -3)) == list(range(8))
 
     def test_rotation_states_are_stratified(self):
         sysr = DynSystem.rotation(samples=64, seed=3)
@@ -56,7 +61,7 @@ class TestDynSystem:
         sysq = DynSystem.cyclic(64)
         f = TestFunction.table(np.random.default_rng(0).random(64))
         xs = sysq.states()
-        assert np.sum(f.evaluate(sysq, sysq.advance(xs, 1))) == pytest.approx(
+        assert np.sum(f.evaluate(sysq, advance(sysq, xs, 1))) == pytest.approx(
             np.sum(f.evaluate(sysq, xs)), abs=1e-12
         )
 
@@ -65,7 +70,7 @@ class TestDynSystem:
         f = TestFunction.indicator_interval(0.2, 0.5)
         xs = sysr.states()
         direct = float(np.mean(f.evaluate(sysr, xs)))
-        shifted = float(np.mean(f.evaluate(sysr, sysr.advance(xs, 1))))
+        shifted = float(np.mean(f.evaluate(sysr, advance(sysr, xs, 1))))
         # each stratified mean is within TV(f)/samples of the integral
         assert abs(direct - shifted) <= 4.0 / 512
 
@@ -332,3 +337,22 @@ class TestConvergenceTrace:
         assert full.oscillation >= tail.oscillation
         with pytest.raises(ValueError):
             convergence_trace(sysq, IID_TRIPLE, f, 0, 30, window_start=31)
+
+
+def test_rotation_sweepout_does_not_import_numpy_ma(tmp_path):
+    # The first np.unique call in a process imports numpy.ma (about 20 ms); the
+    # rotation's state-cell boundaries are found without it.
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(
+        "[family]\nkind = sweepout\n\n[system]\nkind = rotation\nsamples = 256\n\n[run]\nhorizon = 12\n"
+    )
+    script = (
+        "import sys\n"
+        "from convergence_lab.cli import main\n"
+        f"assert main(['sweepout', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(convergence_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

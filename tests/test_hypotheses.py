@@ -1,5 +1,5 @@
-import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from convergence_lab import (
     second_moment_floor,
     weighted_d2_integral,
 )
+from convergence_lab.cli import _rows_block, _write_csv
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")
@@ -57,11 +58,11 @@ class TestConvergenceReport:
         assert report.condition("zero_expectation").ok
         assert not report.condition("moment_growth").ok
         assert not report.overall_ok
-        assert report.traces["d2_depth_cap_hits"] > 0
+        assert len(report.d2_depth_cap_n) > 0
 
     def test_cap_hit_row_holds_the_last_estimate(self):
         report = check_convergence_hypotheses(IID_TRIPLE, 4, d2_target=1e-16, d2_max_depth=6)
-        cap_ns = report.traces["d2_depth_cap_n"]
+        cap_ns = report.d2_depth_cap_n
         assert cap_ns
         mus = convolve_prefixes(IID_TRIPLE, 4)
         for n in cap_ns:
@@ -71,15 +72,16 @@ class TestConvergenceReport:
             assert second_to_last != last
             assert report.rows[n - 1][7] == last
 
-    def test_rows_have_pinned_header(self):
+    def test_rows_have_pinned_header(self, tmp_path):
         report = check_convergence_hypotheses(IID_TRIPLE, 4)
         assert report.row_header == (
             "n", "E", "m1", "m2", "phi_over_n", "decay_C", "rho", "d2_integral", "shift_tv",
         )
         assert len(report.rows) == 4
-        buf = io.StringIO()
-        report.to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == ",".join(report.row_header)
+        path = tmp_path / "rows.csv"
+        _write_csv(path, SimpleNamespace(echo=[]), "check", report.row_header, [_rows_block(report.rows)])
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == ",".join(report.row_header)
 
     def test_failures_persist_at_larger_horizon(self):
         spec = geometric_family(0.5).to_spec()
@@ -125,9 +127,7 @@ class TestSweepoutReport:
     def test_half_atom_weight_degenerates(self):
         gamma = from_pairs({-1: 0.5, 0: 0.5})
         nu = from_pairs({1: 0.5, -1: 0.25, 0: 0.25})
-        spec = SequenceSpec.iid(
-            nu, name="half_atom", decomposition=Decomposition(0.5, 1, gamma)
-        )
+        spec = SequenceSpec("half_atom", lambda n: nu, lambda n: Decomposition(0.5, 1, gamma))
         report = check_sweepout_hypotheses(spec, 40)
         prod = report.condition("product_lower_bound")
         assert not prod.ok
@@ -137,7 +137,7 @@ class TestSweepoutReport:
     def test_alternating_sites_fail_drift(self):
         measures = [delta(1) if n % 2 else delta(-1) for n in range(1, 41)]
         decomps = [Decomposition(1.0, 1 if n % 2 else -1, delta(0)) for n in range(1, 41)]
-        spec = SequenceSpec.from_measures(measures, name="alternating", decompositions=decomps)
+        spec = SequenceSpec("alternating", lambda n: measures[n - 1], lambda n: decomps[n - 1])
         report = check_sweepout_hypotheses(spec, 40)
         assert not report.condition("site_sum_drift").ok
 

@@ -38,7 +38,7 @@ from convergence_lab import (
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column
-from convergence_lab.dynamics import _state_averages
+from convergence_lab.dynamics import _distinct_sorted, _state_averages
 from convergence_lab.measures import _count_nonzero_past, map_factors
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
 
@@ -231,6 +231,14 @@ def wide_gapped_measures(draw):
     w[rng.random(span) < draw(st.floats(min_value=0.0, max_value=0.9))] = 0.0
     w[0] = w[-1] = 0.5
     return LatticeMeasure(offset, w / w.sum())
+
+
+@given(wide_gapped_measures())
+@settings(max_examples=80, deadline=None)
+def test_atoms_are_the_support_and_its_weights(mu):
+    ks, ws = mu.atoms()
+    assert ks.dtype == mu.support.dtype and np.array_equal(ks, mu.support)
+    assert np.array_equal(ws, mu.weights[np.flatnonzero(mu.weights)])
 
 
 def _direct_sum_tolerance(mu, m, n):
@@ -447,6 +455,18 @@ def test_windowed_binning_matches_direct_averages(spec_n, sys, B):
     direct = np.vstack([weighted_average_all(sys, mu, f) for mu in convolve_prefixes(spec, N)])
     np.testing.assert_allclose(sim.sup_trace, direct.max(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sim.inf_trace, direct.min(axis=0), rtol=0, atol=1e-12)
+
+
+# Few distinct values, so duplicates are common, with both signs of zero.
+few_values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0, 1.5])
+
+
+@given(st.lists(few_values | st.floats(0.0, 2.0), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_distinct_sorted_matches_unique_to_the_bit(values):
+    xs = np.array(values)
+    got, want = _distinct_sorted(xs), np.unique(xs)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @given(specs(max_n=12), st.sampled_from([0.0, 1e-12, 1e-8]))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convergence_lab import (
+    FourierProfile,
     LatticeMeasure,
     PreconditionError,
     QuadratureError,
@@ -31,6 +33,7 @@ from convergence_lab import (
     wrap_to_fundamental,
 )
 from convergence_lab import spectral
+from convergence_lab.cli import _write_csv, main
 from conftest import random_measure, random_symmetric_measure
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
@@ -176,25 +179,25 @@ class TestFourierEval:
                 got = invert_by_grid_sum(prof, int(k))
                 assert abs(got - mu.weight(int(k))) <= 1e-8
 
-    def test_csv_columns(self):
-        import io
+    def test_csv_columns(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("[family]\nkind = iid\n\n[run]\nhorizon = 1\ngrid_size = 16\n")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "spectrum_mu_0001.csv").read_text()
+        header = next(ln for ln in text.splitlines() if not ln.startswith("#"))
+        assert header == ",".join(FourierProfile.COLUMNS) == "t,re,im,abs,abs_d1,abs_d2"
 
-        buf = io.StringIO()
-        fourier_eval(delta(0), 16).to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "t,re,im,abs,abs_d1,abs_d2"
-
-    def test_csv_rows_match_scalar_format(self):
-        import io
-
+    def test_csv_rows_match_scalar_format(self, tmp_path):
         prof = fourier_eval(from_pairs({-3: 0.2, 0: 0.5, 7: 0.3}), 64)
-        buf = io.StringIO()
-        prof.to_csv(buf)
+        path = tmp_path / "prof.csv"
+        _write_csv(path, SimpleNamespace(echo=[]), "spectrum", prof.COLUMNS, [prof.columns()])
         expected = [
             f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},"
             f"{float(abs(v))!r},{float(abs(a))!r},{float(abs(b))!r}"
             for t, v, a, b in zip(prof.grid, prof.values, prof.d1, prof.d2)
         ]
-        assert buf.getvalue().splitlines()[1:] == expected
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[1:] == expected
 
 
 class TestWrap:

@@ -16,7 +16,6 @@ from .measures import (
     from_pairs,
     is_strictly_aperiodic,
     iter_prefixes,
-    l1_distance,
     moment,
     prune,
     tv_shift_distance,

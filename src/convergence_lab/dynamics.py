@@ -11,16 +11,21 @@ holding one prefix at a time.  The maximal function on a cyclic system
 without pruning skips the prefixes altogether: since mu_n = mu_{n-1} * nu_n,
 the averages obey mu_n f = nu_n(mu_{n-1} f), so each step applies only the
 factor nu_n to the previous vector of averages, at a cost of nnz(nu_n) * q
-instead of nnz(mu_n) * q.  It falls back to the prefix stream on the
-rotation, whose state sample is not closed under the dynamics, and on
-pruned chains, whose prefixes are not the exact products.
+instead of nnz(mu_n) * q.  The step runs in place, ``_apply_factor``,
+through two q-length vectors that swap roles and one scratch, with the
+sums of :func:`weighted_average_all` bit for bit.  It falls back to the
+prefix stream on the rotation, whose state sample is not closed under the
+dynamics, and on pruned chains, whose prefixes are not the exact products.
 
 Averages of a streamed prefix over every state have one engine,
 ``_state_averages``, used by :func:`maximal_function_all` and the sweep-out
-simulation.  It bins an indicator's prefix mass by residue or by rotation
-cell and reads every state's average off one cumulative sum; any other
-function is summed atom by atom by :func:`weighted_average_all`, which is
-also the tests' oracle.
+simulation.  It scatters an indicator's prefix mass by residue or by
+rotation cell into a cell buffer and reads every state's average off one
+cumulative sum; both buffers are allocated once per engine and reused for
+every prefix, and only the returned vector is new.  An engine's buffers
+belong to the one call that built it, so an engine is not shared across
+threads.  Any other function is summed atom by atom by
+:func:`weighted_average_all`, which is also the tests' oracle.
 """
 from __future__ import annotations
 
@@ -235,7 +240,10 @@ class _CellTable:
     def _fill(self, lo: int, hi: int) -> None:
         for start in range(lo, hi, _FILL_CHUNK):
             stop = min(start + _FILL_CHUNK, hi)
-            positions = (np.arange(start, stop, dtype=np.int64) * self.alpha) % 1.0
+            # p - floor(p) and p % 1.0 each round the exact fractional part of p
+            # once (fmod is exact), so they agree bit for bit; the first is cheaper.
+            positions = np.arange(start, stop, dtype=np.int64) * self.alpha
+            positions -= np.floor(positions)
             cells = self.bucket_cell[(positions * self.scale).astype(np.intp)]
             split = np.flatnonzero(cells < 0)
             cells[split] = np.searchsorted(self.edges, positions[split], side="right")
@@ -310,11 +318,38 @@ def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure
     else:
         return lambda mu: weighted_average_all(sys, mu, f)
 
+    # Mass per cell and its cumulative sum, cs[j] the mass in cells below j,
+    # reused by every prefix: the scatter adds each cell's weights in window
+    # order from 0.0, as np.bincount does, so the sums are the same bits.
+    counts = np.empty(n_bins)
+    cs = np.zeros(n_bins + 1)
+
     def averages(mu: LatticeMeasure) -> np.ndarray:
-        cs = np.concatenate(([0.0], np.cumsum(np.bincount(bins(mu), weights=mu.weights, minlength=n_bins))))
+        counts.fill(0.0)
+        np.add.at(counts, bins(mu), mu.weights)
+        np.cumsum(counts, out=cs[1:])
         return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
 
     return averages
+
+
+def _apply_factor(nu: LatticeMeasure, vals: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write nu(vals)(x) = sum_k nu(k) vals[(x + k) mod q] for every x in Z_q,
+    q = len(vals), into ``out`` and return it.
+
+    The sum runs atom by atom from 0.0, as :func:`weighted_average_all` sums
+    it for ``TestFunction.table(vals)``, so the two agree bit for bit; each
+    atom's products, vals rotated by k, go into ``scratch`` in two slices.
+    """
+    q = len(vals)
+    ks, ws = nu.atoms()
+    out.fill(0.0)
+    for k, w in zip(ks.tolist(), ws.tolist()):
+        s = k % q
+        np.multiply(vals[s:], w, out=scratch[: q - s])
+        np.multiply(vals[:s], w, out=scratch[q - s :])
+        out += scratch
+    return out
 
 
 class Weak11Row(NamedTuple):
@@ -368,9 +403,10 @@ def maximal_function_all(
     if sys.is_cyclic and prune_eps == 0.0:
         vals = weighted_average_all(sys, spec.measure_at(1), f)
         mf = np.abs(vals)
+        nxt, scratch = np.empty(sys.q), np.empty(sys.q)
         for n in range(2, N + 1):
-            vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
-            np.maximum(mf, np.abs(vals), out=mf)
+            vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
+            np.maximum(mf, np.abs(vals, out=scratch), out=mf)
         return mf
     averages = _state_averages(sys, f)
     mf = None

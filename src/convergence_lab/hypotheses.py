@@ -73,12 +73,6 @@ class HypothesisReport:
     def overall_ok(self) -> bool:
         return all(c.ok for c in self.conditions)
 
-    def condition(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def summary_text(self) -> str:
         lines = [
             f"report: {self.kind} hypotheses for {self.spec_name!r} at horizon N={self.horizon}",

@@ -164,7 +164,7 @@ class LatticeMeasure:
     @property
     def support(self) -> np.ndarray:
         """Indices carrying strictly positive weight."""
-        return self.min_index + np.flatnonzero(self.weights)
+        return self.atoms()[0]
 
     @property
     def nnz(self) -> int:
@@ -240,17 +240,6 @@ def from_pairs(pairs: dict[int, float], mass_defect: float = 0.0) -> LatticeMeas
 
 
 # -- algebra ---------------------------------------------------------------------
-def l1_distance(a: LatticeMeasure, b: LatticeMeasure) -> float:
-    """Sum of |a(k) - b(k)| over the union of the two windows."""
-    lo = min(a.min_index, b.min_index)
-    hi = max(a.max_index, b.max_index)
-    wa = np.zeros(hi - lo + 1)
-    wb = np.zeros(hi - lo + 1)
-    wa[a.min_index - lo : a.min_index - lo + len(a.weights)] = a.weights
-    wb[b.min_index - lo : b.min_index - lo + len(b.weights)] = b.weights
-    return float(np.sum(np.abs(wa - wb)))
-
-
 def convolve(
     a: LatticeMeasure,
     b: LatticeMeasure,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convergence_lab import LatticeMeasure, from_pairs, l1_distance, weighted_average
+from convergence_lab import LatticeMeasure, from_pairs, weighted_average
 
 
 def random_measure(
@@ -49,6 +49,25 @@ def maximal_function(sys, mus, f, x) -> float:
     if not mus:
         raise ValueError("need at least one measure")
     return max(abs(weighted_average(sys, mu, f, x)) for mu in mus)
+
+
+def l1_distance(a: LatticeMeasure, b: LatticeMeasure) -> float:
+    """Sum of |a(k) - b(k)| over the union of the two windows."""
+    lo = min(a.min_index, b.min_index)
+    hi = max(a.max_index, b.max_index)
+    wa = np.zeros(hi - lo + 1)
+    wb = np.zeros(hi - lo + 1)
+    wa[a.min_index - lo : a.min_index - lo + len(a.weights)] = a.weights
+    wb[b.min_index - lo : b.min_index - lo + len(b.weights)] = b.weights
+    return float(np.sum(np.abs(wa - wb)))
+
+
+def condition(report, name: str):
+    """The condition of ``report`` called ``name``."""
+    for c in report.conditions:
+        if c.name == name:
+            return c
+    raise KeyError(name)
 
 
 def decomposition_error(spec, n: int) -> float:

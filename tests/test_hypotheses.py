@@ -22,6 +22,7 @@ from convergence_lab import (
     weighted_d2_integral,
 )
 from convergence_lab.cli import _rows_block, _write_csv
+from conftest import condition
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")
@@ -30,21 +31,21 @@ IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")
 class TestConvergenceReport:
     def test_centered_triple_passes_all(self):
         report = check_convergence_hypotheses(IID_TRIPLE, 100)
-        assert report.condition("zero_expectation").ok
-        assert report.condition("zero_expectation").witness == 0.0
-        assert report.condition("moment_growth").ok
-        assert report.condition("moment_growth").witness == pytest.approx(0.5, abs=1e-12)
-        assert report.condition("gaussian_decay").ok
-        assert report.condition("gaussian_decay").witness == pytest.approx(math.pi**2, abs=0.2)
-        assert report.condition("strict_aperiodicity").ok
-        assert report.condition("coset_rho").ok
-        assert report.condition("coset_rho").witness == pytest.approx(0.5, abs=1e-12)
+        assert condition(report, "zero_expectation").ok
+        assert condition(report, "zero_expectation").witness == 0.0
+        assert condition(report, "moment_growth").ok
+        assert condition(report, "moment_growth").witness == pytest.approx(0.5, abs=1e-12)
+        assert condition(report, "gaussian_decay").ok
+        assert condition(report, "gaussian_decay").witness == pytest.approx(math.pi**2, abs=0.2)
+        assert condition(report, "strict_aperiodicity").ok
+        assert condition(report, "coset_rho").ok
+        assert condition(report, "coset_rho").witness == pytest.approx(0.5, abs=1e-12)
         assert report.overall_ok
 
     def test_fair_coin_fails_zero_expectation(self):
         spec = SequenceSpec.iid(from_pairs({0: 0.5, 1: 0.5}), name="fair_coin")
         report = check_convergence_hypotheses(spec, 12)
-        cond = report.condition("zero_expectation")
+        cond = condition(report, "zero_expectation")
         assert not cond.ok
         assert cond.witness == pytest.approx(0.5, abs=1e-12)
         assert not report.overall_ok
@@ -55,8 +56,8 @@ class TestConvergenceReport:
         # which the report records without aborting
         spec = geometric_family(0.5).to_spec()
         report = check_convergence_hypotheses(spec, 10, d2_max_depth=12)
-        assert report.condition("zero_expectation").ok
-        assert not report.condition("moment_growth").ok
+        assert condition(report, "zero_expectation").ok
+        assert not condition(report, "moment_growth").ok
         assert not report.overall_ok
         assert len(report.d2_depth_cap_n) > 0
 
@@ -89,7 +90,7 @@ class TestConvergenceReport:
         large = check_convergence_hypotheses(spec, 12, d2_max_depth=12)
         for cond in small.conditions:
             if not cond.ok:
-                assert not large.condition(cond.name).ok
+                assert not condition(large, cond.name).ok
 
     def test_deterministic(self):
         a = check_convergence_hypotheses(IID_TRIPLE, 10)
@@ -111,14 +112,14 @@ class TestSweepoutReport:
     def test_inverse_square_family(self):
         spec = inverse_square_family(1.0).to_spec()
         report = check_sweepout_hypotheses(spec, 100)
-        cond = report.condition("defect_summability")
+        cond = condition(report, "defect_summability")
         assert cond.ok  # last-half tail below 1e-2
-        assert report.condition("atom_sites_nonzero").ok
-        assert report.condition("atom_sites_nonzero").witness == 1.0
-        drift = report.condition("site_sum_drift")
+        assert condition(report, "atom_sites_nonzero").ok
+        assert condition(report, "atom_sites_nonzero").witness == 1.0
+        drift = condition(report, "site_sum_drift")
         assert drift.ok
         assert drift.witness == 100.0
-        prod = report.condition("product_lower_bound")
+        prod = condition(report, "product_lower_bound")
         assert prod.ok
         # oracle value of prod_{l<=100} (2 a_l - 1) with a_l = (1+2l^2)/(3+2l^2)
         assert prod.witness == pytest.approx(0.060001652604285804, rel=1e-12)
@@ -129,17 +130,17 @@ class TestSweepoutReport:
         nu = from_pairs({1: 0.5, -1: 0.25, 0: 0.25})
         spec = SequenceSpec("half_atom", lambda n: nu, lambda n: Decomposition(0.5, 1, gamma))
         report = check_sweepout_hypotheses(spec, 40)
-        prod = report.condition("product_lower_bound")
+        prod = condition(report, "product_lower_bound")
         assert not prod.ok
         assert prod.witness == 0.0
-        assert not report.condition("defect_summability").ok
+        assert not condition(report, "defect_summability").ok
 
     def test_alternating_sites_fail_drift(self):
         measures = [delta(1) if n % 2 else delta(-1) for n in range(1, 41)]
         decomps = [Decomposition(1.0, 1 if n % 2 else -1, delta(0)) for n in range(1, 41)]
         spec = SequenceSpec("alternating", lambda n: measures[n - 1], lambda n: decomps[n - 1])
         report = check_sweepout_hypotheses(spec, 40)
-        assert not report.condition("site_sum_drift").ok
+        assert not condition(report, "site_sum_drift").ok
 
     def test_requires_decomposition(self):
         with pytest.raises(ValueError):
@@ -152,7 +153,7 @@ class TestSweepoutReport:
         spec = inverse_square_family(1.0).to_spec()
         N = 30
         report = check_sweepout_hypotheses(spec, N)
-        bound = report.condition("product_lower_bound").witness
+        bound = condition(report, "product_lower_bound").witness
         for prof in prefix_fourier_profiles(spec, N, 256):
             assert np.all(np.abs(prof.values) >= bound - 1e-10)
 

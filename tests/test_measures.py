@@ -14,14 +14,13 @@ from convergence_lab import (
     expectation,
     from_pairs,
     is_strictly_aperiodic,
-    l1_distance,
     moment,
     prune,
     tv_shift_distance,
 )
 from convergence_lab.cli import main
 from convergence_lab.measures import CosetMass
-from conftest import decomposition_error, random_measure
+from conftest import decomposition_error, l1_distance, random_measure
 
 
 def brute_force_convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:

@@ -26,7 +26,6 @@ from convergence_lab import (
     fourier_floor_scan,
     from_pairs,
     iter_prefixes,
-    l1_distance,
     maximal_function_all,
     moment,
     prefix_fourier_profiles,
@@ -38,9 +37,10 @@ from convergence_lab import (
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column
-from convergence_lab.dynamics import _distinct_sorted, _state_averages
+from convergence_lab.dynamics import _apply_factor, _distinct_sorted, _state_averages
 from convergence_lab.measures import _count_nonzero_past, map_factors
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
+from conftest import l1_distance
 
 
 @st.composite
@@ -467,6 +467,135 @@ def test_distinct_sorted_matches_unique_to_the_bit(values):
     xs = np.array(values)
     got, want = _distinct_sorted(xs), np.unique(xs)
     assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# -- allocation-free averaging kernels ---------------------------------------------
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.lists(st.integers(min_value=-(2**53), max_value=2**53), min_size=1, max_size=60),
+)
+@example(1e-20, [-1, 0, 1, -(2**53), 2**53])
+@example(float(np.sqrt(2.0) - 1.0), [-(2**53), -(2**53) + 1, -(2**52) - 1, 2**52 + 1, 2**53 - 1])
+@example(5e-324, [-1, -(2**53)])
+@settings(max_examples=200, deadline=None)
+def test_fractional_part_by_floor_matches_remainder(alpha, ks):
+    # The rotation cell table takes p - floor(p) for the circle position p % 1.0.
+    # -0.0 and tiny negative products, which round up to 1.0, ride along.
+    p = np.concatenate((np.array(ks, dtype=np.int64) * alpha, [0.0, -0.0, -1e-20, -(2.0**-54), -5e-324]))
+    got = p.copy()
+    got -= np.floor(got)
+    want = p % 1.0
+    assert np.array_equal(_bits(got), _bits(want))
+    assert want[-3:].tolist() == [1.0, 1.0, 1.0]
+
+
+scatter_weights = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0 - 2.0**-53]),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=15), scatter_weights), max_size=80), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_scatter_into_reused_cells_matches_bincount(n_bins, passes):
+    # _state_averages fills one pair of cell buffers per engine and reuses them
+    # for every prefix; each pass here is one prefix.  Few bins make repeats common.
+    counts, cs = np.empty(n_bins), np.zeros(n_bins + 1)
+    for pairs in passes:
+        bins = np.array([b % n_bins for b, _ in pairs], dtype=np.intp)
+        ws = np.array([w for _, w in pairs], dtype=float)
+        counts.fill(0.0)
+        np.add.at(counts, bins, ws)
+        np.cumsum(counts, out=cs[1:])
+        want = np.concatenate(([0.0], np.cumsum(np.bincount(bins, weights=ws, minlength=n_bins))))
+        assert np.array_equal(_bits(cs), _bits(want))
+
+
+@st.composite
+def cyclic_chains(draw, max_n=8):
+    """Z_q, q = 1 among them, with a spec whose sites fall below 0, at or past
+    q and on multiples of q, its horizon N and a table test function."""
+    q = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=40)))
+
+    def factor():
+        span = draw(st.integers(min_value=1, max_value=6))
+        w = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5]), min_size=span, max_size=span)))
+        w[0] = w[-1] = 1.0
+        offset = draw(
+            st.one_of(
+                st.integers(min_value=-3 * q - 6, max_value=3 * q + 6),
+                st.integers(min_value=-3, max_value=3).map(lambda m: m * q),
+            )
+        )
+        return LatticeMeasure(offset, w / w.sum())
+
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        spec = SequenceSpec.iid(factor())
+    else:
+        spec = SequenceSpec.from_measures([factor() for _ in range(n)])
+    sys = DynSystem.cyclic(q)
+    return sys, spec, n, _test_function(sys, draw(st.integers(min_value=0, max_value=2**16)))
+
+
+def _table_chain(sys, spec, f, N):
+    """mu_n f for n = 1..N by vals <- weighted_average_all(sys, nu_n, table(vals))."""
+    vals = weighted_average_all(sys, spec.measure_at(1), f)
+    chain = [vals]
+    for n in range(2, N + 1):
+        vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
+        chain.append(vals)
+    return chain
+
+
+@given(cyclic_chains())
+@example((DynSystem.cyclic(1), SequenceSpec.iid(from_pairs({-2: 0.5, 3: 0.5})), 3, TestFunction.table([0.7])))
+@example((DynSystem.cyclic(4), SequenceSpec.from_measures([delta(8), delta(-4), from_pairs({-5: 0.3, 7: 0.7})]), 3, TestFunction.table([1.0, -2.0, 0.5, 0.25])))
+@settings(max_examples=150, deadline=None)
+def test_in_place_recursion_matches_table_chain_to_the_bit(chain):
+    sys, spec, N, f = chain
+    oracle = _table_chain(sys, spec, f, N)
+    # Every step, through buffers that swap roles as in maximal_function_all.
+    vals = oracle[0].copy()
+    nxt, scratch = np.full(sys.q, np.nan), np.full(sys.q, np.nan)
+    for n in range(2, N + 1):
+        vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
+        assert np.array_equal(_bits(vals), _bits(oracle[n - 1])), n
+    mf = np.abs(oracle[0])
+    for vals in oracle[1:]:
+        mf = np.maximum(mf, np.abs(vals))
+    assert np.array_equal(_bits(maximal_function_all(sys, spec, f, N)), _bits(mf))
+
+
+@pytest.mark.parametrize(
+    "sys, f",
+    [
+        (DynSystem.cyclic(16), TestFunction.indicator_block(3, 5, 2.0)),
+        (DynSystem.rotation(alpha=0.3, samples=64, seed=2), TestFunction.indicator_interval(0.1, 0.45)),
+    ],
+    ids=["cyclic", "rotation"],
+)
+def test_state_averages_return_a_fresh_vector_per_call(sys, f):
+    # The cell buffers are reused; the vector a call returns is not, so the
+    # sweep-out simulation may keep the first one as its running extremum.
+    averages = _state_averages(sys, f)
+    first_mu, second_mu = from_pairs({0: 0.5, 1: 0.5}), from_pairs({-7: 0.25, 2: 0.25, 9: 0.5})
+    first = averages(first_mu)
+    kept = first.copy()
+    second = averages(second_mu)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(_bits(first), _bits(kept)) and not np.shares_memory(first, second)
+    # Nothing carries over between calls: a fresh engine gives the same bits.
+    assert np.array_equal(_bits(second), _bits(_state_averages(sys, f)(second_mu)))
+    assert np.array_equal(_bits(averages(first_mu)), _bits(kept))
 
 
 @given(specs(max_n=12), st.sampled_from([0.0, 1e-12, 1e-8]))

@@ -19,14 +19,13 @@ from convergence_lab import (
     geometric_family,
     inverse_square_family,
     iter_prefixes,
-    l1_distance,
     moment,
     scan_points,
     sweepout_simulation,
     weighted_average_all,
 )
 from convergence_lab.dynamics import _CellTable
-from conftest import decomposition_error
+from conftest import decomposition_error, l1_distance
 
 INV_SQ = inverse_square_family(1.0)
 

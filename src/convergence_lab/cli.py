@@ -30,6 +30,7 @@ from .measures import (
     SequenceSpec,
     SupportCapError,
     convolve_prefixes,
+    prefix_windows,
 )
 from .spectral import fourier_eval
 from .sweepout import (
@@ -323,11 +324,7 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
 
 def _site_reach(factors: Iterable[LatticeMeasure]) -> int:
     """Largest |k| in the windows of the running products of ``factors``."""
-    lo = hi = reach = 0
-    for nu in factors:
-        lo, hi = lo + nu.min_index, hi + nu.max_index
-        reach = max(reach, -lo, hi)
-    return reach
+    return max((w.reach for w in prefix_windows(factors)), default=0)
 
 
 def validate_config(path: str | os.PathLike) -> list[str]:

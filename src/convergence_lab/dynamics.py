@@ -7,11 +7,12 @@ stratified state sample (qualitative demonstrations).
 
 Every experiment over the running products mu_n = nu_1 * ... * nu_n is one
 pass over the prefix stream of :func:`~convergence_lab.measures.iter_prefixes`,
-holding one prefix at a time.  The maximal function on a cyclic system
-without pruning skips the prefixes altogether: since mu_n = mu_{n-1} * nu_n,
-the averages obey mu_n f = nu_n(mu_{n-1} f), so each step applies only the
-factor nu_n to the previous vector of averages, at a cost of nnz(nu_n) * q
-instead of nnz(mu_n) * q.  The step runs in place, ``_apply_factor``,
+which holds one prefix between steps and two during each convolution.  The
+maximal function on a cyclic system without pruning skips the prefixes
+altogether: since mu_n = mu_{n-1} * nu_n, the averages obey
+mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
+previous vector of averages, at a cost of nnz(nu_n) * q instead of
+nnz(mu_n) * q.  The step runs in place, ``_apply_factor``,
 through two q-length vectors that swap roles and one scratch, with the
 sums of :func:`weighted_average_all` bit for bit.  It falls back to the
 prefix stream on the rotation, whose state sample is not closed under the
@@ -22,9 +23,14 @@ Averages of a streamed prefix over every state have one engine,
 simulation.  It scatters an indicator's prefix mass by residue or by
 rotation cell into a cell buffer and reads every state's average off one
 cumulative sum; both buffers are allocated once per engine and reused for
-every prefix, and only the returned vector is new.  An engine's buffers
-belong to the one call that built it, so an engine is not shared across
-threads.  Any other function is summed atom by atom by
+every prefix, and only the returned vector is new.  On the rotation the
+engine also holds a table of the cells of one prefix window, ``_CellTable``:
+one buffer sized before the first convolution, from the factors alone, to
+the widest window the chain can yield (``_cell_span``), and never regrown.
+Its memory is that of one widest window whatever path the windows take, so
+a chain whose windows drift far from 0 costs no more than a centred one.
+An engine's buffers belong to the one call that built it, so an engine is
+not shared across threads.  Any other function is summed atom by atom by
 :func:`weighted_average_all`, which is also the tests' oracle.
 """
 from __future__ import annotations
@@ -35,7 +41,14 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import LatticeMeasure, SequenceSpec, iter_prefixes, tv_shift_distance
+from .measures import (
+    DEFAULT_SUPPORT_CAP,
+    LatticeMeasure,
+    SequenceSpec,
+    iter_prefixes,
+    prefix_windows,
+    tv_shift_distance,
+)
 
 #: Default rotation angle: an irrational surrogate with good equidistribution.
 DEFAULT_ALPHA = math.sqrt(2.0) - 1.0
@@ -199,7 +212,7 @@ def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) ->
     return out
 
 
-#: Points whose cells are computed at once when the rotation cell table grows.
+#: Points whose cells are computed at once when the rotation cell table fills.
 _FILL_CHUNK = 1 << 16
 
 
@@ -208,13 +221,21 @@ class _CellTable:
 
     The cell of k is the number of boundaries at or below the circle
     position p = k alpha mod 1, so the mass a prefix puts below boundary j
-    is the cumulative sum of its mass per cell up to cell j.  The table
-    covers only the points [lo, hi) that the windows seen so far have
-    reached, each computed once.  They sit in ``cells``, a buffer whose
-    first entry is point ``offset``; it is regrown to twice the covered
-    width, with half the slack on each side, only when a window runs past
-    it, so a growing chain regrows it O(log width) times, not once per
-    prefix.
+    is the cumulative sum of its mass per cell up to cell j.
+
+    The cells live in one buffer of ``capacity`` points, allocated once and
+    never regrown: the capacity is the widest window the prefix chain can
+    yield (see :func:`_cell_span`), so every window fits.  Point k sits at
+    ``cells[k - offset]``, and the buffer is first placed at ``start``, the
+    left end of the factors' hull.  The points [lo, hi) of the buffer hold
+    computed cells, none at first.  A window inside the buffer computes
+    only those of its points that are not yet held.  A window that leaves
+    the buffer places it anew: at the window's left end when it left
+    through the right, else with its right end at the window's right end.
+    The cells the window shares with the held points move with it; the
+    rest of the window is computed, and the other cells are forgotten.  A
+    chain whose windows all fit the first placement, as when every factor
+    straddles 0, never moves a cell.
 
     A point's cell is looked up by its bucket floor(p M) among M equal
     buckets of [0, 1], M a power of two at least 16 times the number of
@@ -223,11 +244,9 @@ class _CellTable:
     at most one in 16 of the buckets, are searched among the boundaries.
     """
 
-    def __init__(self, alpha: float, edges: np.ndarray) -> None:
+    def __init__(self, alpha: float, edges: np.ndarray, start: int, capacity: int) -> None:
         self.alpha = alpha
         self.edges = edges
-        self.cells = np.empty(0, dtype=np.intp)
-        self.offset = self.lo = self.hi = 0
         n_buckets = 1 << (16 * len(edges) - 1).bit_length()
         self.scale = float(n_buckets)
         # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.
@@ -236,6 +255,8 @@ class _CellTable:
         inside = np.floor(scaled)
         bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
         self.bucket_cell = bucket_cell.astype(np.int32)
+        self.cells = np.empty(capacity, dtype=np.intp)
+        self.offset = self.lo = self.hi = start
 
     def _fill(self, lo: int, hi: int) -> None:
         for start in range(lo, hi, _FILL_CHUNK):
@@ -250,26 +271,44 @@ class _CellTable:
             self.cells[start - self.offset : stop - self.offset] = cells
 
     def window(self, mu: LatticeMeasure) -> np.ndarray:
-        """Cells of mu's window [min_index, max_index], growing the table to cover it."""
+        """Cells of mu's window [min_index, max_index], a view into the buffer."""
         lo, hi = mu.min_index, mu.max_index + 1
-        if self.lo == self.hi:
+        size = len(self.cells)
+        if lo < self.offset or hi > self.offset + size:
+            # Keep only the held cells inside the window, moved to the new place.
+            offset = lo if hi > self.offset + size else hi - size
+            self.lo, self.hi = max(lo, self.lo), min(hi, self.hi)
+            if self.lo < self.hi:
+                self.cells[self.lo - offset : self.hi - offset] = self.cells[
+                    self.lo - self.offset : self.hi - self.offset
+                ]
+            self.offset = offset
+        if hi < self.lo or self.hi < lo:
+            # The held cells and the window neither meet nor touch.
             self.lo = self.hi = lo
-        new_lo, new_hi = min(lo, self.lo), max(hi, self.hi)
-        if new_lo < self.offset or new_hi > self.offset + len(self.cells):
-            width = new_hi - new_lo
-            grown = np.empty(2 * width, dtype=np.intp)
-            offset = new_lo - width // 2
-            grown[self.lo - offset : self.hi - offset] = self.cells[
-                self.lo - self.offset : self.hi - self.offset
-            ]
-            self.cells, self.offset = grown, offset
-        if new_lo < self.lo:
-            self._fill(new_lo, self.lo)
-        if self.hi < new_hi:
-            self._fill(self.hi, new_hi)
-        self.lo, self.hi = new_lo, new_hi
-        i0 = lo - self.offset
-        return self.cells[i0 : i0 + len(mu.weights)]
+        if lo < self.lo:
+            self._fill(lo, self.lo)
+            self.lo = lo
+        if self.hi < hi:
+            self._fill(self.hi, hi)
+            self.hi = hi
+        return self.cells[lo - self.offset : hi - self.offset]
+
+
+def _cell_span(spec: SequenceSpec, N: int) -> tuple[int, int]:
+    """Where to place a rotation cell table for the prefix chain of ``spec``
+    up to N, and its capacity: the left end of the factors' hull and the
+    widest window the chain can yield.
+
+    The factors are walked only until the running width passes the support
+    cap.  The unpruned chain raises there, so the walk builds no factor
+    that the chain would not; and past the first prefix, nu_1 itself, no
+    window of the chain, pruned or not, is wider than the cap.
+    """
+    for n, w in enumerate(prefix_windows(map(spec.measure_at, range(1, N + 1))), start=1):
+        if w.width > DEFAULT_SUPPORT_CAP:
+            return w.left, w.width if n == 1 else DEFAULT_SUPPORT_CAP
+    return w.left, w.width
 
 
 def _distinct_sorted(xs: np.ndarray) -> np.ndarray:
@@ -283,13 +322,17 @@ def _distinct_sorted(xs: np.ndarray) -> np.ndarray:
     return xs[keep]
 
 
-def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure], np.ndarray]:
+def _state_averages(
+    sys: DynSystem, f: TestFunction, span: tuple[int, int]
+) -> Callable[[LatticeMeasure], np.ndarray]:
     """The map mu -> (mu f(x)) over every state x of the system.
 
     For an indicator on its own system, mu f(x) is scale times the mass mu
     puts on the points k whose residue, or circle position k alpha mod 1,
     lies in the state's arc [lo, hi), which may wrap past the top.  Any
-    other f goes to :func:`weighted_average_all`.
+    other f goes to :func:`weighted_average_all`.  On the rotation the
+    windows of the prefixes must fit ``span``, the (start, capacity) of
+    the cell table, as :func:`_cell_span` gives it for their chain.
     """
     xs = sys.states()
     if f.kind == "indicator_block" and sys.is_cyclic:
@@ -314,7 +357,7 @@ def _state_averages(sys: DynSystem, f: TestFunction) -> Callable[[LatticeMeasure
         # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
         il = np.searchsorted(edges, lo) + 1
         ih = np.searchsorted(edges, hi) + 1
-        bins, n_bins = _CellTable(sys.alpha, edges).window, len(edges) + 1
+        bins, n_bins = _CellTable(sys.alpha, edges, *span).window, len(edges) + 1
     else:
         return lambda mu: weighted_average_all(sys, mu, f)
 
@@ -408,7 +451,7 @@ def maximal_function_all(
             vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
             np.maximum(mf, np.abs(vals, out=scratch), out=mf)
         return mf
-    averages = _state_averages(sys, f)
+    averages = _state_averages(sys, f, _cell_span(spec, N))
     mf = None
     for mu in iter_prefixes(spec, N, prune_eps=prune_eps):
         vals = np.abs(averages(mu))

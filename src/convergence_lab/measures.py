@@ -21,7 +21,11 @@ many of the wider one as it takes to tell which has fewer.
 The running products mu_n = nu_1 * ... * nu_n have one engine,
 :func:`iter_prefixes`, which yields them one at a time and keeps none: the
 experiments that reduce over the chain (maximal functions, traces, the
-sweep-out simulation) hold one dense prefix at a time instead of N.
+sweep-out simulation) hold one dense prefix between steps, and two during
+each convolution, instead of N.  Where the windows of the chain lie is
+known from the factors alone, :func:`prefix_windows`: running sums of
+their ends, so memory and site bounds can be set before the first
+convolution.
 :func:`convolve_prefixes` is the same chain collected into a list, kept
 for callers that index prefixes or walk them twice (spectra, hypothesis
 checks); it returns a list, never a generator, so that wrappers that
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -464,6 +468,42 @@ def map_factors(spec: SequenceSpec, N: int, fn: Callable[[LatticeMeasure], T]) -
         if nu is not prev:
             prev, result = nu, fn(nu)
         yield result
+
+
+class PrefixWindow(NamedTuple):
+    """Where mu_n = nu_1 * ... * nu_n may put mass, from the factors alone.
+
+    ``lo`` and ``hi`` are the running sums of the factors' ``min_index`` and
+    ``max_index``: mu_n's window is [lo, hi], and pruning only narrows it.
+    ``left`` and ``right`` are the ends of the hull of the windows of
+    mu_1..mu_n.  Windows only widen along a chain, so mu_n's is the widest.
+    """
+
+    lo: int
+    hi: int
+    left: int
+    right: int
+
+    @property
+    def width(self) -> int:
+        return self.hi - self.lo + 1
+
+    @property
+    def reach(self) -> int:
+        """Largest |k| in the windows of mu_1..mu_n."""
+        return max(0, -self.left, self.right)
+
+
+def prefix_windows(factors: Iterable[LatticeMeasure]) -> Iterator[PrefixWindow]:
+    """Yield the :class:`PrefixWindow` of mu_n after each factor nu_n, taking
+    the factors one at a time, so a caller may stop before the next is built."""
+    lo = hi = 0
+    left = right = None
+    for nu in factors:
+        lo, hi = lo + nu.min_index, hi + nu.max_index
+        left = lo if left is None else min(left, lo)
+        right = hi if right is None else max(right, hi)
+        yield PrefixWindow(lo, hi, left, right)
 
 
 def iter_prefixes(spec: SequenceSpec, N: int, prune_eps: float = 0.0) -> Iterator[LatticeMeasure]:

@@ -10,8 +10,9 @@ The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`).
 The simulation is a running max and min over the averages of chi_B that
 the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
-each prefix, so its memory is one dense prefix plus, on the rotation, the
-engine's table of state cells.  Given ``window_k``,
+each prefix, so its memory is two dense prefixes during each convolution
+plus, on the rotation, the engine's table of state cells, one window as
+wide as the widest that the factors allow.  Given ``window_k``,
 :func:`sweepout_simulation` also records the dissipativity rows from the
 same stream, so one chain feeds both.
 """
@@ -36,7 +37,7 @@ from .measures import (
     map_factors,
 )
 from .spectral import _product_rule, fourier_at
-from .dynamics import DynSystem, TestFunction, _state_averages
+from .dynamics import DynSystem, TestFunction, _cell_span, _state_averages
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -283,7 +284,7 @@ def sweepout_simulation(
         f, set_measure = TestFunction.indicator_block(0, block_len), block_len / sys.q
     else:
         f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
-    averages = _state_averages(sys, f)
+    averages = _state_averages(sys, f, _cell_span(spec, N))
 
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None

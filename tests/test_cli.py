@@ -2,9 +2,10 @@ import configparser
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convergence_lab import convolve_prefixes
+from convergence_lab import TestFunction, convolve_prefixes, maximal_function_all, weighted_average_all
 from convergence_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -220,6 +221,48 @@ class TestMain:
         out = tmp_path / "o"
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])
+    def test_resource_cap_message_on_the_rotation(self, tmp_path, capsys, subcommand):
+        # The rotation sizes its cell table from the factors before the first
+        # convolution; the walk stops at n = 19, where the chain itself raises.
+        cfg = SWEEPOUT_CFG.replace("a_rule = inverse_square\ncoeff = 1.0", "a_rule = geometric\nratio = 0.5")
+        path = write(tmp_path, "g.cfg", cfg.replace("horizon = 12", "horizon = 30"))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource cap: convolution support 1048613 exceeds cap 1000000\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_drifting_windows_keep_one_window_of_cells(self, tmp_path, monkeypatch):
+        # mu_n sits on [100000 n, 100001 n]: n + 1 points, each window far past
+        # the last.  The cell table holds 33 cells, and the results are the
+        # atom-by-atom sums (exact here: every weight is a multiple of 2**-32).
+        from convergence_lab import dynamics
+
+        tables = []
+
+        class Recording(dynamics._CellTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(dynamics, "_CellTable", Recording)
+        cfg = (
+            "[family]\nkind = iid\nweights = 0.5,0.5\noffset = 100000\n\n"
+            "[system]\nkind = rotation\nsamples = 512\n\n"
+            "[run]\nhorizon = 32\ntest_function = block\nlambdas = 0.25,0.4,0.5\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write(tmp_path, "d.cfg", cfg), "--out", str(out)]) == EXIT_OK
+        assert len(tables) == 1 and len(tables[0].cells) == 33
+        config = load_config(tmp_path / "d.cfg")
+        f = TestFunction.indicator_interval(0.0, config.block_fraction)
+        averages = [weighted_average_all(config.system, mu, f) for mu in convolve_prefixes(config.spec, 32)]
+        mf = np.max(np.abs(averages), axis=0)
+        assert np.array_equal(maximal_function_all(config.system, config.spec, f, 32), mf)
+        rows = [ln.split(",") for ln in (out / "weak11.csv").read_text().splitlines() if ln[0].isdigit()]
+        assert [float(level) for _, level, _ in rows] == [float(np.mean(mf > lam)) for lam in (0.25, 0.4, 0.5)]
+        assert 0.0 < float(rows[1][1]) < float(rows[0][1]) < 1.0
 
     def test_sweepout_builds_one_prefix_chain(self, tmp_path, monkeypatch):
         import convergence_lab.measures as measures_mod

@@ -37,8 +37,8 @@ from convergence_lab import (
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column
-from convergence_lab.dynamics import _apply_factor, _distinct_sorted, _state_averages
-from convergence_lab.measures import _count_nonzero_past, map_factors
+from convergence_lab.dynamics import _apply_factor, _CellTable, _cell_span, _distinct_sorted, _state_averages
+from convergence_lab.measures import _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
 from conftest import l1_distance
 
@@ -411,7 +411,22 @@ def _iid_case(sys, f, k=1, N=3):
     return sys, f, (SequenceSpec.iid(delta(k)), N)
 
 
-@given(indicator_cases())
+@st.composite
+def drifting_rotation_cases(draw, max_n=8):
+    """An indicator on the rotation under an iid spec whose factor sits up to
+    10**5 from 0, so that each prefix window lies far past the previous one."""
+    sys = DynSystem.rotation(
+        alpha=draw(st.floats(min_value=0.01, max_value=0.99)),
+        samples=draw(st.integers(min_value=1, max_value=48)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    nu = draw(gapped_measures())
+    shift = draw(st.one_of(st.sampled_from([-(10**5), 10**5]), st.integers(min_value=-(10**5), max_value=10**5)))
+    spec = SequenceSpec.iid(LatticeMeasure(nu.min_index + shift, nu.weights))
+    return sys, draw(indicators(sys)), (spec, draw(st.integers(min_value=1, max_value=max_n)))
+
+
+@given(st.one_of(indicator_cases(), drifting_rotation_cases()))
 # Cyclic: start != 0, length 0, length q, length > q, scale != 1.
 @example(_iid_case(_CYC, _block(3, 0, 2.0), 2, 1))
 @example(_iid_case(_CYC, _block(-7, 5), 1, 2))
@@ -430,7 +445,7 @@ def _iid_case(sys, f, k=1, N=3):
 @settings(max_examples=100, deadline=None)
 def test_state_averages_match_atom_sums(case):
     sys, f, (spec, N) = case
-    averages = _state_averages(sys, f)
+    averages = _state_averages(sys, f, _cell_span(spec, N))
     for mu in convolve_prefixes(spec, N):
         np.testing.assert_allclose(
             averages(mu), weighted_average_all(sys, mu, f), rtol=0, atol=1e-12 * abs(f.scale)
@@ -586,16 +601,76 @@ def test_in_place_recursion_matches_table_chain_to_the_bit(chain):
 def test_state_averages_return_a_fresh_vector_per_call(sys, f):
     # The cell buffers are reused; the vector a call returns is not, so the
     # sweep-out simulation may keep the first one as its running extremum.
-    averages = _state_averages(sys, f)
     first_mu, second_mu = from_pairs({0: 0.5, 1: 0.5}), from_pairs({-7: 0.25, 2: 0.25, 9: 0.5})
+    span = (-7, 17)  # a table over [-7, 9] holds both windows
+    averages = _state_averages(sys, f, span)
     first = averages(first_mu)
     kept = first.copy()
     second = averages(second_mu)
     assert not np.array_equal(first, second)
     assert np.array_equal(_bits(first), _bits(kept)) and not np.shares_memory(first, second)
     # Nothing carries over between calls: a fresh engine gives the same bits.
-    assert np.array_equal(_bits(second), _bits(_state_averages(sys, f)(second_mu)))
+    assert np.array_equal(_bits(second), _bits(_state_averages(sys, f, span)(second_mu)))
     assert np.array_equal(_bits(averages(first_mu)), _bits(kept))
+
+
+@st.composite
+def window_walks(draw):
+    """A cell table's (start, capacity) and a walk of windows, none wider
+    than the capacity, that grow at both ends, shrink, drift by up to three
+    capacities either way and jump anywhere within 10**5 of 0."""
+    capacity = draw(st.integers(min_value=1, max_value=40))
+    start = draw(st.integers(min_value=-(10**5), max_value=10**5))
+    lo, width, windows = start + draw(st.integers(min_value=0, max_value=capacity - 1)), 1, []
+    steps = st.sampled_from(["grow", "shrink", "drift", "jump"])
+    for step in draw(st.lists(steps, min_size=1, max_size=12)):
+        if step == "grow":
+            left = draw(st.integers(min_value=0, max_value=capacity - width))
+            right = draw(st.integers(min_value=0, max_value=capacity - width - left))
+            lo, width = lo - left, width + left + right
+        elif step == "shrink":
+            cut = draw(st.integers(min_value=0, max_value=width - 1))
+            lo, width = lo + draw(st.integers(min_value=0, max_value=cut)), width - cut
+        elif step == "drift":
+            lo += draw(st.integers(min_value=-3 * capacity - 5, max_value=3 * capacity + 5))
+        else:
+            lo = draw(st.integers(min_value=-(10**5), max_value=10**5))
+        windows.append((lo, width))
+    return start, capacity, windows
+
+
+@given(
+    window_walks(),
+    st.one_of(st.sampled_from([0.5, 3 / 128, 1e-20]), st.floats(min_value=1e-3, max_value=0.999)),
+    st.lists(st.one_of(few_values.filter(lambda v: 0.0 <= v <= 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_cell_table_holds_each_window_in_one_buffer(walk, alpha, raw_edges):
+    start, capacity, windows = walk
+    edges = np.unique(raw_edges)
+    table = _CellTable(alpha, edges, start, capacity)
+    buffer = table.cells
+    for lo, width in windows:
+        p = np.arange(lo, lo + width, dtype=np.int64) * alpha
+        want = np.searchsorted(edges, p - np.floor(p), side="right")
+        got = table.window(LatticeMeasure(lo, np.full(width, 1.0 / width)))
+        assert np.array_equal(got, want), (lo, width)
+        assert table.cells is buffer and len(buffer) == capacity
+
+
+@given(specs(max_n=10), st.sampled_from([0.0, 1e-9, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_prefix_windows_bound_every_prefix(spec_n, prune_eps):
+    spec, N = spec_n
+    windows = list(prefix_windows(map(spec.measure_at, range(1, N + 1))))
+    assert _cell_span(spec, N) == (min(w.lo for w in windows), windows[-1].width)
+    for n, (w, mu) in enumerate(zip(windows, iter_prefixes(spec, N, prune_eps)), start=1):
+        # Unpruned, mu_n fills its window: no product of these weights underflows.
+        if prune_eps == 0.0:
+            assert (mu.min_index, mu.max_index) == (w.lo, w.hi)
+        assert w.lo <= mu.min_index and mu.max_index <= w.hi
+        assert (w.left, w.right) == (min(v.lo for v in windows[:n]), max(v.hi for v in windows[:n]))
+        assert w.reach == max(0, max(max(-v.lo, v.hi) for v in windows[:n]))
 
 
 @given(specs(max_n=12), st.sampled_from([0.0, 1e-12, 1e-8]))

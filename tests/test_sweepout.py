@@ -24,7 +24,7 @@ from convergence_lab import (
     sweepout_simulation,
     weighted_average_all,
 )
-from convergence_lab.dynamics import _CellTable
+from convergence_lab.dynamics import _CellTable, _cell_span
 from conftest import decomposition_error, l1_distance
 
 INV_SQ = inverse_square_family(1.0)
@@ -272,16 +272,17 @@ class TestCellTable:
         return LatticeMeasure(lo, np.full(hi - lo + 1, 1.0 / (hi - lo + 1)))
 
     def test_cells_of_every_window(self):
-        table = _CellTable(self.ALPHA, self.EDGES)
-        # left, right, both sides, inside, then far past the buffer both ways
-        for lo, hi in [(0, 4), (-9, 4), (-9, 17), (-30, 40), (-5, 2), (-1000, 41), (-1000, 5000), (3, 3)]:
+        table = _CellTable(self.ALPHA, self.EDGES, -1000, 6001)
+        # left, right, both sides, inside, the whole buffer, then past it both ways
+        for lo, hi in [(0, 4), (-9, 4), (-9, 17), (-30, 40), (-5, 2), (-1000, 41), (-1000, 5000), (3, 3),
+                       (4000, 9000), (-7000, -2000)]:
             ks = np.arange(lo, hi + 1, dtype=np.int64)
             expected = np.searchsorted(self.EDGES, (ks * self.ALPHA) % 1.0, side="right")
             assert np.array_equal(table.window(self._uniform(lo, hi)), expected)
 
     @staticmethod
     def _assert_cells(alpha, edges, lo, hi):
-        table = _CellTable(alpha, edges)
+        table = _CellTable(alpha, edges, lo, hi - lo + 1)
         ks = np.arange(lo, hi + 1, dtype=np.int64)
         positions = (ks * alpha) % 1.0
         got = table.window(TestCellTable._uniform(lo, hi))
@@ -315,13 +316,29 @@ class TestCellTable:
         _, positions = self._assert_cells(self.ALPHA, edges, -20000, 20000)
         assert np.count_nonzero((positions > cluster[0]) & (positions < cluster[-1])) > 10
 
-    def test_growing_chain_regrows_buffer_logarithmically(self):
-        table = _CellTable(self.ALPHA, self.EDGES)
-        regrows, buffer = 0, table.cells
-        for mu in iter_prefixes(INV_SQ.to_spec(), 120):
-            table.window(mu)
-            if table.cells is not buffer:
-                regrows, buffer = regrows + 1, table.cells
-        width = table.hi - table.lo
-        assert width == len(mu.weights) > 500_000
-        assert regrows <= 2 * np.log2(width)
+    def test_growing_chain_never_moves_a_cell(self):
+        # Every factor straddles 0, so the hull is the last window: each window
+        # is a view into the one buffer, and only its new points are computed.
+        spec = INV_SQ.to_spec()
+        start, capacity = _cell_span(spec, 120)
+        table = _CellTable(self.ALPHA, self.EDGES, start, capacity)
+        buffer = table.cells
+        for mu in iter_prefixes(spec, 120):
+            cells = table.window(mu)
+            assert table.cells is buffer and table.offset == start
+            assert np.shares_memory(cells, buffer) and (table.lo, table.hi) == (mu.min_index, mu.max_index + 1)
+        # Underflowed end weights trim the prefixes inside the factors' hull.
+        assert start < mu.min_index and mu.max_index < start + capacity
+        assert capacity == 583_442 and len(mu.weights) == 570_024
+
+    def test_span_walk_stops_where_the_chain_passes_the_cap(self):
+        family, built = geometric_family(0.5), []
+        spec = SequenceSpec("geometric", lambda n: built.append(n) or family.measure_at(n))
+        start, capacity = _cell_span(spec, 30)
+        # The running width first passes the cap at n = 19, where the chain raises.
+        assert built == list(range(1, 20)) and capacity == DEFAULT_SUPPORT_CAP
+        assert start == sum(family.measure_at(n).min_index for n in range(1, 20))
+        # The first prefix is nu_1 itself, held to no cap.
+        width = DEFAULT_SUPPORT_CAP + 1
+        wide = LatticeMeasure(-3, np.full(width, 1.0 / width))
+        assert _cell_span(SequenceSpec.from_measures([wide, delta(0)]), 2) == (-3, width)

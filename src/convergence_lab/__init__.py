@@ -22,6 +22,7 @@ from .measures import (
     variance,
 )
 from .spectral import (
+    DEFAULT_GRID_SIZE,
     FourierProfile,
     PreconditionError,
     QuadratureError,
@@ -48,6 +49,7 @@ from .hypotheses import (
 )
 from .dynamics import (
     DEFAULT_ALPHA,
+    DEFAULT_SAMPLES,
     ConvergenceTrace,
     DynSystem,
     TestFunction,

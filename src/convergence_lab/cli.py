@@ -6,8 +6,9 @@ written atomically (temp file, then rename) and carries a ``#``-prefixed
 header block echoing the configuration, so reruns with the same config are
 byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 resource cap exceeded, 4 internal
-contract failure (a proven inequality observed violated).
+Exit codes: 0 success, 2 config error, 3 resource cap exceeded (a support
+cap, or an array too large to allocate), 4 internal contract failure (a
+proven inequality observed violated).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_ALPHA, DynSystem, TestFunction, convergence_trace, weak11_table
+from .dynamics import DEFAULT_ALPHA, DEFAULT_SAMPLES, DynSystem, TestFunction, convergence_trace, weak11_table
 from .hypotheses import check_convergence_hypotheses, check_sweepout_hypotheses
 from .measures import (
     LatticeMeasure,
@@ -32,7 +33,7 @@ from .measures import (
     convolve_prefixes,
     prefix_windows,
 )
-from .spectral import fourier_eval
+from .spectral import DEFAULT_GRID_SIZE, fourier_eval
 from .sweepout import (
     HIGH_THRESHOLD,
     LOW_THRESHOLD,
@@ -136,11 +137,11 @@ _KEYS = {
         _Key("family", "measures_file"),
         _Key("system", "q", "1024", int, lambda v: v >= 1, "must be a positive integer"),
         _Key("system", "alpha", repr(DEFAULT_ALPHA), float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        _Key("system", "samples", "4096", int, lambda v: v >= 1, "must be positive"),
+        _Key("system", "samples", str(DEFAULT_SAMPLES), int, lambda v: v >= 1, "must be positive"),
         _Key("system", "seed", "0", int),
         _Key("system", "kind", "cyclic", *_one_of("cyclic", "rotation")),
         _Key("run", "horizon", "64", int, lambda v: v >= 1, "must be >= 1"),
-        _Key("run", "grid_size", "4096", int, lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16"),
+        _Key("run", "grid_size", str(DEFAULT_GRID_SIZE), int, lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16"),
         _Key("run", "prune_eps", "0", float, lambda v: 0.0 <= v <= 1e-8, "must lie in [0, 1e-8]"),
         _Key("run", "b_measure", "0.05", float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
         _Key("run", "window_k", "50", int, lambda v: v >= 1, "must be >= 1"),
@@ -361,27 +362,17 @@ def _header(config: ExperimentConfig, subcommand: str, extra: Iterable[tuple[str
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _format_column(col: np.ndarray) -> Iterable[str]:
+    """Cell texts of one numpy column: ``repr`` of each value of a float64
+    column, ``str`` of each value of any other.  ``tolist`` hands out Python
+    numbers, so a numpy scalar is written as the number it holds."""
+    return map(repr if col.dtype == np.float64 else str, col.tolist())
 
 
-def _format_column(col: Iterable) -> Iterable[str]:
-    """Cell texts of one column: ``repr`` of each float64 and ``str`` of each
-    integer of a numpy column, ``_fmt`` of each value of anything else (a
-    sequence, or an iterator read as the rows are joined)."""
-    if isinstance(col, np.ndarray):
-        if col.dtype == np.float64:
-            return map(repr, col.tolist())
-        if col.dtype.kind in "iu":
-            return map(str, col.tolist())
-    return map(_fmt, col)
-
-
-def _rows_block(rows: Iterable[Sequence]) -> tuple:
-    """The columns of a list of rows, as one block for :func:`_write_csv`."""
-    return tuple(zip(*rows))
+def _rows_block(rows: Iterable[Sequence]) -> tuple[np.ndarray, ...]:
+    """The columns of a list of rows as numpy arrays, one block for
+    :func:`_write_csv`."""
+    return tuple(map(np.array, zip(*rows)))
 
 
 def _write_csv(
@@ -389,7 +380,7 @@ def _write_csv(
     config: ExperimentConfig,
     subcommand: str,
     columns: Sequence[str],
-    blocks: Iterable[Sequence[Iterable]],
+    blocks: Iterable[Sequence[np.ndarray]],
     extra: Iterable[tuple[str, str]] = (),
 ) -> None:
     """Write a CSV of ``columns`` whose rows come in ``blocks`` of equal-length
@@ -521,8 +512,10 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
-    # Every result comes before any file, so a support-cap hit writes nothing.
+    # Every result comes before any file, so a support-cap hit writes nothing;
+    # the scan points come first, as their cap is checked before any work.
     # One prefix chain feeds both the dissipativity rows and the simulation.
+    pts = scan_points(config.scan_max_denominator, config.scan_uniform)
     sim = sweepout_simulation(
         config.system,
         config.spec,
@@ -531,7 +524,6 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         prune_eps=config.prune_eps,
         window_k=config.window_k,
     )
-    pts = scan_points(config.scan_max_denominator, config.scan_uniform)
     scan = fourier_floor_scan(config.spec, pts, config.horizon)
 
     _write_csv(
@@ -647,8 +639,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = Path(args.out if args.out is not None else (config.out or "out"))
     try:
         return _SUBCOMMANDS[args.subcommand](config, out)
-    except SupportCapError as exc:
-        print(f"resource cap: {exc}", file=_sys.stderr)
+    except (SupportCapError, MemoryError) as exc:
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=_sys.stderr)
         return EXIT_RESOURCE
 
 

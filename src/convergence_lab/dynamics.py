@@ -53,6 +53,9 @@ from .measures import (
 #: Default rotation angle: an irrational surrogate with good equidistribution.
 DEFAULT_ALPHA = math.sqrt(2.0) - 1.0
 
+#: Default number of sampled states of the rotation.
+DEFAULT_SAMPLES = 4096
+
 State = Union[int, float]
 
 
@@ -81,7 +84,7 @@ class DynSystem:
 
     @classmethod
     def rotation(
-        cls, alpha: float = DEFAULT_ALPHA, samples: int = 4096, seed: int = 0
+        cls, alpha: float = DEFAULT_ALPHA, samples: int = DEFAULT_SAMPLES, seed: int = 0
     ) -> "DynSystem":
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
@@ -487,19 +490,16 @@ def convergence_trace(
     x: State,
     N: int,
     prune_eps: float = 0.0,
-    window_start: Optional[int] = None,
 ) -> ConvergenceTrace:
     """The series (mu_n f(x))_{n<=N} with its tail oscillation.
 
-    The oscillation is max - min over the window [window_start, N], which
-    defaults to [N//2, N]; a small value is a finite-horizon stability
-    diagnostic, never a convergence claim.
+    The oscillation is max - min over the window [N//2, N], whose start the
+    result reports as ``window_start``; a small value is a finite-horizon
+    stability diagnostic, never a convergence claim.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    m = N // 2 if window_start is None else int(window_start)
-    if not 1 <= m <= N:
-        raise ValueError("window_start must lie in [1, N]")
+    m = N // 2
     values = [weighted_average(sys, mu, f, x) for mu in iter_prefixes(spec, N, prune_eps=prune_eps)]
     window = values[m - 1 :]
     return ConvergenceTrace(values, float(max(window) - min(window)), m)

@@ -26,6 +26,7 @@ from .measures import (
     tv_shift_distance,
 )
 from .spectral import (
+    DEFAULT_GRID_SIZE,
     QuadratureError,
     decay_constant,
     prefix_fourier_profiles,
@@ -99,7 +100,7 @@ def _trend_ratio(values: Sequence[float]) -> float:
 def check_convergence_hypotheses(
     spec: SequenceSpec,
     N: int,
-    grid_size: int = 4096,
+    grid_size: int = DEFAULT_GRID_SIZE,
     d2_target: float = 1e-6,
     d2_max_depth: int = 18,
     prune_eps: float = 0.0,
@@ -317,7 +318,7 @@ def second_moment_floor(a_n: float, c: float, d: float) -> float:
 def second_derivative_majorant_ratio(
     spec: SequenceSpec,
     N: int,
-    grid_size: int = 4096,
+    grid_size: int = DEFAULT_GRID_SIZE,
     C: Optional[float] = None,
 ) -> float:
     """Worst ratio of |mu_n''(t)| to its two-term Gaussian majorant.

@@ -231,8 +231,9 @@ def delta(k: int) -> LatticeMeasure:
     return LatticeMeasure(int(k), np.array([1.0]))
 
 
-def from_pairs(pairs: dict[int, float], mass_defect: float = 0.0) -> LatticeMeasure:
-    """Build a measure from a sparse ``{index: weight}`` mapping."""
+def from_pairs(pairs: dict[int, float]) -> LatticeMeasure:
+    """Build a measure, with no mass defect, from a sparse ``{index: weight}``
+    mapping."""
     if not pairs:
         raise ValueError("empty weight mapping")
     lo = min(pairs)
@@ -240,25 +241,20 @@ def from_pairs(pairs: dict[int, float], mass_defect: float = 0.0) -> LatticeMeas
     w = np.zeros(hi - lo + 1, dtype=float)
     for k, v in pairs.items():
         w[k - lo] += float(v)
-    return LatticeMeasure(lo, w, mass_defect)
+    return LatticeMeasure(lo, w)
 
 
 # -- algebra ---------------------------------------------------------------------
-def convolve(
-    a: LatticeMeasure,
-    b: LatticeMeasure,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> LatticeMeasure:
+def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     """Convolution (a*b)(k) = sum_j a(k-j) b(j).
 
-    The output window is the Minkowski sum of the input windows.  Exceeding
-    ``support_cap`` raises :class:`SupportCapError` instead of truncating.
+    The output window is the Minkowski sum of the input windows.  One wider
+    than ``DEFAULT_SUPPORT_CAP`` raises :class:`SupportCapError` before
+    anything is allocated, instead of truncating.
     """
     out_len = len(a.weights) + len(b.weights) - 1
-    if out_len > support_cap:
-        raise SupportCapError(
-            f"convolution support {out_len} exceeds cap {support_cap}"
-        )
+    if out_len > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(f"convolution support {out_len} exceeds cap {DEFAULT_SUPPORT_CAP}")
     # Count the narrower operand, then the wider one only until it has more.
     narrow, wide = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
     nnz_narrow = narrow.nnz

@@ -41,6 +41,9 @@ from .measures import (
 
 TWO_PI = 2.0 * math.pi
 
+#: Default size of the uniform Fourier grid on [-1/2, 1/2).
+DEFAULT_GRID_SIZE = 4096
+
 #: Cells with |t| <= this are governed by the curvature limit 2 pi^2 Var(mu)
 #: rather than the (there useless) Lipschitz margin.
 _NEAR_ZERO_WINDOW = 1.0 / 16.0
@@ -206,7 +209,7 @@ def fourier_at(mu: LatticeMeasure, ts: np.ndarray) -> np.ndarray:
     return _transform_sums(mu, ts, (0,))[0]
 
 
-def fourier_eval(mu: LatticeMeasure, grid_size: int = 4096) -> FourierProfile:
+def fourier_eval(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> FourierProfile:
     """Exact trigonometric sums for the transform and two derivatives.
 
     ``grid_size`` must be even and at least 16 so that t = 0 is a grid point.
@@ -237,7 +240,7 @@ def doubling_defect(mu: LatticeMeasure, t: float) -> float:
     return 4.0 * (1.0 - abs(v1) ** 2) - (1.0 - abs(v2) ** 2)
 
 
-def decay_constant(mu: LatticeMeasure, grid_size: int = 4096) -> float:
+def decay_constant(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Largest certified C with |mu_hat(t)| <= exp(-C t^2) on the window.
 
     Returns 0 for measures that are not strictly aperiodic, and when any
@@ -273,7 +276,7 @@ def decay_constant(mu: LatticeMeasure, grid_size: int = 4096) -> float:
     return max(0.0, min(candidates))
 
 
-def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = 4096) -> tuple[float, float]:
+def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float, float]:
     """Certified upper bound for sup |mu_hat(t)| over |t| >= 1/16.
 
     Returns ``(bound, witness_t)``.  A bound < 1 certifies a spectral gap on
@@ -292,7 +295,7 @@ def quadratic_minorant_check(
     mu: LatticeMeasure,
     b: float,
     c: float,
-    grid_size: int = 4096,
+    grid_size: int = DEFAULT_GRID_SIZE,
 ) -> bool:
     """Check |mu_hat(t)| <= 1 - ((1-c^2)/(8 b^2)) t^2 on |t| <= b.
 
@@ -482,7 +485,7 @@ def _product_rule(F: np.ndarray, g: tuple[np.ndarray, ...]) -> None:
 def prefix_fourier_profiles(
     spec: SequenceSpec,
     N: int,
-    grid_size: int = 4096,
+    grid_size: int = DEFAULT_GRID_SIZE,
 ) -> Iterator[FourierProfile]:
     """Profiles of the running products via the product rule on the grid.
 

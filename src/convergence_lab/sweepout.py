@@ -129,14 +129,12 @@ class DissipativityRow(NamedTuple):
     window_max: float
 
 
-def dissipativity_trace(
-    spec: SequenceSpec, K: int, N: int, prune_eps: float = 0.0
-) -> list[DissipativityRow]:
-    """Rows (n, max_{|k| <= K} mu_n(k)) for the running products."""
+def dissipativity_trace(spec: SequenceSpec, K: int, N: int) -> list[DissipativityRow]:
+    """Rows (n, max_{|k| <= K} mu_n(k)) for the unpruned running products."""
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
     rows: list[DissipativityRow] = []
-    for _ in _tap_window_max(iter_prefixes(spec, N, prune_eps=prune_eps), K, rows):
+    for _ in _tap_window_max(iter_prefixes(spec, N), K, rows):
         pass
     return rows
 
@@ -176,7 +174,18 @@ class FloorScanResult:
 
 
 def scan_points(max_denominator: int = 8, uniform: int = 0) -> np.ndarray:
-    """Low-denominator rationals in [-1/2, 1/2), optionally plus a uniform grid."""
+    """Low-denominator rationals in [-1/2, 1/2), optionally plus a uniform grid.
+
+    The Q^2 + 2Q candidates p/q, |p| <= q <= Q = ``max_denominator``, are
+    enumerated one by one, so a count, or a ``uniform``, above the support
+    cap raises :class:`SupportCapError` before the enumeration starts.
+    """
+    candidates = max_denominator * (max_denominator + 2)
+    if max(candidates, uniform) > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(
+            f"floor scan of {candidates} candidates and {uniform} uniform points"
+            f" exceeds cap {DEFAULT_SUPPORT_CAP}"
+        )
     pts = {Fraction(0)}
     for q in range(1, max_denominator + 1):
         for p in range(-q, q + 1):
@@ -189,16 +198,12 @@ def scan_points(max_denominator: int = 8, uniform: int = 0) -> np.ndarray:
     return np.array(out)
 
 
-def fourier_floor_scan(
-    spec: SequenceSpec,
-    points: Sequence[float],
-    N: int,
-    window_start: Optional[int] = None,
-) -> FloorScanResult:
+def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> FloorScanResult:
     """Floor of |mu_n_hat(t)| over a tail window against the product bound.
 
-    The floor at each point is the minimum over n in [window_start, N]
-    (default window [N//2, N], a finite-horizon proxy for tail behavior).
+    The floor at each point is the minimum over n in the window
+    [max(1, N//2), N], a finite-horizon proxy for tail behavior; the result
+    reports its start as ``window_start``.
     The bound prod_l (2 a_l - 1) uses the decomposition atom weights; it is
     reported as vacuous (0) when the decomposition is missing or some atom
     weight is at most 1/2.  The transforms of the running products are
@@ -210,9 +215,7 @@ def fourier_floor_scan(
     ts = np.asarray(points, dtype=float)
     if np.any(ts < -0.5) or np.any(ts >= 0.5):
         raise ValueError("scan points must lie in [-1/2, 1/2)")
-    window_start = max(1, N // 2) if window_start is None else int(window_start)
-    if not 1 <= window_start <= N:
-        raise ValueError("window_start must lie in [1, N]")
+    window_start = max(1, N // 2)
     running = np.ones((1, len(ts)), dtype=complex)
     floor = np.full(len(ts), np.inf)
     for n, g in enumerate(map_factors(spec, N, lambda nu: (fourier_at(nu, ts),)), start=1):
@@ -264,8 +267,9 @@ def sweepout_simulation(
     B is the block {0, ..., round(B_measure q) - 1} on the cyclic system and
     the interval [0, B_measure) on the rotation.  The per-state values are
     exact sums of mu_n mass over the preimage of B.  Given ``window_k``,
-    the result also carries ``dissipativity_trace(spec, window_k, N, ...)``,
-    taken from the same prefix stream.
+    the result also carries the rows of :func:`dissipativity_trace` for
+    ``window_k``, taken from the same prefix stream, pruned by ``prune_eps``
+    as the simulation is.
     """
     if not 0.0 <= B_measure <= 1.0:
         raise ValueError("B_measure must lie in [0, 1]")

@@ -599,6 +599,44 @@ class TestRejections:
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "subcommand, base, key, value",
+        [
+            ("check", IID_CFG, "grid_size = 128", "grid_size = 1125899906842624"),
+            ("spectrum", IID_CFG, "grid_size = 128", "grid_size = 1125899906842624"),
+            ("sweepout", SWEEPOUT_CFG, "window_k = 8", "window_k = 1000000000000000"),
+            ("simulate", IID_CFG, "q = 128", "q = 1000000000000000"),
+        ],
+        ids=["check-grid", "spectrum-grid", "sweepout-window", "simulate-q"],
+    )
+    def test_arrays_too_large_to_allocate_are_resource_errors(self, tmp_path, capsys, subcommand, base, key, value):
+        # Each config asks numpy for one array of petabytes, past any address
+        # space, so the allocation fails at once under every overcommit policy.
+        path = write(tmp_path, "big.cfg", base.replace(key, value))
+        assert validate_config(path) == []
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource cap: ")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_floor_scan_over_the_cap_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # Q = 100000 would enumerate 10^10 fractions; the count is refused
+        # before the enumeration, and before the simulation is started.
+        import convergence_lab.cli as cli_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation ran before the scan was checked")
+
+        monkeypatch.setattr(cli_mod, "sweepout_simulation", no_simulation)
+        path = write(tmp_path, "s.cfg", SWEEPOUT_CFG.replace("scan_max_denominator = 5", "scan_max_denominator = 100000"))
+        out = tmp_path / "o"
+        assert main(["sweepout", "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "resource cap: floor scan of 10000200000 candidates and 0 uniform points exceeds cap 1000000\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("config", ["stray_family_keys", "offset_past_2_53"])
     def test_every_subcommand_rejects(self, tmp_path, config):
         path = write(tmp_path, "a.cfg", GOLDEN_DIAGNOSTICS[config][0])

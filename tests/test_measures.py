@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convergence_lab import (
+    DEFAULT_SUPPORT_CAP,
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
@@ -167,9 +170,20 @@ class TestConvolve:
         assert out.max_index == a.max_index + b.max_index
 
     def test_support_cap(self):
-        wide = LatticeMeasure(0, np.full(600, 1.0 / 600))
-        with pytest.raises(SupportCapError):
-            convolve(wide, wide, support_cap=1000)
+        # Mass only at both ends of 500,001 points: the product's window has
+        # 1,000,001 points, one past the cap, and is refused before allocation.
+        ends = from_pairs({0: 0.5, 500_000: 0.5})
+        assert 2 * len(ends.weights) - 1 == DEFAULT_SUPPORT_CAP + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportCapError, match=f"convolution support {DEFAULT_SUPPORT_CAP + 1} exceeds cap"):
+                convolve(ends, ends)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # One point fewer fits.
+        assert len(convolve(ends, from_pairs({0: 0.5, 499_999: 0.5})).weights) == DEFAULT_SUPPORT_CAP
 
     def test_defect_combines(self):
         a = prune(from_pairs({0: 0.999999999, 9: 1e-9}), 5e-9)

@@ -4,6 +4,9 @@ Strategies build small random probability measures directly, so shrinking
 produces readable counterexamples (a handful of atoms near the origin).
 """
 import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,7 @@ from convergence_lab import (
     weighted_average_all,
 )
 from convergence_lab import measures
-from convergence_lab.cli import _format_column
+from convergence_lab.cli import _format_column, _rows_block, _write_csv
 from convergence_lab.dynamics import _apply_factor, _CellTable, _cell_span, _distinct_sorted, _state_averages
 from convergence_lab.measures import _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
@@ -722,15 +725,15 @@ def test_product_rule_profiles_match_convolved_prefixes(spec_n, grid):
             assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
-@given(repeating_specs(), st.integers(min_value=1, max_value=8), st.sampled_from([0, 12]))
+@given(repeating_specs(), st.sampled_from([0, 12]))
 @settings(max_examples=60, deadline=None)
-def test_floor_scan_matches_convolved_prefixes(spec_n, window_start, uniform):
+def test_floor_scan_matches_convolved_prefixes(spec_n, uniform):
     spec, N = spec_n
-    window_start = min(window_start, N)
     ts = scan_points(6, uniform=uniform)
-    scan = fourier_floor_scan(spec, ts, N, window_start)
+    scan = fourier_floor_scan(spec, ts, N)
+    assert scan.window_start == max(1, N // 2)
     moduli = [np.abs(fourier_at(mu, ts)) for mu in iter_prefixes(spec, N)]
-    oracle = np.min(moduli[window_start - 1 :], axis=0)
+    oracle = np.min(moduli[scan.window_start - 1 :], axis=0)
     np.testing.assert_allclose([r.floor_min for r in scan.rows], oracle, rtol=0, atol=1e-12)
 
 
@@ -762,9 +765,22 @@ csv_floats = st.one_of(
 def test_column_formatter_matches_repr_and_str(floats, ints):
     assert list(_format_column(np.array(floats, dtype=np.float64))) == [repr(x) for x in floats]
     assert list(_format_column(np.array(ints, dtype=np.int64))) == [str(x) for x in ints]
-    # Columns that are not numpy arrays are formatted one value at a time.
-    mixed = (*ints[:3], *floats[:3])
-    assert list(_format_column(mixed)) == [repr(x) if isinstance(x, float) else str(x) for x in mixed]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-(2**63), max_value=2**63 - 1), csv_floats), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_numpy_scalar_rows_write_the_bytes_of_python_rows(rows):
+    # Row blocks become numpy columns, so a row of numpy scalars is written as
+    # the numbers it holds, byte for byte as a row of Python ints and floats.
+    scalar_rows = [(np.int64(k), np.float64(x)) for k, x in rows]
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        for block in (rows, scalar_rows):
+            _write_csv(path, SimpleNamespace(echo=[]), "test", ("k", "x"), [_rows_block(block)])
+            texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].endswith(("k,x\n" + "".join(f"{k},{x!r}\n" for k, x in rows)).encode())
 
 
 # -- complex moduli -----------------------------------------------------------------

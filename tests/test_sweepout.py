@@ -14,6 +14,7 @@ from convergence_lab import (
     example_decomposition,
     example_measure,
     expectation,
+    fourier_at,
     fourier_floor_scan,
     from_pairs,
     geometric_family,
@@ -142,6 +143,20 @@ class TestScanPoints:
         pts = scan_points(1, uniform=8)
         assert len(pts) == 8
 
+    def test_enumeration_is_capped_before_it_starts(self, monkeypatch):
+        # Q = 8 enumerates Q^2 + 2Q = 80 candidates; the cap bounds that count
+        # and the uniform points alike.
+        from convergence_lab import sweepout
+
+        monkeypatch.setattr(sweepout, "DEFAULT_SUPPORT_CAP", 80)
+        assert len(scan_points(8, uniform=80)) > 80
+        for args in ((9, 0), (1, 81)):
+            with pytest.raises(SupportCapError, match="exceeds cap 80"):
+                scan_points(*args)
+        monkeypatch.undo()
+        with pytest.raises(SupportCapError):
+            scan_points(100_000)
+
 
 class TestFourierFloorScan:
     def test_family_floor_dominates_product(self):
@@ -159,10 +174,10 @@ class TestFourierFloorScan:
 
     def test_window_is_configurable(self):
         spec = INV_SQ.to_spec()
-        wide = fourier_floor_scan(spec, [0.25], 20, window_start=1)
         tail = fourier_floor_scan(spec, [0.25], 20)
         assert tail.window_start == 10
-        assert wide.rows[0].floor_min <= tail.rows[0].floor_min + 1e-15
+        moduli = [abs(fourier_at(mu, [0.25])[0]) for mu in iter_prefixes(spec, 20)]
+        assert tail.rows[0].floor_min == pytest.approx(min(moduli[9:]), abs=1e-12)
 
     def test_smoothing_family_floor_collapses(self):
         # |mu_n_hat(t)| = cos^{2n}(pi t) -> 0 off the trivial character

@@ -6,8 +6,10 @@ and the circle rotation x -> x + alpha mod 1 with a deterministic
 stratified state sample (qualitative demonstrations).
 
 Every experiment over the running products mu_n = nu_1 * ... * nu_n is one
-pass over the prefix stream of :func:`~convergence_lab.measures.iter_prefixes`,
-which holds one prefix between steps and two during each convolution.  The
+pass over the borrowed prefix stream of :mod:`~convergence_lab.measures`,
+whose chain writes every prefix into one of two buffers allocated once, as
+wide as the widest window the factors allow; each prefix is read before the
+stream advances, and none is kept.  The
 maximal function on a cyclic system without pruning skips the prefixes
 altogether: since mu_n = mu_{n-1} * nu_n, the averages obey
 mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
@@ -26,7 +28,9 @@ cumulative sum; both buffers are allocated once per engine and reused for
 every prefix, and only the returned vector is new.  On the rotation the
 engine also holds a table of the cells of one prefix window, ``_CellTable``:
 one buffer sized before the first convolution, from the factors alone, to
-the widest window the chain can yield (``_cell_span``), and never regrown.
+the widest window the chain can yield, and never regrown.  The one walk
+over the factors that sizes it, ``_chain_span``, also sizes the chain's
+buffers.
 Its memory is that of one widest window whatever path the windows take, so
 a chain whose windows drift far from 0 costs no more than a centred one.
 An engine's buffers belong to the one call that built it, so an engine is
@@ -42,11 +46,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .measures import (
-    DEFAULT_SUPPORT_CAP,
     LatticeMeasure,
     SequenceSpec,
-    iter_prefixes,
-    prefix_windows,
+    _chain_span,
+    _prefix_stream,
     tv_shift_distance,
 )
 
@@ -228,7 +231,7 @@ class _CellTable:
 
     The cells live in one buffer of ``capacity`` points, allocated once and
     never regrown: the capacity is the widest window the prefix chain can
-    yield (see :func:`_cell_span`), so every window fits.  Point k sits at
+    yield (see ``_chain_span``), so every window fits.  Point k sits at
     ``cells[k - offset]``, and the buffer is first placed at ``start``, the
     left end of the factors' hull.  The points [lo, hi) of the buffer hold
     computed cells, none at first.  A window inside the buffer computes
@@ -298,22 +301,6 @@ class _CellTable:
         return self.cells[lo - self.offset : hi - self.offset]
 
 
-def _cell_span(spec: SequenceSpec, N: int) -> tuple[int, int]:
-    """Where to place a rotation cell table for the prefix chain of ``spec``
-    up to N, and its capacity: the left end of the factors' hull and the
-    widest window the chain can yield.
-
-    The factors are walked only until the running width passes the support
-    cap.  The unpruned chain raises there, so the walk builds no factor
-    that the chain would not; and past the first prefix, nu_1 itself, no
-    window of the chain, pruned or not, is wider than the cap.
-    """
-    for n, w in enumerate(prefix_windows(map(spec.measure_at, range(1, N + 1))), start=1):
-        if w.width > DEFAULT_SUPPORT_CAP:
-            return w.left, w.width if n == 1 else DEFAULT_SUPPORT_CAP
-    return w.left, w.width
-
-
 def _distinct_sorted(xs: np.ndarray) -> np.ndarray:
     """The distinct values of ``xs`` in ascending order, as ``np.unique`` gives
     them (the first of equal values after the same sort), without the import
@@ -335,7 +322,7 @@ def _state_averages(
     lies in the state's arc [lo, hi), which may wrap past the top.  Any
     other f goes to :func:`weighted_average_all`.  On the rotation the
     windows of the prefixes must fit ``span``, the (start, capacity) of
-    the cell table, as :func:`_cell_span` gives it for their chain.
+    the cell table, as ``_chain_span`` gives it for their chain.
     """
     xs = sys.states()
     if f.kind == "indicator_block" and sys.is_cyclic:
@@ -454,9 +441,10 @@ def maximal_function_all(
             vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
             np.maximum(mf, np.abs(vals, out=scratch), out=mf)
         return mf
-    averages = _state_averages(sys, f, _cell_span(spec, N))
+    span = _chain_span(spec, N)
+    averages = _state_averages(sys, f, span)
     mf = None
-    for mu in iter_prefixes(spec, N, prune_eps=prune_eps):
+    for mu in _prefix_stream(spec, N, prune_eps, span):
         vals = np.abs(averages(mu))
         mf = vals if mf is None else np.maximum(mf, vals)
     return mf
@@ -500,6 +488,7 @@ def convergence_trace(
     if N < 2:
         raise ValueError("N must be >= 2")
     m = N // 2
-    values = [weighted_average(sys, mu, f, x) for mu in iter_prefixes(spec, N, prune_eps=prune_eps)]
+    prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
+    values = [weighted_average(sys, mu, f, x) for mu in prefixes]
     window = values[m - 1 :]
     return ConvergenceTrace(values, float(max(window) - min(window)), m)

@@ -11,22 +11,30 @@ Construction checks and trims the weights without full-size temporaries,
 and copies them only when someone else could still write them: a
 read-only array that owns its data, or a slice of one, is adopted as is;
 any other array is copied, so a caller who later writes to their array
-cannot change the measure.  :func:`convolve` hands over its fresh result
-read-only, so each convolution allocates its output once.  When one side
-has few atoms it sums shifted copies of the other block by block over the
-output, through one block-sized scratch that stays in cache, and it picks
-that side after counting the atoms of the narrower operand and only as
-many of the wider one as it takes to tell which has fewer.
+cannot change the measure.  Every convolution runs through one kernel,
+``_convolve_into``, which writes the product into a buffer and hands it
+over read-only: :func:`convolve` gives it a fresh one, so each convolution
+allocates its output once.  When one side has few atoms the kernel sums
+shifted copies of the other block by block over the output, through one
+block-sized scratch that stays in cache, and it picks that side after
+counting the atoms of the narrower operand and only as many of the wider
+one as it takes to tell which has fewer.
 
-The running products mu_n = nu_1 * ... * nu_n have one engine,
-:func:`iter_prefixes`, which yields them one at a time and keeps none: the
-experiments that reduce over the chain (maximal functions, traces, the
-sweep-out simulation) hold one dense prefix between steps, and two during
-each convolution, instead of N.  Where the windows of the chain lie is
-known from the factors alone, :func:`prefix_windows`: running sums of
-their ends, so memory and site bounds can be set before the first
-convolution.
-:func:`convolve_prefixes` is the same chain collected into a list, kept
+The running products mu_n = nu_1 * ... * nu_n have one engine, a chain
+that writes each product through the kernel.  The experiments that reduce
+over the chain (maximal functions, traces, the sweep-out simulation) read
+it borrowed, ``_prefix_stream`` with a span: every product goes into one
+of two buffers, allocated once per chain before the first convolution,
+as wide as the widest window the chain can yield.  That width is known
+from the factors alone, :func:`prefix_windows`: running sums of their
+ends, capped at ``DEFAULT_SUPPORT_CAP`` (``_chain_span``).  nu_1 itself is
+never copied into a buffer.  A buffer is read-only while it is lent out,
+so a borrowed prefix is a valid measure, but it lives only until the
+stream advances twice, when its buffer takes the next product.  So the
+chain's memory is two windows whatever the horizon, and each page of the
+buffers faults in once.  :func:`iter_prefixes` is the same chain for
+everyone else: each product gets an array of its own, so every prefix it
+yields may be kept.  :func:`convolve_prefixes` collects it into a list,
 for callers that index prefixes or walk them twice (spectra, hypothesis
 checks); it returns a list, never a generator, so that wrappers that
 iterate its result do not drain it before the caller sees it.
@@ -130,8 +138,10 @@ class LatticeMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
-        # Two reductions settle the common case without a full-size mask.
-        if not (w.min() >= 0.0 and np.isfinite(w.max())):
+        # min >= 0 fails on NaN; past it, a finite sum of the trimmed window
+        # proves every weight finite, so the weights are scanned one by one
+        # only when that sum is not finite, to tell which fault it is.
+        if not w.min() >= 0.0:
             if not np.all(np.isfinite(w)):
                 raise ValueError("weights must be finite")
             raise ValueError("weights must be nonnegative")
@@ -139,6 +149,9 @@ class LatticeMeasure:
         if first == len(w):
             raise ValueError("measure carries no mass")
         w = w[first : len(w) - _first_nonzero(w[::-1])]
+        mass = float(np.sum(w))
+        if not math.isfinite(mass) and not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not _is_frozen(w):
             w = w.copy()
             w.setflags(write=False)
@@ -146,7 +159,7 @@ class LatticeMeasure:
         if defect < -PROBABILITY_TOL:
             raise ValueError(f"mass_defect must be nonnegative, got {defect}")
         defect = max(defect, 0.0)
-        total = float(np.sum(w)) + defect
+        total = mass + defect
         if abs(total - 1.0) > _CONSTRUCTION_TOL:
             raise ValueError(
                 f"weights plus mass_defect must sum to 1, got {total!r}"
@@ -250,29 +263,47 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
 
     The output window is the Minkowski sum of the input windows.  One wider
     than ``DEFAULT_SUPPORT_CAP`` raises :class:`SupportCapError` before
-    anything is allocated, instead of truncating.
+    anything is allocated, instead of truncating.  The result owns its
+    weights.
+    """
+    return _convolve_into(a, b, None)
+
+
+def _convolve_into(a: LatticeMeasure, b: LatticeMeasure, buf: Optional[np.ndarray]) -> LatticeMeasure:
+    """a * b on a read-only view of the front of ``buf``.
+
+    ``buf`` owns its data and is at least as long as the product's window;
+    ``None`` allocates one of that length once the cap check has passed.
+    It is writable only while the product is written, so the product
+    adopts it without a copy, and it must not be written again while the
+    product is in use.
     """
     out_len = len(a.weights) + len(b.weights) - 1
     if out_len > DEFAULT_SUPPORT_CAP:
         raise SupportCapError(f"convolution support {out_len} exceeds cap {DEFAULT_SUPPORT_CAP}")
+    if buf is None:
+        buf = np.empty(out_len)
     # Count the narrower operand, then the wider one only until it has more.
     narrow, wide = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
     nnz_narrow = narrow.nnz
     nnz_wide = _count_nonzero_past(wide.weights, nnz_narrow)
     nnz_a, nnz_b = (nnz_narrow, nnz_wide) if narrow is a else (nnz_wide, nnz_narrow)
+    buf.setflags(write=True)
     if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
         sparse, dense = (a, b) if nnz_a <= nnz_b else (b, a)
-        out = _shifted_adds(sparse.weights, dense.weights, out_len)
+        _shifted_adds(sparse.weights, dense.weights, buf[:out_len])
     else:
-        out = np.convolve(a.weights, b.weights)
-    out.setflags(write=False)
+        buf[:out_len] = np.convolve(a.weights, b.weights)
+    buf.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
-    return LatticeMeasure(a.min_index + b.min_index, out, defect)
+    # Sliced after the lock, so the view is read-only too.
+    return LatticeMeasure(a.min_index + b.min_index, buf[:out_len], defect)
 
 
-def _shifted_adds(s: np.ndarray, d: np.ndarray, out_len: int) -> np.ndarray:
-    """Sum of the shifts ``s[i] * d`` to offset ``i`` over the atoms of ``s``.
+def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the sum of the shifts ``s[i] * d`` to offset ``i``
+    over the atoms of ``s``; ``out`` is ``len(s) + len(d) - 1`` long.
 
     Runs block by block over the output through one block-sized scratch.
     Each element gets ``s[0] * d`` (``s[0]`` is an atom: stored windows
@@ -280,9 +311,8 @@ def _shifted_adds(s: np.ndarray, d: np.ndarray, out_len: int) -> np.ndarray:
     atoms in ascending order: the sums of a zeroed buffer (0 + x == x), so
     the result does not depend on the block size.
     """
-    L = len(d)
+    L, out_len = len(d), len(out)
     s0, atoms = s[0], np.flatnonzero(s)[1:].tolist()
-    out = np.empty(out_len, dtype=float)
     scratch = np.empty(min(_CONVOLVE_BLOCK, out_len), dtype=float)
     for b0 in range(0, out_len, _CONVOLVE_BLOCK):
         b1 = min(b0 + _CONVOLVE_BLOCK, out_len)
@@ -295,21 +325,29 @@ def _shifted_adds(s: np.ndarray, d: np.ndarray, out_len: int) -> np.ndarray:
             if lo < hi:
                 part = np.multiply(d[lo - i : hi - i], s[i], out=scratch[: hi - lo])
                 out[lo:hi] += part
-    return out
 
 
 def prune(mu: LatticeMeasure, eps: float) -> LatticeMeasure:
     """Drop weights strictly below ``eps``; removed mass joins the defect."""
     if eps <= 0:
         return mu
-    keep = mu.weights >= eps
-    if not np.any(keep):
-        raise ValueError("pruning removed all mass")
-    removed = float(np.sum(mu.weights[~keep]))
+    w = mu.weights.copy()
+    removed = _zero_below(w, eps)
     if removed == 0.0:
         return mu
-    w = np.where(keep, mu.weights, 0.0)
+    w.setflags(write=False)
     return LatticeMeasure(mu.min_index, w, mu.mass_defect + removed)
+
+
+def _zero_below(w: np.ndarray, eps: float) -> float:
+    """Set the entries of ``w`` below ``eps`` to 0.0 in place and return
+    their sum; raise if that would leave no mass."""
+    small = w < eps
+    if np.all(small):
+        raise ValueError("pruning removed all mass")
+    removed = float(np.sum(w[small]))
+    w[small] = 0.0
+    return removed
 
 
 def expectation(mu: LatticeMeasure) -> float:
@@ -502,6 +540,22 @@ def prefix_windows(factors: Iterable[LatticeMeasure]) -> Iterator[PrefixWindow]:
         yield PrefixWindow(lo, hi, left, right)
 
 
+def _chain_span(spec: SequenceSpec, N: int) -> tuple[int, int]:
+    """The left end of the factors' hull for the prefix chain of ``spec`` up
+    to N, and the widest window the chain can yield: where a rotation cell
+    table is placed, and how large the chain's buffers and the table are.
+
+    The factors are walked only until the running width passes the support
+    cap.  The unpruned chain raises there, so the walk builds no factor
+    that the chain would not; and past the first prefix, nu_1 itself, no
+    window of the chain, pruned or not, is wider than the cap.
+    """
+    for n, w in enumerate(prefix_windows(map(spec.measure_at, range(1, N + 1))), start=1):
+        if w.width > DEFAULT_SUPPORT_CAP:
+            return w.left, w.width if n == 1 else DEFAULT_SUPPORT_CAP
+    return w.left, w.width
+
+
 def iter_prefixes(spec: SequenceSpec, N: int, prune_eps: float = 0.0) -> Iterator[LatticeMeasure]:
     """Stream the running products nu_1, nu_1*nu_2, ..., nu_1*...*nu_N.
 
@@ -510,19 +564,51 @@ def iter_prefixes(spec: SequenceSpec, N: int, prune_eps: float = 0.0) -> Iterato
     prefix is nu_1 itself, untouched.  ``N`` and ``prune_eps`` are checked
     here, before the first prefix is asked for; a product wider than
     ``DEFAULT_SUPPORT_CAP`` raises :class:`SupportCapError` when it is reached.
+    Every prefix owns its weights, so a caller may keep any of them.
+    """
+    return _prefix_stream(spec, N, prune_eps, None)
+
+
+def _prefix_stream(
+    spec: SequenceSpec, N: int, prune_eps: float, span: Optional[tuple[int, int]]
+) -> Iterator[LatticeMeasure]:
+    """The prefixes of :func:`iter_prefixes`, borrowed when ``span`` is given.
+
+    ``span`` is the chain's ``_chain_span``.  Past nu_1, each prefix then
+    lies in one of two buffers as wide as the span allows and is valid until
+    the stream advances twice: a caller that keeps one copies its weights,
+    since a measure built on them would adopt the lent buffer.  Without
+    ``span`` every product gets an array of its own.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not 0.0 <= prune_eps <= 1e-8:
         raise ValueError("prune_eps must lie in [0, 1e-8]")
-    return _prefix_stream(spec, N, prune_eps)
+    return _chain(spec, N, prune_eps, span)
 
 
-def _prefix_stream(spec: SequenceSpec, N: int, prune_eps: float) -> Iterator[LatticeMeasure]:
+def _chain(
+    spec: SequenceSpec, N: int, prune_eps: float, span: Optional[tuple[int, int]]
+) -> Iterator[LatticeMeasure]:
     current = spec.measure_at(1)
     yield current
+    buffers: tuple[Optional[np.ndarray], ...] = (None, None)
+    if span is not None and N > 1:
+        width = min(span[1], DEFAULT_SUPPORT_CAP)
+        buffers = (np.empty(width), np.empty(width))
     for n in range(2, N + 1):
-        current = prune(convolve(current, spec.measure_at(n)), prune_eps)
+        nu = spec.measure_at(n)
+        lo = current.min_index + nu.min_index
+        current = _convolve_into(current, nu, buffers[n % 2])
+        if prune_eps > 0.0:
+            # Prune the trimmed window in place, as prune() does a copy of it.
+            buf, start = current.weights.base, current.min_index - lo
+            stop = start + len(current.weights)
+            buf.setflags(write=True)
+            removed = _zero_below(buf[start:stop], prune_eps)
+            buf.setflags(write=False)
+            if removed != 0.0:
+                current = LatticeMeasure(current.min_index, buf[start:stop], current.mass_defect + removed)
         yield current
 
 

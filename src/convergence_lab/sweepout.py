@@ -7,14 +7,17 @@ remainder, which drives both dissipativity of the running products and a
 positive floor on |mu_n_hat| away from the trivial character.
 
 The dissipativity rows and the sweep-out simulation are reductions over
-one pass of the prefix stream (:func:`~convergence_lab.measures.iter_prefixes`).
+one pass of the borrowed prefix stream of :mod:`~convergence_lab.measures`.
 The simulation is a running max and min over the averages of chi_B that
 the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
-each prefix, so its memory is two dense prefixes during each convolution
-plus, on the rotation, the engine's table of state cells, one window as
-wide as the widest that the factors allow.  Given ``window_k``,
+each prefix.  Its memory is the chain's two prefix buffers and, on the
+rotation, the engine's table of state cells, each as wide as the widest
+window the factors allow, all sized by one walk over the factors before
+the first convolution; past them, a step allocates only small arrays,
+such as the vector of averages.  Given ``window_k``,
 :func:`sweepout_simulation` also records the dissipativity rows from the
-same stream, so one chain feeds both.
+same stream, so one chain feeds both, and each row reads only the
+prefix's weights inside [-window_k, window_k].
 """
 from __future__ import annotations
 
@@ -32,12 +35,13 @@ from .measures import (
     SequenceSpec,
     SupportCapError,
     _atom_products,
+    _chain_span,
+    _prefix_stream,
     from_pairs,
-    iter_prefixes,
     map_factors,
 )
 from .spectral import _product_rule, fourier_at
-from .dynamics import DynSystem, TestFunction, _cell_span, _state_averages
+from .dynamics import DynSystem, TestFunction, _state_averages
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -134,7 +138,7 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int) -> list[Dissipativit
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
     rows: list[DissipativityRow] = []
-    for _ in _tap_window_max(iter_prefixes(spec, N), K, rows):
+    for _ in _tap_window_max(_prefix_stream(spec, N, 0.0, _chain_span(spec, N)), K, rows):
         pass
     return rows
 
@@ -143,10 +147,17 @@ def _tap_window_max(
     prefixes: Iterable[LatticeMeasure], K: int, rows: list[DissipativityRow]
 ) -> Iterator[LatticeMeasure]:
     """Pass ``prefixes`` through, appending the row (n, max_{|k| <= K} mu_n(k))
-    of each to ``rows`` as it goes by."""
-    window = np.arange(-K, K + 1, dtype=np.int64)
+    of each to ``rows`` as it goes by.
+
+    The maximum is read off the weights inside [-K, K] alone.  A site of
+    the window outside mu_n's carries 0.0, which the initial value of the
+    maximum stands for: weights are nonnegative, so it changes nothing
+    else, and it is the row's value when the window misses mu_n's.
+    """
     for n, mu in enumerate(prefixes, start=1):
-        rows.append(DissipativityRow(n, float(np.max(mu.weights_at(window)))))
+        lo, hi = max(-K, mu.min_index), min(K, mu.max_index)
+        inside = mu.weights[lo - mu.min_index : max(lo, hi + 1) - mu.min_index]
+        rows.append(DissipativityRow(n, float(np.max(inside, initial=0.0))))
         yield mu
 
 
@@ -277,7 +288,8 @@ def sweepout_simulation(
         raise ValueError("N must be >= 1")
     if window_k is not None and window_k < 1:
         raise ValueError("window_k must be positive")
-    prefixes = iter_prefixes(spec, N, prune_eps=prune_eps)
+    span = _chain_span(spec, N)
+    prefixes = _prefix_stream(spec, N, prune_eps, span)
     rows: Optional[list[DissipativityRow]] = None
     if window_k is not None:
         rows = []
@@ -288,7 +300,7 @@ def sweepout_simulation(
         f, set_measure = TestFunction.indicator_block(0, block_len), block_len / sys.q
     else:
         f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
-    averages = _state_averages(sys, f, _cell_span(spec, N))
+    averages = _state_averages(sys, f, span)
 
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None

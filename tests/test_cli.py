@@ -268,8 +268,8 @@ class TestMain:
         import convergence_lab.measures as measures_mod
 
         calls = []
-        convolve = measures_mod.convolve
-        monkeypatch.setattr(measures_mod, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        kernel = measures_mod._convolve_into
+        monkeypatch.setattr(measures_mod, "_convolve_into", lambda *a: calls.append(1) or kernel(*a))
         path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
         assert main(["sweepout", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
         assert len(calls) == 12 - 1
@@ -604,10 +604,9 @@ class TestRejections:
         [
             ("check", IID_CFG, "grid_size = 128", "grid_size = 1125899906842624"),
             ("spectrum", IID_CFG, "grid_size = 128", "grid_size = 1125899906842624"),
-            ("sweepout", SWEEPOUT_CFG, "window_k = 8", "window_k = 1000000000000000"),
             ("simulate", IID_CFG, "q = 128", "q = 1000000000000000"),
         ],
-        ids=["check-grid", "spectrum-grid", "sweepout-window", "simulate-q"],
+        ids=["check-grid", "spectrum-grid", "simulate-q"],
     )
     def test_arrays_too_large_to_allocate_are_resource_errors(self, tmp_path, capsys, subcommand, base, key, value):
         # Each config asks numpy for one array of petabytes, past any address
@@ -619,6 +618,17 @@ class TestRejections:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("resource cap: ")
         assert not out.exists() or not any(out.iterdir())
+
+    def test_window_past_every_prefix_is_no_resource_error(self, tmp_path):
+        # The rows read the prefixes' own weights, so a window of 2 * 10^15 + 1
+        # sites gives the rows of any window that holds every prefix.
+        rows = {}
+        for k in ("1000", "1000000000000000"):
+            path = write(tmp_path, f"w{k}.cfg", SWEEPOUT_CFG.replace("window_k = 8", f"window_k = {k}"))
+            assert main(["sweepout", "--config", path, "--out", str(tmp_path / k)]) == EXIT_OK
+            text = (tmp_path / k / "dissipativity.csv").read_text()
+            rows[k] = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert len(rows["1000"]) == 13 and rows["1000"] == rows["1000000000000000"]
 
     def test_floor_scan_over_the_cap_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
         # Q = 100000 would enumerate 10^10 fractions; the count is refused

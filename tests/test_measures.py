@@ -54,6 +54,22 @@ class TestLatticeMeasure:
         with pytest.raises(ValueError, match="weights must be finite"):
             LatticeMeasure(0, np.array([0.5, bad, 0.5]))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([np.inf], "weights must be finite"),
+            ([np.nan], "weights must be finite"),
+            ([-1.0, np.inf], "weights must be finite"),
+            ([-1.0], "weights must be nonnegative"),
+            ([0.0, np.inf, 0.0], "weights must be finite"),
+            # Finite weights whose sum overflows fail the total, not finiteness.
+            ([1e308, 1e308], "must sum to 1, got inf"),
+        ],
+    )
+    def test_rejection_messages(self, weights, message):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            LatticeMeasure(0, np.array(weights))
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             LatticeMeasure(0, np.array([0.5, -0.1, 0.6]))

@@ -40,8 +40,8 @@ from convergence_lab import (
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column, _rows_block, _write_csv
-from convergence_lab.dynamics import _apply_factor, _CellTable, _cell_span, _distinct_sorted, _state_averages
-from convergence_lab.measures import _count_nonzero_past, map_factors, prefix_windows
+from convergence_lab.dynamics import _apply_factor, _CellTable, _distinct_sorted, _state_averages
+from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
 from conftest import l1_distance
 
@@ -448,7 +448,7 @@ def drifting_rotation_cases(draw, max_n=8):
 @settings(max_examples=100, deadline=None)
 def test_state_averages_match_atom_sums(case):
     sys, f, (spec, N) = case
-    averages = _state_averages(sys, f, _cell_span(spec, N))
+    averages = _state_averages(sys, f, _chain_span(spec, N))
     for mu in convolve_prefixes(spec, N):
         np.testing.assert_allclose(
             averages(mu), weighted_average_all(sys, mu, f), rtol=0, atol=1e-12 * abs(f.scale)
@@ -666,7 +666,7 @@ def test_cell_table_holds_each_window_in_one_buffer(walk, alpha, raw_edges):
 def test_prefix_windows_bound_every_prefix(spec_n, prune_eps):
     spec, N = spec_n
     windows = list(prefix_windows(map(spec.measure_at, range(1, N + 1))))
-    assert _cell_span(spec, N) == (min(w.lo for w in windows), windows[-1].width)
+    assert _chain_span(spec, N) == (min(w.lo for w in windows), windows[-1].width)
     for n, (w, mu) in enumerate(zip(windows, iter_prefixes(spec, N, prune_eps)), start=1):
         # Unpruned, mu_n fills its window: no product of these weights underflows.
         if prune_eps == 0.0:
@@ -688,6 +688,77 @@ def test_prefix_stream_matches_prefix_list(spec_n, prune_eps):
         assert a.min_index == b.min_index
         assert np.array_equal(a.weights, b.weights)
         assert a.mass_defect == b.mass_defect
+
+
+@st.composite
+def chain_factors(draw):
+    """Two to seven factors, each sparse (at most 9 atoms, the shifted-add
+    path, with end weights that may underflow or be pruned) or dense (33 to
+    48 atoms, so that a dense prefix meets it on the np.convolve path)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    factors = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            factors.append(draw(tiny_ended_measures(max_span=6)))
+        else:
+            span = draw(st.integers(min_value=33, max_value=48))
+            w = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).random(span) + 1e-3
+            factors.append(LatticeMeasure(draw(st.integers(min_value=-20, max_value=20)), w / w.sum()))
+    return factors
+
+
+def _chain_oracle(factors, prune_eps):
+    """mu_1 = nu_1, then mu_n = mu_{n-1} * nu_n, each product summed as the
+    path it takes sums it (shifted adds in atom order, or np.convolve), and
+    pruned by masking."""
+    mus = [factors[0]]
+    for nu in factors[1:]:
+        mu = mus[-1]
+        if min(mu.nnz, nu.nnz) <= 32:
+            lo, w = _shifted_add_oracle(mu, nu)
+        else:
+            lo, w = mu.min_index + nu.min_index, np.convolve(mu.weights, nu.weights)
+        defect = mu.mass_defect + nu.mass_defect - mu.mass_defect * nu.mass_defect
+        keep = w >= prune_eps
+        removed = float(np.sum(w[~keep])) if prune_eps > 0.0 else 0.0
+        if removed != 0.0:
+            w, defect = np.where(keep, w, 0.0), defect + removed
+        mus.append(LatticeMeasure(lo, w, defect))
+    return mus
+
+
+def _same_measure(got, want):
+    return (
+        got.min_index == want.min_index
+        and np.array_equal(got.weights, want.weights)
+        and got.mass_defect == want.mass_defect
+    )
+
+
+@given(chain_factors(), st.sampled_from([0.0, 1e-12, 1e-8]))
+@settings(max_examples=80, deadline=None)
+def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps):
+    spec, N = SequenceSpec.from_measures(factors), len(factors)
+    want = _chain_oracle(factors, prune_eps)
+    # Borrowed: each prefix is right when it is yielded and stays right
+    # until the stream advances twice.
+    previous = None
+    for n, mu in enumerate(measures._prefix_stream(spec, N, prune_eps, _chain_span(spec, N))):
+        assert _same_measure(mu, want[n]) and not mu.weights.flags.writeable
+        assert previous is None or _same_measure(previous, want[n - 1])
+        previous = mu
+    # Owned: every prefix of iter_prefixes keeps its weights after the chain
+    # has run past it, and convolve_prefixes shares no memory between prefixes.
+    kept = []
+    for mu in iter_prefixes(spec, N, prune_eps):
+        kept.append((mu, mu.weights.copy()))
+    for (mu, snapshot), w in zip(kept, want):
+        assert _same_measure(mu, w) and np.array_equal(mu.weights, snapshot)
+    listed = convolve_prefixes(spec, N, prune_eps)
+    assert all(_same_measure(mu, w) for mu, w in zip(listed, want))
+    for i, a in enumerate(listed):
+        assert not a.weights.flags.writeable
+        assert not any(np.shares_memory(a.weights, b.weights) for b in listed[i + 1 :])
 
 
 @pytest.mark.parametrize("N, prune_eps", [(0, 0.0), (-3, 0.0), (4, -1e-12), (4, 2e-8)])

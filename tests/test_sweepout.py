@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from convergence_lab import (
     sweepout_simulation,
     weighted_average_all,
 )
-from convergence_lab.dynamics import _CellTable, _cell_span
+from convergence_lab.dynamics import _CellTable
+from convergence_lab import measures
+from convergence_lab.measures import _chain_span, prefix_windows
 from conftest import decomposition_error, l1_distance
 
 INV_SQ = inverse_square_family(1.0)
@@ -125,6 +129,32 @@ class TestDissipativityTrace:
         assert np.array_equal(sim.inf_trace, plain.inf_trace)
         with pytest.raises(ValueError):
             sweepout_simulation(sys, spec, 0.1, 20, window_k=0)
+
+    @pytest.mark.parametrize("K", [1, 3, 50, 500, 10_000])
+    @pytest.mark.parametrize(
+        "step", [from_pairs({-1: 0.25, 0: 0.5, 1: 0.25}), from_pairs({2: 0.5, 5: 0.5}), delta(-3)]
+    )
+    def test_rows_read_the_window_as_lookups_do(self, K, step):
+        # Windows inside the prefixes, reaching past them, and missing them
+        # to the right or the left (the drifting steps leave [-K, K]).
+        spec, N = SequenceSpec.iid(step), 40
+        window = np.arange(-K, K + 1)
+        want = [float(np.max(mu.weights_at(window))) for mu in iter_prefixes(spec, N)]
+        assert [r.window_max for r in dissipativity_trace(spec, K, N)] == want
+
+    def test_window_past_every_prefix_allocates_no_window(self):
+        # 2 * 10^7 + 1 sites would take 160 MB; the rows read the prefixes.
+        spec = INV_SQ.to_spec()
+        tracemalloc.start()
+        try:
+            rows = dissipativity_trace(spec, 10**7, 12)
+            sim = sweepout_simulation(DynSystem.rotation(samples=64, seed=1), spec, 0.1, 12, window_k=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert rows == sim.dissipativity == dissipativity_trace(spec, 1000, 12)
+        assert rows[0].window_max == 0.6
 
     def test_family_trace_is_nonincreasing(self):
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
@@ -272,6 +302,39 @@ class TestSweepoutSimulation:
         assert sim.frac_high == 1.0
         assert sim.frac_low == 1.0
 
+    def test_memory_is_two_buffers_and_the_cell_table(self):
+        # Rotation, horizon 60: windows up to 73,931 points.  The chain's two
+        # buffers and the cell table are allocated once, so the peak stays
+        # below three windows plus the table, and a step from one factor
+        # lookup to the next allocates less than its own window.
+        N, steps = 60, []
+
+        def measure_at(n):
+            current, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            steps.append((current, peak))
+            return INV_SQ.measure_at(n)
+
+        spec = SequenceSpec("inverse square", measure_at)
+        _, width = _chain_span(INV_SQ.to_spec(), N)
+        window, table = 8 * width, np.dtype(np.intp).itemsize * width
+        tracemalloc.start()
+        try:
+            sweepout_simulation(DynSystem.rotation(samples=256, seed=1), spec, 0.05, N, window_k=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert width == 73_931
+        assert peak < 3 * window + table
+        # The last N calls are the chain's: the step between the calls for
+        # n and n + 1 forms mu_n and reads it.  Below two blocks of the
+        # shifted adds the scratch is as wide as the window itself.
+        chain = steps[-N:]
+        windows = [8 * w.width for w in prefix_windows(map(INV_SQ.measure_at, range(1, N)))]
+        grown = [(b[1] - a[0], w) for a, b, w in zip(chain, chain[1:], windows)]
+        wide = [g < w for g, w in grown if w > 2 * 8 * measures._CONVOLVE_BLOCK]
+        assert len(wide) > 10 and all(wide)
+
     def test_support_cap_surfaces(self):
         spec = geometric_family(0.5).to_spec()
         with pytest.raises(SupportCapError):
@@ -335,7 +398,7 @@ class TestCellTable:
         # Every factor straddles 0, so the hull is the last window: each window
         # is a view into the one buffer, and only its new points are computed.
         spec = INV_SQ.to_spec()
-        start, capacity = _cell_span(spec, 120)
+        start, capacity = _chain_span(spec, 120)
         table = _CellTable(self.ALPHA, self.EDGES, start, capacity)
         buffer = table.cells
         for mu in iter_prefixes(spec, 120):
@@ -349,11 +412,11 @@ class TestCellTable:
     def test_span_walk_stops_where_the_chain_passes_the_cap(self):
         family, built = geometric_family(0.5), []
         spec = SequenceSpec("geometric", lambda n: built.append(n) or family.measure_at(n))
-        start, capacity = _cell_span(spec, 30)
+        start, capacity = _chain_span(spec, 30)
         # The running width first passes the cap at n = 19, where the chain raises.
         assert built == list(range(1, 20)) and capacity == DEFAULT_SUPPORT_CAP
         assert start == sum(family.measure_at(n).min_index for n in range(1, 20))
         # The first prefix is nu_1 itself, held to no cap.
         width = DEFAULT_SUPPORT_CAP + 1
         wide = LatticeMeasure(-3, np.full(width, 1.0 / width))
-        assert _cell_span(SequenceSpec.from_measures([wide, delta(0)]), 2) == (-3, width)
+        assert _chain_span(SequenceSpec.from_measures([wide, delta(0)]), 2) == (-3, width)

@@ -31,8 +31,10 @@ ends, capped at ``DEFAULT_SUPPORT_CAP`` (``_chain_span``).  nu_1 itself is
 never copied into a buffer.  A buffer is read-only while it is lent out,
 so a borrowed prefix is a valid measure, but it lives only until the
 stream advances twice, when its buffer takes the next product.  So the
-chain's memory is two windows whatever the horizon, and each page of the
-buffers faults in once.  :func:`iter_prefixes` is the same chain for
+unpruned chain's memory is two windows whatever the horizon, and each page
+of the buffers faults in once; a pruned chain runs each product through
+:func:`prune`, which gives a product that loses weights an array of its
+own.  :func:`iter_prefixes` is the same chain for
 everyone else: each product gets an array of its own, so every prefix it
 yields may be kept.  :func:`convolve_prefixes` collects it into a list,
 for callers that index prefixes or walk them twice (spectra, hypothesis
@@ -107,8 +109,13 @@ def _count_nonzero_past(w: np.ndarray, limit: int) -> int:
 
 
 def _is_frozen(w: np.ndarray) -> bool:
-    """True if no one can write ``w``'s data: the array owning its memory is
-    a read-only ndarray (views of it are read-only too)."""
+    """True if the array owning ``w``'s memory is a read-only ndarray (views
+    of it are read-only too), so no one can write ``w``'s data through it.
+
+    One exception: a buffer lent by ``_prefix_stream`` passes this check,
+    but the chain makes it writable again and rewrites it when the stream
+    advances twice, so a caller that keeps such a prefix copies its weights.
+    """
     owner = w if w.base is None else w.base
     return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
 
@@ -127,7 +134,10 @@ class LatticeMeasure:
 
     ``weights`` is adopted without a copy when it, and the array owning its
     memory, are read-only (a read-only owned array, or a slice of one);
-    otherwise the trimmed window is copied and made read-only.
+    otherwise the trimmed window is copied and made read-only.  The weights
+    of a prefix borrowed from ``_prefix_stream`` are read-only too, yet are
+    rewritten when the stream advances twice: a measure kept past that is
+    built on a copy of them.
     """
 
     min_index: int
@@ -331,23 +341,14 @@ def prune(mu: LatticeMeasure, eps: float) -> LatticeMeasure:
     """Drop weights strictly below ``eps``; removed mass joins the defect."""
     if eps <= 0:
         return mu
-    w = mu.weights.copy()
-    removed = _zero_below(w, eps)
+    keep = mu.weights >= eps
+    if not np.any(keep):
+        raise ValueError("pruning removed all mass")
+    removed = float(np.sum(mu.weights[~keep]))
     if removed == 0.0:
         return mu
-    w.setflags(write=False)
+    w = np.where(keep, mu.weights, 0.0)
     return LatticeMeasure(mu.min_index, w, mu.mass_defect + removed)
-
-
-def _zero_below(w: np.ndarray, eps: float) -> float:
-    """Set the entries of ``w`` below ``eps`` to 0.0 in place and return
-    their sum; raise if that would leave no mass."""
-    small = w < eps
-    if np.all(small):
-        raise ValueError("pruning removed all mass")
-    removed = float(np.sum(w[small]))
-    w[small] = 0.0
-    return removed
 
 
 def expectation(mu: LatticeMeasure) -> float:
@@ -597,18 +598,7 @@ def _chain(
         width = min(span[1], DEFAULT_SUPPORT_CAP)
         buffers = (np.empty(width), np.empty(width))
     for n in range(2, N + 1):
-        nu = spec.measure_at(n)
-        lo = current.min_index + nu.min_index
-        current = _convolve_into(current, nu, buffers[n % 2])
-        if prune_eps > 0.0:
-            # Prune the trimmed window in place, as prune() does a copy of it.
-            buf, start = current.weights.base, current.min_index - lo
-            stop = start + len(current.weights)
-            buf.setflags(write=True)
-            removed = _zero_below(buf[start:stop], prune_eps)
-            buf.setflags(write=False)
-            if removed != 0.0:
-                current = LatticeMeasure(current.min_index, buf[start:stop], current.mass_defect + removed)
+        current = prune(_convolve_into(current, spec.measure_at(n), buffers[n % 2]), prune_eps)
         yield current
 
 

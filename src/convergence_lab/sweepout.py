@@ -13,8 +13,8 @@ the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
 each prefix.  Its memory is the chain's two prefix buffers and, on the
 rotation, the engine's table of state cells, each as wide as the widest
 window the factors allow, all sized by one walk over the factors before
-the first convolution; past them, a step allocates only small arrays,
-such as the vector of averages.  Given ``window_k``,
+the first convolution; past them, a step of the unpruned chain allocates
+only small arrays, such as the vector of averages.  Given ``window_k``,
 :func:`sweepout_simulation` also records the dissipativity rows from the
 same stream, so one chain feeds both, and each row reads only the
 prefix's weights inside [-window_k, window_k].

@@ -24,16 +24,13 @@ from .measures import (
 from .spectral import (
     DEFAULT_GRID_SIZE,
     FourierProfile,
-    PreconditionError,
     QuadratureError,
     decay_constant,
     doubling_defect,
     fourier_at,
     fourier_eval,
-    holder_smoothness_check,
     offzero_modulus_bound,
     prefix_fourier_profiles,
-    quadratic_minorant_check,
     two_atom_bound,
     uniform_grid,
     weighted_d2_integral,
@@ -45,7 +42,6 @@ from .hypotheses import (
     check_convergence_hypotheses,
     check_sweepout_hypotheses,
     second_derivative_majorant_ratio,
-    second_moment_floor,
 )
 from .dynamics import (
     DEFAULT_ALPHA,

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_ALPHA, DEFAULT_SAMPLES, DynSystem, TestFunction, convergence_trace, weak11_table
+from .dynamics import DEFAULT_ALPHA, DEFAULT_SAMPLES, DynSystem, TestFunction, _averages_pass, _weak11_rows
 from .hypotheses import check_convergence_hypotheses, check_sweepout_hypotheses
 from .measures import (
     LatticeMeasure,
@@ -481,14 +481,12 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
 
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     f = _make_test_function(config)
-    # Both results come before any file, so a support-cap hit writes nothing.
-    rows = weak11_table(
-        config.system, config.spec, f, config.horizon, config.lambdas, prune_eps=config.prune_eps
-    )
+    # One pass gives both results before any file, so a support-cap hit
+    # writes nothing.
+    weak11_rows = _weak11_rows(config.system, f, config.lambdas)
     x0 = int(config.trace_state) % config.system.q if config.system.is_cyclic else config.trace_state
-    trace = convergence_trace(
-        config.system, config.spec, f, x0, config.horizon, prune_eps=config.prune_eps
-    )
+    mf, trace = _averages_pass(config.system, config.spec, f, config.horizon, config.prune_eps, x0)
+    rows = weak11_rows(mf)
     _write_csv(
         out / "weak11.csv",
         config,

@@ -19,6 +19,10 @@ through two q-length vectors that swap roles and one scratch, with the
 sums of :func:`weighted_average_all` bit for bit.  It falls back to the
 prefix stream on the rotation, whose state sample is not closed under the
 dynamics, and on pruned chains, whose prefixes are not the exact products.
+The maximal function and the convergence trace at one state x come from
+one such pass, ``_averages_pass``: the recursion's trace is its vector of
+averages read at x, and the stream's is :func:`weighted_average` of the
+prefix at hand.  A caller that wants no trace pays nothing for one.
 
 Averages of a streamed prefix over every state have one engine,
 ``_state_averages``, used by :func:`maximal_function_all` and the sweep-out
@@ -404,17 +408,28 @@ def weak11_table(
     Each row is ``(lambda, m{Mf > lambda}, lambda * m{Mf > lambda} / ||f||_1)``;
     the last column is the empirical weak-type constant at that level.
     """
+    return _weak11_rows(sys, f, lambdas)(maximal_function_all(sys, spec, f, N, prune_eps=prune_eps))
+
+
+def _weak11_rows(
+    sys: DynSystem, f: TestFunction, lambdas: Sequence[float]
+) -> Callable[[np.ndarray], list[Weak11Row]]:
+    """The map Mf -> rows of :func:`weak11_table`, after checking f and the
+    levels, so that a bad request fails before any averaging."""
     norm = f.norm_l1(sys)
     if norm == 0.0:
         raise ValueError("test function has zero l1 norm")
     lams = [float(lam) for lam in lambdas]
     if any(lam <= 0 for lam in lams):
         raise ValueError("lambda levels must be positive")
-    mf = maximal_function_all(sys, spec, f, N, prune_eps=prune_eps)
-    rows = []
-    for lam in lams:
-        level = sys.measure_fraction(mf > lam)
-        rows.append(Weak11Row(lam, level, lam * level / norm))
+
+    def rows(mf: np.ndarray) -> list[Weak11Row]:
+        table = []
+        for lam in lams:
+            level = sys.measure_fraction(mf > lam)
+            table.append(Weak11Row(lam, level, lam * level / norm))
+        return table
+
     return rows
 
 
@@ -431,23 +446,59 @@ def maximal_function_all(
     mu_n f = nu_n(mu_{n-1} f) and never forms mu_n, so no support cap
     applies; otherwise it averages each prefix of the stream.
     """
+    return _averages_pass(sys, spec, f, N, prune_eps)[0]
+
+
+class ConvergenceTrace(NamedTuple):
+    values: list[float]
+    oscillation: float
+    window_start: int
+
+
+def _averages_pass(
+    sys: DynSystem,
+    spec: SequenceSpec,
+    f: TestFunction,
+    N: int,
+    prune_eps: float,
+    x: Optional[State] = None,
+) -> tuple[np.ndarray, Optional[ConvergenceTrace]]:
+    """Mf over every state, and the trace of :func:`convergence_trace` at
+    ``x`` unless ``x`` is None, from one pass over mu_1..mu_N.
+
+    On the recursion path the trace reads mu_n f(x) off the vector of
+    averages, vals[int(x) mod q]: a sum in another order than
+    :func:`weighted_average` on mu_n, so it may differ in the last bits.
+    On the stream path it is :func:`weighted_average` on the prefix that
+    the maximal function has just read, bit for bit as on its own chain.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
+    values: Optional[list[float]] = None if x is None else []
     if sys.is_cyclic and prune_eps == 0.0:
         vals = weighted_average_all(sys, spec.measure_at(1), f)
         mf = np.abs(vals)
         nxt, scratch = np.empty(sys.q), np.empty(sys.q)
-        for n in range(2, N + 1):
-            vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
-            np.maximum(mf, np.abs(vals, out=scratch), out=mf)
-        return mf
-    span = _chain_span(spec, N)
-    averages = _state_averages(sys, f, span)
-    mf = None
-    for mu in _prefix_stream(spec, N, prune_eps, span):
-        vals = np.abs(averages(mu))
-        mf = vals if mf is None else np.maximum(mf, vals)
-    return mf
+        for n in range(1, N + 1):
+            if n > 1:
+                vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
+                np.maximum(mf, np.abs(vals, out=scratch), out=mf)
+            if values is not None:
+                values.append(float(vals[int(x) % sys.q]))
+    else:
+        span = _chain_span(spec, N)
+        averages = _state_averages(sys, f, span)
+        mf = None
+        for mu in _prefix_stream(spec, N, prune_eps, span):
+            if values is not None:
+                values.append(weighted_average(sys, mu, f, x))
+            vals = np.abs(averages(mu))
+            mf = vals if mf is None else np.maximum(mf, vals)
+    if values is None:
+        return mf, None
+    m = N // 2
+    window = values[m - 1 :]
+    return mf, ConvergenceTrace(values, float(max(window) - min(window)), m)
 
 
 def coboundary_bound_check(
@@ -465,12 +516,6 @@ def coboundary_bound_check(
     return lhs, rhs
 
 
-class ConvergenceTrace(NamedTuple):
-    values: list[float]
-    oscillation: float
-    window_start: int
-
-
 def convergence_trace(
     sys: DynSystem,
     spec: SequenceSpec,
@@ -481,14 +526,17 @@ def convergence_trace(
 ) -> ConvergenceTrace:
     """The series (mu_n f(x))_{n<=N} with its tail oscillation.
 
+    The series comes from the pass of :func:`maximal_function_all`, with no
+    chain of its own.  On a cyclic system with ``prune_eps == 0`` it is read
+    off the recursion, so no prefix is formed and no support cap applies;
+    each value then sums the products of :func:`weighted_average` on mu_n
+    in another order and may differ from it in the last bits.  Otherwise it
+    is :func:`weighted_average` on each streamed prefix.
+
     The oscillation is max - min over the window [N//2, N], whose start the
     result reports as ``window_start``; a small value is a finite-horizon
     stability diagnostic, never a convergence claim.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    m = N // 2
-    prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
-    values = [weighted_average(sys, mu, f, x) for mu in prefixes]
-    window = values[m - 1 :]
-    return ConvergenceTrace(values, float(max(window) - min(window)), m)
+    return _averages_pass(sys, spec, f, N, prune_eps, x)[1]

@@ -303,18 +303,6 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
     )
 
 
-def second_moment_floor(a_n: float, c: float, d: float) -> float:
-    """Lower bound d c^2 / (1 - a_n) for the second moment of a centered
-    atom-plus-remainder measure with atom weight a_n >= d and |site| >= c."""
-    if not 0.0 < a_n < 1.0:
-        raise ValueError("a_n must lie in (0, 1)")
-    if c < 1.0:
-        raise ValueError("c must be at least 1")
-    if d <= 0.0:
-        raise ValueError("d must be positive")
-    return d * c * c / (1.0 - a_n)
-
-
 def second_derivative_majorant_ratio(
     spec: SequenceSpec,
     N: int,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,15 +67,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, last_two: tuple[float, float]):
         super().__init__(message)
         self.last_two = last_two
-
-
-class PreconditionError(ValueError):
-    """A checked hypothesis failed; carries the offending grid point."""
-
-    def __init__(self, message: str, witness_t: float, witness_value: float):
-        super().__init__(message)
-        self.witness_t = witness_t
-        self.witness_value = witness_value
 
 
 @dataclass(frozen=True)
@@ -291,55 +282,6 @@ def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE
     return float(vals[i]), float(profile.grid[region][i])
 
 
-def quadratic_minorant_check(
-    mu: LatticeMeasure,
-    b: float,
-    c: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> bool:
-    """Check |mu_hat(t)| <= 1 - ((1-c^2)/(8 b^2)) t^2 on |t| <= b.
-
-    Preconditions, verified first: 0 < b < 1/4 and |mu_hat(t)| <= c < 1 on
-    b <= |t| < 1/2.  A grid point of that region with |mu_hat| above c is a
-    genuine violation and raises :class:`PreconditionError` carrying it (the
-    sup is often attained exactly at |t| = b, so the precondition is checked
-    at grid points rather than padded, which would reject equality cases).
-    The quadratic bound itself is tested at all grid points with |t| <= b,
-    tightened by the Lipschitz margin outside the near-zero window where
-    the margin is informative.
-    """
-    if not 0.0 < b < 0.25:
-        raise ValueError("b must lie in (0, 1/4)")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
-    profile = fourier_eval(mu, grid_size)
-    ts = profile.grid
-    absvals = np.abs(profile.values)
-    h = profile.grid_step
-    margin = profile.lipschitz_bound * h / 2.0
-
-    region = np.abs(ts) >= b
-    if np.any(absvals[region] > c + 1e-12):
-        worst = int(np.argmax(absvals[region]))
-        raise PreconditionError(
-            "sup over b <= |t| < 1/2 exceeds c",
-            witness_t=float(ts[region][worst]),
-            witness_value=float(absvals[region][worst]),
-        )
-
-    q = (1.0 - c * c) / (8.0 * b * b)
-    inner = np.abs(ts) <= b
-    if np.any(absvals[inner] > 1.0 - q * ts[inner] ** 2 + 1e-12):
-        return False
-    tight = inner & (np.abs(ts) > _NEAR_ZERO_WINDOW)
-    if np.any(tight):
-        lhs = absvals[tight] + margin
-        rhs = 1.0 - q * (np.abs(ts[tight]) + h / 2.0) ** 2
-        if np.any(lhs > rhs + 1e-12):
-            return False
-    return True
-
-
 # -- adaptive quadrature -----------------------------------------------------------
 def _composite_simpson(ys: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-1:2])))
@@ -411,43 +353,6 @@ def weighted_d2_integral(
         return np.abs(_odd_frequency_sums(ks, g, n)) * ((2.0 * np.arange(n // 4) + 1.0) / n)
 
     return _simpson_doubling(shared[:: _SHARED_LEVEL >> _MIN_DEPTH], refine, target, max_depth)
-
-
-# -- discrete smoothness ------------------------------------------------------------
-class HolderWitness(NamedTuple):
-    x: int
-    y: int
-    ratio: float
-
-
-def holder_smoothness_check(
-    mu: LatticeMeasure, alpha: float, C: float
-) -> tuple[bool, HolderWitness]:
-    """Exhaustive check of |mu(x+y) - mu(x)| <= C |y|^a / |x|^(1+a).
-
-    Pairs run over 2|y| <= |x|, y != 0, with x in [-2 W, 2 W] for W the
-    largest absolute support point; beyond that window both terms vanish.
-    Returns the verdict and the worst pair with its ratio
-    |mu(x+y) - mu(x)| |x|^(1+a) / |y|^a.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
-    reach = 2 * max(abs(mu.min_index), abs(mu.max_index))
-    worst = HolderWitness(0, 0, 0.0)
-    for x in range(-reach, reach + 1):
-        half = abs(x) // 2
-        if half == 0:
-            continue
-        ys = np.arange(-half, half + 1, dtype=np.int64)
-        ys = ys[ys != 0]
-        diffs = np.abs(mu.weights_at(x + ys) - mu.weight(x))
-        ratios = diffs * float(abs(x)) ** (1.0 + alpha) / np.abs(ys).astype(float) ** alpha
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst.ratio:
-            worst = HolderWitness(x, int(ys[i]), float(ratios[i]))
-    return worst.ratio <= C, worst
 
 
 def two_atom_bound(delta: float, eta: float) -> float:

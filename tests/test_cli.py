@@ -5,7 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convergence_lab import TestFunction, convolve_prefixes, maximal_function_all, weighted_average_all
+from convergence_lab import (
+    TestFunction,
+    convolve_prefixes,
+    iter_prefixes,
+    maximal_function_all,
+    weighted_average,
+    weighted_average_all,
+)
 from convergence_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -14,6 +21,7 @@ from convergence_lab.cli import (
     main,
     validate_config,
 )
+from conftest import RECURSION_TRACE_ATOL, table_chain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,10 +60,25 @@ scan_max_denominator = 5
 """
 
 
+ROTATION = "kind = rotation\nsamples = 256\nseed = 1"
+CYCLIC_64 = "kind = cyclic\nq = 64"
+
+
 def write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+@pytest.fixture
+def convolutions(monkeypatch) -> list:
+    """One entry per call of the convolution kernel that every chain runs."""
+    import convergence_lab.measures as measures_mod
+
+    calls = []
+    kernel = measures_mod._convolve_into
+    monkeypatch.setattr(measures_mod, "_convolve_into", lambda *a: calls.append(1) or kernel(*a))
+    return calls
 
 
 class TestValidateConfig:
@@ -212,8 +235,8 @@ class TestMain:
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])
     def test_resource_cap_writes_nothing(self, tmp_path, subcommand):
-        # The maximal function never forms mu_n, but the other results of the
-        # same run do: a cap hit must leave the output directory empty.
+        # The factor nu_20 alone passes the cap in simulate, whose cyclic
+        # recursion forms no mu_n; a cap hit must leave the output directory empty.
         cfg = SWEEPOUT_CFG.replace("a_rule = inverse_square\ncoeff = 1.0", "a_rule = geometric\nratio = 0.5")
         cfg = cfg.replace("kind = rotation\nsamples = 256\nseed = 1", "kind = cyclic\nq = 64")
         cfg = cfg.replace("horizon = 12", "horizon = 25")
@@ -264,15 +287,49 @@ class TestMain:
         assert [float(level) for _, level, _ in rows] == [float(np.mean(mf > lam)) for lam in (0.25, 0.4, 0.5)]
         assert 0.0 < float(rows[1][1]) < float(rows[0][1]) < 1.0
 
-    def test_sweepout_builds_one_prefix_chain(self, tmp_path, monkeypatch):
-        import convergence_lab.measures as measures_mod
-
-        calls = []
-        kernel = measures_mod._convolve_into
-        monkeypatch.setattr(measures_mod, "_convolve_into", lambda *a: calls.append(1) or kernel(*a))
+    def test_sweepout_builds_one_prefix_chain(self, tmp_path, convolutions):
         path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
         assert main(["sweepout", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert len(calls) == 12 - 1
+        assert len(convolutions) == 12 - 1
+
+    @pytest.mark.parametrize(
+        "system, prune_eps, expected",
+        [(ROTATION, "0", 12 - 1), (CYCLIC_64, "1e-9", 12 - 1), (CYCLIC_64, "0", 0)],
+        ids=["rotation", "pruned-cyclic", "cyclic"],
+    )
+    def test_simulate_builds_at_most_one_prefix_chain(self, tmp_path, convolutions, system, prune_eps, expected):
+        # The maximal function and the trace read one pass over the chain; the
+        # unpruned cyclic recursion forms no prefix at all.
+        cfg = SWEEPOUT_CFG.replace(ROTATION, system) + f"prune_eps = {prune_eps}\n"
+        path = write(tmp_path, "f.cfg", cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(convolutions) == expected
+
+    def test_cyclic_simulate_runs_past_the_support_cap(self, tmp_path):
+        # mu_200 of the inverse-square family would span about 2.7M sites, past
+        # the cap, but the cyclic recursion never forms it.
+        cfg = SWEEPOUT_CFG.replace(ROTATION, CYCLIC_64).replace("horizon = 12", "horizon = 200")
+        path = write(tmp_path, "c.cfg", cfg + "lambdas = 22,22.5,24,32\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+
+        def rows(name: str) -> list[list[float]]:
+            lines = (out / name).read_text().splitlines()
+            return [[float(v) for v in ln.split(",")] for ln in lines if ln[0].isdigit()]
+
+        config = load_config(path)
+        sys, f = config.system, TestFunction.indicator_block(0, 1, 64.0)
+        # weak11.csv: the maximal function of the atom-by-atom recursion, to the bit.
+        mf = np.max(np.abs(table_chain(sys, config.spec, f, 200)), axis=0)
+        levels = [sys.measure_fraction(mf > lam) for lam in config.lambdas]
+        assert rows("weak11.csv") == [[lam, m, lam * m] for lam, m in zip(config.lambdas, levels)]
+        assert 0.0 < levels[-1] < levels[0] < 1.0
+        trace = rows("convergence_trace.csv")
+        assert [n for n, _ in trace] == list(range(1, 201))
+        want = [weighted_average(sys, mu, f, 0) for mu in iter_prefixes(config.spec, 100)]
+        got = [v for _, v in trace[:100]]
+        np.testing.assert_allclose(got, want, rtol=0, atol=RECURSION_TRACE_ATOL * 64.0)
+        assert [v == 0.0 for v in got] == [v == 0.0 for v in want]
 
     def test_validate_subcommand(self, tmp_path, capsys):
         path = write(tmp_path, "a.cfg", IID_CFG)

@@ -18,11 +18,10 @@ from convergence_lab import (
     inverse_square_family,
     moment,
     second_derivative_majorant_ratio,
-    second_moment_floor,
     weighted_d2_integral,
 )
 from convergence_lab.cli import _rows_block, _write_csv
-from conftest import condition
+from conftest import condition, second_moment_floor
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")

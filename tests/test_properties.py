@@ -36,14 +36,15 @@ from convergence_lab import (
     sweepout_simulation,
     tv_shift_distance,
     two_atom_bound,
+    weighted_average,
     weighted_average_all,
 )
 from convergence_lab import measures
 from convergence_lab.cli import _format_column, _rows_block, _write_csv
-from convergence_lab.dynamics import _apply_factor, _CellTable, _distinct_sorted, _state_averages
+from convergence_lab.dynamics import _apply_factor, _averages_pass, _CellTable, _distinct_sorted, _state_averages
 from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
-from conftest import l1_distance
+from conftest import RECURSION_TRACE_ATOL, l1_distance, table_chain
 
 
 @st.composite
@@ -388,9 +389,9 @@ def indicator_cases(draw, max_n=8):
     return sys, draw(indicators(sys)), draw(specs(max_n))
 
 
-@given(indicator_cases(), st.sampled_from([0.0, 1e-9, 1e-8]))
+@given(indicator_cases(), st.sampled_from([0.0, 1e-9, 1e-8]), st.integers(min_value=-100, max_value=100))
 @settings(max_examples=60, deadline=None)
-def test_binned_maximal_function_matches_per_prefix(case, prune_eps):
+def test_binned_maximal_function_matches_per_prefix(case, prune_eps, x):
     # The rotation, and any pruned chain, bins each streamed prefix by state cell.
     sys, f, (spec, N) = case
     if sys.is_cyclic and prune_eps == 0.0:
@@ -401,6 +402,12 @@ def test_binned_maximal_function_matches_per_prefix(case, prune_eps):
     np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12 * abs(f.scale))
     for lam in _robust_levels(oracle):
         assert np.count_nonzero(fast > lam) == np.count_nonzero(oracle > lam)
+    # The same pass sums the trace at x over each borrowed prefix, to the bit.
+    x = x if sys.is_cyclic else x / 16.0
+    mf, trace = _averages_pass(sys, spec, f, N, prune_eps, x)
+    assert np.array_equal(_bits(mf), _bits(fast))
+    want = [weighted_average(sys, mu, f, x) for mu in iter_prefixes(spec, N, prune_eps)]
+    assert np.array_equal(_bits(np.array(trace.values)), _bits(np.array(want)))
 
 
 _CYC, _ROT = DynSystem.cyclic(5), DynSystem.rotation(0.3, 8, 1)
@@ -540,7 +547,8 @@ def test_scatter_into_reused_cells_matches_bincount(n_bins, passes):
 @st.composite
 def cyclic_chains(draw, max_n=8):
     """Z_q, q = 1 among them, with a spec whose sites fall below 0, at or past
-    q and on multiples of q, its horizon N and a table test function."""
+    q and on multiples of q, its horizon N and a table, block or trig test
+    function."""
     q = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=40)))
 
     def factor():
@@ -561,26 +569,24 @@ def cyclic_chains(draw, max_n=8):
     else:
         spec = SequenceSpec.from_measures([factor() for _ in range(n)])
     sys = DynSystem.cyclic(q)
-    return sys, spec, n, _test_function(sys, draw(st.integers(min_value=0, max_value=2**16)))
+    kind = draw(st.sampled_from(["table", "indicator_block", "trig"]))
+    if kind == "indicator_block":
+        f = draw(indicators(sys))
+    elif kind == "trig":
+        freq = draw(st.integers(min_value=0, max_value=2 * q))
+        f = TestFunction.trig(freq, draw(st.sampled_from([1.0, -0.5, 3.0])))
+    else:
+        f = _test_function(sys, draw(st.integers(min_value=0, max_value=2**16)))
+    return sys, spec, n, f
 
 
-def _table_chain(sys, spec, f, N):
-    """mu_n f for n = 1..N by vals <- weighted_average_all(sys, nu_n, table(vals))."""
-    vals = weighted_average_all(sys, spec.measure_at(1), f)
-    chain = [vals]
-    for n in range(2, N + 1):
-        vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
-        chain.append(vals)
-    return chain
-
-
-@given(cyclic_chains())
-@example((DynSystem.cyclic(1), SequenceSpec.iid(from_pairs({-2: 0.5, 3: 0.5})), 3, TestFunction.table([0.7])))
-@example((DynSystem.cyclic(4), SequenceSpec.from_measures([delta(8), delta(-4), from_pairs({-5: 0.3, 7: 0.7})]), 3, TestFunction.table([1.0, -2.0, 0.5, 0.25])))
+@given(cyclic_chains(), st.integers(min_value=-100, max_value=100))
+@example((DynSystem.cyclic(1), SequenceSpec.iid(from_pairs({-2: 0.5, 3: 0.5})), 3, TestFunction.table([0.7])), -1)
+@example((DynSystem.cyclic(4), SequenceSpec.from_measures([delta(8), delta(-4), from_pairs({-5: 0.3, 7: 0.7})]), 3, TestFunction.table([1.0, -2.0, 0.5, 0.25])), 6)
 @settings(max_examples=150, deadline=None)
-def test_in_place_recursion_matches_table_chain_to_the_bit(chain):
+def test_in_place_recursion_matches_table_chain_to_the_bit(chain, x):
     sys, spec, N, f = chain
-    oracle = _table_chain(sys, spec, f, N)
+    oracle = table_chain(sys, spec, f, N)
     # Every step, through buffers that swap roles as in maximal_function_all.
     vals = oracle[0].copy()
     nxt, scratch = np.full(sys.q, np.nan), np.full(sys.q, np.nan)
@@ -591,6 +597,18 @@ def test_in_place_recursion_matches_table_chain_to_the_bit(chain):
     for vals in oracle[1:]:
         mf = np.maximum(mf, np.abs(vals))
     assert np.array_equal(_bits(maximal_function_all(sys, spec, f, N)), _bits(mf))
+    # The trace the same pass reads at x, also below 0 and past q, against
+    # the atom-by-atom sum over each prefix: the same products in another order.
+    fast, trace = _averages_pass(sys, spec, f, N, 0.0, x)
+    assert np.array_equal(_bits(fast), _bits(mf))
+    want = np.array([weighted_average(sys, mu, f, x) for mu in iter_prefixes(spec, N)])
+    got = np.array(trace.values)
+    np.testing.assert_allclose(got, want, rtol=0, atol=RECURSION_TRACE_ATOL * abs(f.scale))
+    # An f of one sign cannot cancel: either sum is 0 just where no atom of
+    # mu_n meets its support.  A signed f may cancel to 0 in one order only.
+    fvals = f.evaluate(sys, sys.states())
+    if np.all(fvals >= 0.0) or np.all(fvals <= 0.0):
+        assert np.array_equal(got == 0.0, want == 0.0)
 
 
 @pytest.mark.parametrize(

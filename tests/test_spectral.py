@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from convergence_lab import (
     FourierProfile,
     LatticeMeasure,
-    PreconditionError,
     QuadratureError,
     SequenceSpec,
     convolve,
@@ -21,20 +20,24 @@ from convergence_lab import (
     fourier_at,
     fourier_eval,
     from_pairs,
-    holder_smoothness_check,
     inverse_square_family,
     is_strictly_aperiodic,
     moment,
     offzero_modulus_bound,
     prefix_fourier_profiles,
-    quadratic_minorant_check,
     two_atom_bound,
     weighted_d2_integral,
     wrap_to_fundamental,
 )
 from convergence_lab import spectral
 from convergence_lab.cli import _write_csv, main
-from conftest import random_measure, random_symmetric_measure
+from conftest import (
+    PreconditionError,
+    holder_smoothness_check,
+    quadratic_minorant_check,
+    random_measure,
+    random_symmetric_measure,
+)
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 

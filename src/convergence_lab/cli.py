@@ -339,9 +339,22 @@ def validate_config(path: str | os.PathLike) -> list[str]:
 
 # -- output helpers ------------------------------------------------------------------
 def _atomic_write(path: Path, parts: Iterable[str]) -> None:
-    """Write the concatenated ``parts`` to ``path`` through a temp file and a rename."""
+    """Write the concatenated ``parts`` to ``path`` through a temp file and a rename.
+
+    The temp file is created as ``open`` would create ``path``, with mode
+    0666 less the umask, under a fresh random name beside it.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for _ in range(tempfile.TMP_MAX):
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no unused temporary name beside {path}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             for part in parts:

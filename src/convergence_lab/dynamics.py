@@ -7,9 +7,9 @@ stratified state sample (qualitative demonstrations).
 
 Every experiment over the running products mu_n = nu_1 * ... * nu_n is one
 pass over the borrowed prefix stream of :mod:`~convergence_lab.measures`,
-whose chain writes every prefix into one of two buffers allocated once, as
-wide as the widest window the factors allow; each prefix is read before the
-stream advances, and none is kept.  The
+whose chain writes every prefix over the one before it, in one buffer
+allocated once, as wide as the widest window the factors allow; each
+prefix is read before the stream advances, and none is kept.  The
 maximal function on a cyclic system without pruning skips the prefixes
 altogether: since mu_n = mu_{n-1} * nu_n, the averages obey
 mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
@@ -34,7 +34,7 @@ engine also holds a table of the cells of one prefix window, ``_CellTable``:
 one buffer sized before the first convolution, from the factors alone, to
 the widest window the chain can yield, and never regrown.  The one walk
 over the factors that sizes it, ``_chain_span``, also sizes the chain's
-buffers.
+buffer.
 Its memory is that of one widest window whatever path the windows take, so
 a chain whose windows drift far from 0 costs no more than a centred one.
 An engine's buffers belong to the one call that built it, so an engine is

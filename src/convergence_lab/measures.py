@@ -15,26 +15,30 @@ cannot change the measure.  Every convolution runs through one kernel,
 ``_convolve_into``, which writes the product into a buffer and hands it
 over read-only: :func:`convolve` gives it a fresh one, so each convolution
 allocates its output once.  When one side has few atoms the kernel sums
-shifted copies of the other block by block over the output, through one
-block-sized scratch that stays in cache, and it picks that side after
-counting the atoms of the narrower operand and only as many of the wider
-one as it takes to tell which has fewer.
+shifted copies of the other block by block over the output, from the top
+down, through a block-sized accumulator and scratch that stay in cache,
+and it picks that side after counting the atoms of the narrower operand
+and only as many of the wider one as it takes to tell which has fewer.
+Since a block reads the other side only below its own top, the kernel can
+write a product over an operand that lies in the same buffer.
 
 The running products mu_n = nu_1 * ... * nu_n have one engine, a chain
 that writes each product through the kernel.  The experiments that reduce
 over the chain (maximal functions, traces, the sweep-out simulation) read
 it borrowed, ``_prefix_stream`` with a span: every product goes into one
-of two buffers, allocated once per chain before the first convolution,
-as wide as the widest window the chain can yield.  That width is known
-from the factors alone, :func:`prefix_windows`: running sums of their
-ends, capped at ``DEFAULT_SUPPORT_CAP`` (``_chain_span``).  nu_1 itself is
-never copied into a buffer.  A buffer is read-only while it is lent out,
-so a borrowed prefix is a valid measure, but it lives only until the
-stream advances twice, when its buffer takes the next product.  So the
-unpruned chain's memory is two windows whatever the horizon, and each page
-of the buffers faults in once; a pruned chain runs each product through
-:func:`prune`, which gives a product that loses weights an array of its
-own.  :func:`iter_prefixes` is the same chain for
+buffer, allocated once per chain before the first convolution beside the
+kernel's block scratch, as wide as the widest window the chain can yield.
+That width is known from the factors alone, :func:`prefix_windows`:
+running sums of their ends, capped at ``DEFAULT_SUPPORT_CAP``
+(``_chain_span``).  nu_1 itself is never copied into the buffer; each
+later product is written over the one before it, from where that one
+starts, which fits whenever the width is not capped.  The buffer is
+read-only while it is lent out, so a borrowed prefix is a valid measure,
+but it lives only until the stream advances, when the next product
+overwrites it.  So the unpruned chain's memory is one window whatever the
+horizon, and each page of the buffer faults in once; a pruned chain runs
+each product through :func:`prune`, which gives a product that loses
+weights an array of its own.  :func:`iter_prefixes` is the same chain for
 everyone else: each product gets an array of its own, so every prefix it
 yields may be kept.  :func:`convolve_prefixes` collects it into a list,
 for callers that index prefixes or walk them twice (spectra, hypothesis
@@ -112,9 +116,9 @@ def _is_frozen(w: np.ndarray) -> bool:
     """True if the array owning ``w``'s memory is a read-only ndarray (views
     of it are read-only too), so no one can write ``w``'s data through it.
 
-    One exception: a buffer lent by ``_prefix_stream`` passes this check,
+    One exception: the buffer lent by ``_prefix_stream`` passes this check,
     but the chain makes it writable again and rewrites it when the stream
-    advances twice, so a caller that keeps such a prefix copies its weights.
+    advances, so a caller that keeps such a prefix copies its weights.
     """
     owner = w if w.base is None else w.base
     return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
@@ -136,8 +140,8 @@ class LatticeMeasure:
     memory, are read-only (a read-only owned array, or a slice of one);
     otherwise the trimmed window is copied and made read-only.  The weights
     of a prefix borrowed from ``_prefix_stream`` are read-only too, yet are
-    rewritten when the stream advances twice: a measure kept past that is
-    built on a copy of them.
+    rewritten when the stream advances: a measure kept past that is built
+    on a copy of them.
     """
 
     min_index: int
@@ -276,65 +280,97 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     anything is allocated, instead of truncating.  The result owns its
     weights.
     """
-    return _convolve_into(a, b, None)
+    return _convolve_into(a, b, None, None)
 
 
-def _convolve_into(a: LatticeMeasure, b: LatticeMeasure, buf: Optional[np.ndarray]) -> LatticeMeasure:
-    """a * b on a read-only view of the front of ``buf``.
+def _convolve_into(
+    a: LatticeMeasure, b: LatticeMeasure, buf: Optional[np.ndarray], work: Optional[np.ndarray]
+) -> LatticeMeasure:
+    """a * b on a read-only view of ``buf``.
 
     ``buf`` owns its data and is at least as long as the product's window;
     ``None`` allocates one of that length once the cap check has passed.
     It is writable only while the product is written, so the product
     adopts it without a copy, and it must not be written again while the
-    product is in use.
+    product is in use.  When the weights of ``a`` or ``b`` are a view of
+    ``buf`` (a prefix the chain lent out), the product is written over
+    them, from where they start; if it would not fit there, they are moved
+    to the front of ``buf`` first.  ``work`` is the shifted adds' two rows
+    of block scratch, or ``None`` to allocate them for this call.
     """
     out_len = len(a.weights) + len(b.weights) - 1
     if out_len > DEFAULT_SUPPORT_CAP:
         raise SupportCapError(f"convolution support {out_len} exceeds cap {DEFAULT_SUPPORT_CAP}")
+    wa, wb, start = a.weights, b.weights, 0
     if buf is None:
         buf = np.empty(out_len)
     # Count the narrower operand, then the wider one only until it has more.
-    narrow, wide = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
+    narrow, wide = (a, b) if len(wa) <= len(wb) else (b, a)
     nnz_narrow = narrow.nnz
     nnz_wide = _count_nonzero_past(wide.weights, nnz_narrow)
     nnz_a, nnz_b = (nnz_narrow, nnz_wide) if narrow is a else (nnz_wide, nnz_narrow)
     buf.setflags(write=True)
+    if wa.base is buf or wb.base is buf:
+        lent = wa if wa.base is buf else wb
+        start = (lent.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
+        if start + out_len > len(buf):
+            # Only past a capped span, when underflow trimmed the prefix's front.
+            _move_to_front(buf, start, len(lent))
+            moved, start = buf[: len(lent)], 0
+            wa, wb = (moved, wb) if lent is wa else (wa, moved)
+    out = buf[start : start + out_len]
     if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
-        sparse, dense = (a, b) if nnz_a <= nnz_b else (b, a)
-        _shifted_adds(sparse.weights, dense.weights, buf[:out_len])
+        sparse, dense = (wa, wb) if nnz_a <= nnz_b else (wb, wa)
+        _shifted_adds(sparse, dense, out, work)
     else:
-        buf[:out_len] = np.convolve(a.weights, b.weights)
+        out[:] = np.convolve(wa, wb)
     buf.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
     # Sliced after the lock, so the view is read-only too.
-    return LatticeMeasure(a.min_index + b.min_index, buf[:out_len], defect)
+    return LatticeMeasure(a.min_index + b.min_index, buf[start : start + out_len], defect)
 
 
-def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+def _move_to_front(buf: np.ndarray, start: int, n: int) -> None:
+    """Copy ``buf[start:start + n]`` to ``buf[:n]`` in block-sized forward
+    copies: each reads only what no earlier copy has written, and numpy
+    stages an overlapping one through a temporary of at most a block."""
+    for i in range(0, n, _CONVOLVE_BLOCK):
+        j = min(i + _CONVOLVE_BLOCK, n)
+        buf[i:j] = buf[start + i : start + j]
+
+
+def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray]) -> None:
     """Write into ``out`` the sum of the shifts ``s[i] * d`` to offset ``i``
     over the atoms of ``s``; ``out`` is ``len(s) + len(d) - 1`` long.
 
-    Runs block by block over the output through one block-sized scratch.
-    Each element gets ``s[0] * d`` (``s[0]`` is an atom: stored windows
-    start at one), or 0.0 past its reach, then ``+ s[i] * d`` for the other
-    atoms in ascending order: the sums of a zeroed buffer (0 + x == x), so
-    the result does not depend on the block size.
+    ``out`` may start where ``s`` or ``d`` starts, in the same buffer.  The
+    atoms of ``s`` and their weights are read before anything is written.
+    The output runs in blocks from the top down, each summed in ``work[0]``
+    (``work[1]`` holds one shifted copy) and then stored: block [b0, b1)
+    reads ``d`` only below b1, where no block has been stored yet.  Each
+    element gets ``s[0] * d`` (``s[0]`` is an atom: stored windows start at
+    one), or 0.0 past its reach, then ``+ s[i] * d`` for the other atoms in
+    ascending order: the sums of a zeroed buffer (0 + x == x), so the
+    result does not depend on the block size.
     """
-    L, out_len = len(d), len(out)
-    s0, atoms = s[0], np.flatnonzero(s)[1:].tolist()
-    scratch = np.empty(min(_CONVOLVE_BLOCK, out_len), dtype=float)
-    for b0 in range(0, out_len, _CONVOLVE_BLOCK):
-        b1 = min(b0 + _CONVOLVE_BLOCK, out_len)
-        reach = min(b1, L)
+    L, out_len, block = len(d), len(out), _CONVOLVE_BLOCK
+    nz = np.flatnonzero(s)
+    s0, atoms = s[0], list(zip(nz[1:].tolist(), s[nz[1:]].tolist()))
+    if work is None:
+        work = np.empty((2, min(block, out_len)))
+    for b0 in range((out_len - 1) // block * block, -1, -block):
+        b1 = min(b0 + block, out_len)
+        acc, reach = work[0, : b1 - b0], min(b1, L)
         if b0 < reach:
-            np.multiply(d[b0:reach], s0, out=out[b0:reach])
-        out[max(b0, reach) : b1] = 0.0
-        for i in atoms:
+            np.multiply(d[b0:reach], s0, out=acc[: reach - b0])
+        acc[max(b0, reach) - b0 :] = 0.0
+        for i, w in atoms:
             lo, hi = max(b0, i), min(b1, i + L)
             if lo < hi:
-                part = np.multiply(d[lo - i : hi - i], s[i], out=scratch[: hi - lo])
-                out[lo:hi] += part
+                part = np.multiply(d[lo - i : hi - i], w, out=work[1, : hi - lo])
+                np.add(acc[lo - b0 : hi - b0], part, out=acc[lo - b0 : hi - b0])
+        out[b0:b1] = acc
 
 
 def prune(mu: LatticeMeasure, eps: float) -> LatticeMeasure:
@@ -544,7 +580,7 @@ def prefix_windows(factors: Iterable[LatticeMeasure]) -> Iterator[PrefixWindow]:
 def _chain_span(spec: SequenceSpec, N: int) -> tuple[int, int]:
     """The left end of the factors' hull for the prefix chain of ``spec`` up
     to N, and the widest window the chain can yield: where a rotation cell
-    table is placed, and how large the chain's buffers and the table are.
+    table is placed, and how large the chain's buffer and the table are.
 
     The factors are walked only until the running width passes the support
     cap.  The unpruned chain raises there, so the walk builds no factor
@@ -576,10 +612,10 @@ def _prefix_stream(
     """The prefixes of :func:`iter_prefixes`, borrowed when ``span`` is given.
 
     ``span`` is the chain's ``_chain_span``.  Past nu_1, each prefix then
-    lies in one of two buffers as wide as the span allows and is valid until
-    the stream advances twice: a caller that keeps one copies its weights,
-    since a measure built on them would adopt the lent buffer.  Without
-    ``span`` every product gets an array of its own.
+    lies in one buffer as wide as the span allows and is valid until the
+    stream advances: a caller that keeps one copies its weights, since a
+    measure built on them would adopt the lent buffer.  Without ``span``
+    every product gets an array of its own.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -593,12 +629,12 @@ def _chain(
 ) -> Iterator[LatticeMeasure]:
     current = spec.measure_at(1)
     yield current
-    buffers: tuple[Optional[np.ndarray], ...] = (None, None)
+    buf = work = None
     if span is not None and N > 1:
         width = min(span[1], DEFAULT_SUPPORT_CAP)
-        buffers = (np.empty(width), np.empty(width))
+        buf, work = np.empty(width), np.empty((2, min(width, _CONVOLVE_BLOCK)))
     for n in range(2, N + 1):
-        current = prune(_convolve_into(current, spec.measure_at(n), buffers[n % 2]), prune_eps)
+        current = prune(_convolve_into(current, spec.measure_at(n), buf, work), prune_eps)
         yield current
 
 

@@ -10,9 +10,9 @@ The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the borrowed prefix stream of :mod:`~convergence_lab.measures`.
 The simulation is a running max and min over the averages of chi_B that
 the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
-each prefix.  Its memory is the chain's two prefix buffers and, on the
+each prefix.  Its memory is the chain's one prefix buffer and, on the
 rotation, the engine's table of state cells, each as wide as the widest
-window the factors allow, all sized by one walk over the factors before
+window the factors allow, both sized by one walk over the factors before
 the first convolution; past them, a step of the unpruned chain allocates
 only small arrays, such as the vector of averages.  Given ``window_k``,
 :func:`sweepout_simulation` also records the dissipativity rows from the

@@ -1,5 +1,7 @@
 import configparser
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +355,23 @@ class TestMain:
     def test_bad_threads_rejected(self, tmp_path):
         path = write(tmp_path, "a.cfg", IID_CFG)
         assert main(["simulate", "--config", path, "--threads", "0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_outputs_get_the_mode_the_umask_allows(self, tmp_path, umask):
+        # Every file of every subcommand, written through a temp file and a
+        # rename, has the mode a plain open would give it.
+        configs = {"check": IID_CFG, "spectrum": IID_CFG, "convolve": IID_CFG, "simulate": IID_CFG,
+                   "sweepout": SWEEPOUT_CFG}
+        old = os.umask(umask)
+        try:
+            for subcommand, cfg in configs.items():
+                out = tmp_path / subcommand
+                path = write(tmp_path, f"{subcommand}.cfg", cfg)
+                assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_OK
+                modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+                assert modes and modes == dict.fromkeys(modes, 0o666 & ~umask)
+        finally:
+            os.umask(old)
 
     def test_out_dir_from_config(self, tmp_path):
         cfg = IID_CFG + f"out = {tmp_path / 'fromcfg'}\n"

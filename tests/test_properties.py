@@ -753,18 +753,28 @@ def _same_measure(got, want):
     )
 
 
-@given(chain_factors(), st.sampled_from([0.0, 1e-12, 1e-8]))
-@settings(max_examples=80, deadline=None)
-def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps):
+def _check_borrowed_chain(factors, prune_eps):
+    """Every prefix of the borrowed chain is the oracle's, bit for bit, when
+    it is yielded; unpruned, every product past nu_1 lies in one buffer, so
+    each is overwritten by the next and lives only until the stream advances."""
     spec, N = SequenceSpec.from_measures(factors), len(factors)
     want = _chain_oracle(factors, prune_eps)
-    # Borrowed: each prefix is right when it is yielded and stays right
-    # until the stream advances twice.
-    previous = None
+    owners = []
     for n, mu in enumerate(measures._prefix_stream(spec, N, prune_eps, _chain_span(spec, N))):
         assert _same_measure(mu, want[n]) and not mu.weights.flags.writeable
-        assert previous is None or _same_measure(previous, want[n - 1])
-        previous = mu
+        if n:
+            owners.append(mu.weights.base)
+    if prune_eps == 0.0:
+        assert all(owner is owners[0] for owner in owners)
+    return spec, N, want
+
+
+@given(chain_factors(), st.sampled_from([0.0, 1e-12, 1e-8]), st.sampled_from([1, 5, 16, 1 << 14]))
+@settings(max_examples=80, deadline=None)
+def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps, block):
+    # Blocks of 1..16 doubles make the in-place products span many blocks.
+    with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):
+        spec, N, want = _check_borrowed_chain(factors, prune_eps)
     # Owned: every prefix of iter_prefixes keeps its weights after the chain
     # has run past it, and convolve_prefixes shares no memory between prefixes.
     kept = []
@@ -777,6 +787,68 @@ def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps):
     for i, a in enumerate(listed):
         assert not a.weights.flags.writeable
         assert not any(np.shares_memory(a.weights, b.weights) for b in listed[i + 1 :])
+
+
+def _dense_factor(atoms, seed, offset=0):
+    w = np.random.default_rng(seed).random(atoms) + 1e-3
+    return LatticeMeasure(offset, w / w.sum())
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 14])
+@pytest.mark.parametrize("prune_eps", [0.0, 1e-8])
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [from_pairs({0: 0.5, 3: 0.5}), from_pairs({0: 0.5, 1: 0.5}), _dense_factor(40, 1)],
+        [from_pairs({-2: 0.25, 0: 0.5, 5: 0.25}), from_pairs({0: 0.5, 9: 0.5}), _dense_factor(33, 2, -7),
+         from_pairs({1: 0.75, 4: 0.25}), _dense_factor(48, 3, 5)],
+        [delta(4), from_pairs({0: 0.5, 100: 0.5}), _dense_factor(64, 4, -30)],
+    ],
+)
+def test_lent_prefix_on_the_sparse_side(factors, prune_eps, block):
+    # A lent prefix of few atoms meets a factor of more than 32.
+    prefixes = list(iter_prefixes(SequenceSpec.from_measures(factors), len(factors)))
+    assert any(mu.nnz <= 32 < nu.nnz for mu, nu in zip(prefixes[1:], factors[2:]))
+    with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):
+        _check_borrowed_chain(factors, prune_eps)
+
+
+def _underflowing_factor(body):
+    """Ends of 1e-200, so that the ends of a product of two underflow and
+    every prefix is trimmed at both ends of its window."""
+    w = np.array([1e-200, *body, 1e-200])
+    return LatticeMeasure(-len(body) // 2, w / w.sum())
+
+
+#: 41 atoms from exp(-1.7 k^2), |k| <= 20, ending near 1e-296: products on
+#: the np.convolve path underflow over ever more of their windows' ends.
+_STEEP = np.exp(-1.7 * np.arange(-20, 21) ** 2)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 14])
+@pytest.mark.parametrize(
+    "nu",
+    [_underflowing_factor([1.0]), _underflowing_factor([0.2, 1.0, 0.0, 3.0]), LatticeMeasure(-20, _STEEP / _STEEP.sum())],
+)
+def test_capped_chain_moves_a_trimmed_prefix_to_the_front(monkeypatch, nu, block):
+    # Products lose points to underflow, so past some step the factors'
+    # windows pass a cap that every product still fits: the span
+    # is capped, and a trimmed prefix that sits too far into the buffer for
+    # the next product is moved to its front first.
+    N = 30
+    spec = SequenceSpec.iid(nu)
+    owned = list(iter_prefixes(spec, N))
+    cap = max(len(mu.weights) for mu in owned) + len(nu.weights) - 1
+    monkeypatch.setattr(measures, "DEFAULT_SUPPORT_CAP", cap)
+    monkeypatch.setattr(measures, "_CONVOLVE_BLOCK", block)
+    moves = []
+    move = measures._move_to_front
+    monkeypatch.setattr(measures, "_move_to_front", lambda *a: moves.append(a[1:]) or move(*a))
+    left, width = _chain_span(spec, N)
+    assert width == cap < list(prefix_windows([nu] * N))[-1].width
+    for got, want in zip(measures._prefix_stream(spec, N, 0.0, (left, width)), owned, strict=True):
+        assert _same_measure(got, want)
+    assert moves
 
 
 @pytest.mark.parametrize("N, prune_eps", [(0, 0.0), (-3, 0.0), (4, -1e-12), (4, 2e-8)])

@@ -302,10 +302,10 @@ class TestSweepoutSimulation:
         assert sim.frac_high == 1.0
         assert sim.frac_low == 1.0
 
-    def test_memory_is_two_buffers_and_the_cell_table(self):
-        # Rotation, horizon 60: windows up to 73,931 points.  The chain's two
-        # buffers and the cell table are allocated once, so the peak stays
-        # below three windows plus the table, and a step from one factor
+    def test_memory_is_one_buffer_and_the_cell_table(self):
+        # Rotation, horizon 60: windows up to 73,931 points.  The chain's one
+        # buffer and the cell table are allocated once, so the peak stays
+        # below two windows plus the table, and a step from one factor
         # lookup to the next allocates less than its own window.
         N, steps = 60, []
 
@@ -325,7 +325,7 @@ class TestSweepoutSimulation:
         finally:
             tracemalloc.stop()
         assert width == 73_931
-        assert peak < 3 * window + table
+        assert peak < 2 * window + table
         # The last N calls are the chain's: the step between the calls for
         # n and n + 1 forms mu_n and reads it.  Below two blocks of the
         # shifted adds the scratch is as wide as the window itself.

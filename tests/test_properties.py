@@ -832,9 +832,9 @@ _STEEP = np.exp(-1.7 * np.arange(-20, 21) ** 2)
 )
 def test_capped_chain_moves_a_trimmed_prefix_to_the_front(monkeypatch, nu, block):
     # Products lose points to underflow, so past some step the factors'
-    # windows pass a cap that every product still fits: the span
-    # is capped, and a trimmed prefix that sits too far into the buffer for
-    # the next product is moved to its front first.
+    # windows pass a cap that every product still fits: the span is capped,
+    # and a trimmed prefix that sits too far into the buffer for the next
+    # product is moved to its front first.
     N = 30
     spec = SequenceSpec.iid(nu)
     owned = list(iter_prefixes(spec, N))

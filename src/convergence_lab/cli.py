@@ -6,9 +6,10 @@ written atomically (temp file, then rename) and carries a ``#``-prefixed
 header block echoing the configuration, so reruns with the same config are
 byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 resource cap exceeded (a support
-cap, or an array too large to allocate), 4 internal contract failure (a
-proven inequality observed violated).
+Exit codes: 0 success, 2 config error or an output directory that cannot
+be made, 3 resource cap exceeded (a support cap, or an array too large to
+allocate), 4 internal contract failure (a proven inequality observed
+violated).
 """
 from __future__ import annotations
 
@@ -339,12 +340,12 @@ def validate_config(path: str | os.PathLike) -> list[str]:
 
 # -- output helpers ------------------------------------------------------------------
 def _atomic_write(path: Path, parts: Iterable[str]) -> None:
-    """Write the concatenated ``parts`` to ``path`` through a temp file and a rename.
+    """Write the concatenated ``parts`` to ``path``, in an existing directory,
+    through a temp file and a rename.
 
     The temp file is created as ``open`` would create ``path``, with mode
     0666 less the umask, under a fresh random name beside it.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     for _ in range(tempfile.TMP_MAX):
         tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
@@ -621,19 +622,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("--threads must be at least 1", file=_sys.stderr)
         return EXIT_CONFIG
 
-    if args.subcommand == "validate":
-        try:
-            diagnostics = validate_config(args.config)
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=_sys.stderr)
-            return EXIT_CONFIG
-        for d in diagnostics:
-            print(d)
-        if diagnostics:
-            return EXIT_CONFIG
-        print("config ok")
-        return EXIT_OK
-
+    # validate reports its diagnostics on stdout, the subcommands on stderr.
+    validate = args.subcommand == "validate"
     try:
         config = load_config(args.config)
     except OSError as exc:
@@ -641,13 +631,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except ConfigError as exc:
         for d in exc.diagnostics:
-            print(d, file=_sys.stderr)
+            print(d, file=_sys.stdout if validate else _sys.stderr)
         return EXIT_CONFIG
+    if validate:
+        print("config ok")
+        return EXIT_OK
     if config.horizon < 2 and args.subcommand in ("check", "simulate"):
         print(f"run.horizon: must be >= 2 for {args.subcommand} (got {config.horizon})", file=_sys.stderr)
         return EXIT_CONFIG
 
     out = Path(args.out if args.out is not None else (config.out or "out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=_sys.stderr)
+        return EXIT_CONFIG
     try:
         return _SUBCOMMANDS[args.subcommand](config, out)
     except (SupportCapError, MemoryError) as exc:

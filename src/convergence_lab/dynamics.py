@@ -15,8 +15,9 @@ altogether: since mu_n = mu_{n-1} * nu_n, the averages obey
 mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
 previous vector of averages, at a cost of nnz(nu_n) * q instead of
 nnz(mu_n) * q.  The step runs in place, ``_apply_factor``,
-through two q-length vectors that swap roles and one scratch, with the
-sums of :func:`weighted_average_all` bit for bit.  It falls back to the
+through two q-length vectors that swap roles and one scratch; it is the
+one cyclic atom sum, so :func:`weighted_average_all` on a table of the
+previous averages gives the same bits.  It falls back to the
 prefix stream on the rotation, whose state sample is not closed under the
 dynamics, and on pruned chains, whose prefixes are not the exact products.
 The maximal function and the convergence trace at one state x come from
@@ -39,7 +40,8 @@ Its memory is that of one widest window whatever path the windows take, so
 a chain whose windows drift far from 0 costs no more than a centred one.
 An engine's buffers belong to the one call that built it, so an engine is
 not shared across threads.  Any other function is summed atom by atom by
-:func:`weighted_average_all`, which is also the tests' oracle.
+:func:`weighted_average_all`, on a cyclic system through the step of the
+recursion; the tests check it against a sum of rotated copies of f.
 """
 from __future__ import annotations
 
@@ -207,14 +209,12 @@ def weighted_average(sys: DynSystem, mu: LatticeMeasure, f: TestFunction, x: Sta
 
 
 def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) -> np.ndarray:
-    """Vector of mu f(x) over every state of the system, summed atom by atom."""
-    ks, ws = mu.atoms()
+    """Vector of mu f(x) over every state of the system, summed atom by atom;
+    on a cyclic system by ``_apply_factor`` on the values of f."""
     if sys.is_cyclic:
-        fvals = f.evaluate(sys, np.arange(sys.q, dtype=np.int64))
-        out = np.zeros(sys.q)
-        for k, w in zip(ks, ws):
-            out += w * np.roll(fvals, -int(k) % sys.q)
-        return out
+        fvals = f.evaluate(sys, sys.states())
+        return _apply_factor(mu, fvals, np.empty(sys.q), np.empty(sys.q))
+    ks, ws = mu.atoms()
     xs = sys.states()
     out = np.zeros(len(xs))
     for k, w in zip(ks, ws):
@@ -374,8 +374,7 @@ def _apply_factor(nu: LatticeMeasure, vals: np.ndarray, out: np.ndarray, scratch
     """Write nu(vals)(x) = sum_k nu(k) vals[(x + k) mod q] for every x in Z_q,
     q = len(vals), into ``out`` and return it.
 
-    The sum runs atom by atom from 0.0, as :func:`weighted_average_all` sums
-    it for ``TestFunction.table(vals)``, so the two agree bit for bit; each
+    The sum runs atom by atom, in ascending order of k, from 0.0; each
     atom's products, vals rotated by k, go into ``scratch`` in two slices.
     """
     q = len(vals)

@@ -131,35 +131,19 @@ def check_convergence_hypotheses(
             is_strictly_aperiodic(nu),
         )
 
-    expectations, m1s, m2s, decays, rhos, aperiodic = zip(*map_factors(spec, N, factor_metrics))
-    products = convolve_prefixes(spec, N, prune_eps=prune_eps)
+    factors = list(map_factors(spec, N, factor_metrics))
+    _, _, m2s, _, _, aperiodic = zip(*factors)
     phis = np.cumsum(m2s)
-    phi_over_n = [float(phis[n - 1] / n) for n in range(1, N + 1)]
-
-    d2s = []
-    d2_cap_ns = []
-    for n, mu in enumerate(products, start=1):
+    rows, d2_cap_ns = [], []
+    prefixes = convolve_prefixes(spec, N, prune_eps=prune_eps)
+    for n, (mu, (e, m1, m2, decay, rho, _), phi) in enumerate(zip(prefixes, factors, phis), start=1):
         try:
-            d2s.append(weighted_d2_integral(mu, target=d2_target, max_depth=d2_max_depth))
+            d2 = weighted_d2_integral(mu, target=d2_target, max_depth=d2_max_depth)
         except QuadratureError as exc:
             d2_cap_ns.append(n)
-            d2s.append(exc.last_two[1])
-    shifts = [tv_shift_distance(mu) for mu in products]
-
-    rows = [
-        (
-            n,
-            expectations[n - 1],
-            m1s[n - 1],
-            m2s[n - 1],
-            phi_over_n[n - 1],
-            decays[n - 1],
-            rhos[n - 1],
-            d2s[n - 1],
-            shifts[n - 1],
-        )
-        for n in range(1, N + 1)
-    ]
+            d2 = exc.last_two[1]
+        rows.append((n, e, m1, m2, float(phi / n), decay, rho, d2, tv_shift_distance(mu)))
+    _, expectations, m1s, _, phi_over_n, decays, rhos, d2s, shifts = zip(*rows)
 
     max_abs_e = float(np.max(np.abs(expectations)))
     phi_trend = _trend_ratio(np.diff(np.concatenate(([0.0], phis))))
@@ -253,7 +237,7 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
     mid = N // 2
     half_drift = float(s[-1] - s[mid - 1])
     drift_ok = abs(half_drift) >= (N - mid) / 2.0 and half_drift * s[-1] > 0.0
-    factors, product_partials = _atom_products(spec, N)
+    factors, product_partials = _atom_products(a)
     product = float(product_partials[-1])
 
     rows = [

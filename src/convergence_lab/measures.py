@@ -268,6 +268,7 @@ def from_pairs(pairs: dict[int, float]) -> LatticeMeasure:
     w = np.zeros(hi - lo + 1, dtype=float)
     for k, v in pairs.items():
         w[k - lo] += float(v)
+    w.setflags(write=False)
     return LatticeMeasure(lo, w)
 
 
@@ -384,6 +385,7 @@ def prune(mu: LatticeMeasure, eps: float) -> LatticeMeasure:
     if removed == 0.0:
         return mu
     w = np.where(keep, mu.weights, 0.0)
+    w.setflags(write=False)
     return LatticeMeasure(mu.min_index, w, mu.mass_defect + removed)
 
 
@@ -522,10 +524,10 @@ class SequenceSpec:
         return self.decomposition_at(n)
 
 
-def _atom_products(spec: SequenceSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The factors 2 a_l - 1 of the decomposition atom weights a_l, l = 1..N,
-    and their partial products prod_{l <= n}, n = 1..N, taken in order."""
-    factors = 2.0 * np.array([spec.decomposition(n).atom_weight for n in range(1, N + 1)]) - 1.0
+def _atom_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors 2 a_l - 1 of the decomposition atom weights ``a``, and
+    their partial products prod_{l <= n}, taken in order."""
+    factors = 2.0 * a - 1.0
     return factors, np.cumprod(factors)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -187,9 +186,12 @@ class FloorScanResult:
 def scan_points(max_denominator: int = 8, uniform: int = 0) -> np.ndarray:
     """Low-denominator rationals in [-1/2, 1/2), optionally plus a uniform grid.
 
-    The Q^2 + 2Q candidates p/q, |p| <= q <= Q = ``max_denominator``, are
-    enumerated one by one, so a count, or a ``uniform``, above the support
-    cap raises :class:`SupportCapError` before the enumeration starts.
+    The points are p / q for the integers 1 <= q <= Q = ``max_denominator``
+    and -q <= 2p < q, each the correctly rounded float of p/q, so equal
+    fractions such as 1/2 and 2/4 give one point, and distinct rationals,
+    at least 1/Q^2 apart, give distinct floats.  A Q with Q^2 + 2Q above
+    the support cap, or a ``uniform`` above it, raises
+    :class:`SupportCapError` before the enumeration starts.
     """
     candidates = max_denominator * (max_denominator + 2)
     if max(candidates, uniform) > DEFAULT_SUPPORT_CAP:
@@ -197,16 +199,12 @@ def scan_points(max_denominator: int = 8, uniform: int = 0) -> np.ndarray:
             f"floor scan of {candidates} candidates and {uniform} uniform points"
             f" exceeds cap {DEFAULT_SUPPORT_CAP}"
         )
-    pts = {Fraction(0)}
+    pts = {0.0}
     for q in range(1, max_denominator + 1):
-        for p in range(-q, q + 1):
-            f = Fraction(p, q)
-            if Fraction(-1, 2) <= f < Fraction(1, 2):
-                pts.add(f)
-    out = sorted(float(f) for f in pts)
+        pts.update(p / q for p in range(-(q // 2), (q + 1) // 2))
     if uniform > 0:
-        out = sorted(set(out) | {-0.5 + j / uniform for j in range(uniform)})
-    return np.array(out)
+        pts.update(-0.5 + j / uniform for j in range(uniform))
+    return np.array(sorted(pts))
 
 
 def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> FloorScanResult:
@@ -236,7 +234,8 @@ def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> F
 
     vacuous = not spec.has_decomposition
     if not vacuous:
-        factors, products = _atom_products(spec, N)
+        a = np.array([spec.decomposition(n).atom_weight for n in range(1, N + 1)])
+        factors, products = _atom_products(a)
         vacuous = bool(np.any(factors <= 0.0))
     bound = 0.0 if vacuous else float(products[-1])
     rows = [ScanRow(float(t), float(f), bound) for t, f in zip(ts, floor)]

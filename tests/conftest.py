@@ -10,7 +10,6 @@ from convergence_lab import (
     fourier_eval,
     from_pairs,
     weighted_average,
-    weighted_average_all,
 )
 from convergence_lab.spectral import _NEAR_ZERO_WINDOW
 
@@ -62,12 +61,22 @@ def advance(sys, xs: np.ndarray, k: int) -> np.ndarray:
 RECURSION_TRACE_ATOL = 1e-13
 
 
+def roll_average_all(sys, mu, f) -> np.ndarray:
+    """mu f(x) over every state of a cyclic system, as the sum over the atoms
+    k of mu, ascending from 0.0, of mu(k) times f rotated by k."""
+    fvals = f.evaluate(sys, np.arange(sys.q, dtype=np.int64))
+    out = np.zeros(sys.q)
+    for k, w in zip(*mu.atoms()):
+        out += w * np.roll(fvals, -int(k) % sys.q)
+    return out
+
+
 def table_chain(sys, spec, f, N) -> list[np.ndarray]:
-    """mu_n f for n = 1..N by vals <- weighted_average_all(sys, nu_n, table(vals))."""
-    vals = weighted_average_all(sys, spec.measure_at(1), f)
+    """mu_n f for n = 1..N by vals <- roll_average_all(sys, nu_n, table(vals))."""
+    vals = roll_average_all(sys, spec.measure_at(1), f)
     chain = [vals]
     for n in range(2, N + 1):
-        vals = weighted_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
+        vals = roll_average_all(sys, spec.measure_at(n), TestFunction.table(vals))
         chain.append(vals)
     return chain
 

@@ -2,6 +2,8 @@ import configparser
 import os
 import re
 import stat
+import subprocess
+from sys import executable as PYTHON
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from convergence_lab.cli import (
 from conftest import RECURSION_TRACE_ATOL, table_chain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 IID_CFG = """\
 [family]
@@ -372,6 +375,36 @@ class TestMain:
                 assert modes and modes == dict.fromkeys(modes, 0o666 & ~umask)
         finally:
             os.umask(old)
+
+    @pytest.mark.parametrize("subcommand", ["convolve", "spectrum", "check", "simulate", "sweepout"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_unusable_out_exits_before_any_work(self, tmp_path, capsys, monkeypatch, subcommand, under):
+        # An existing file, or a path under one, cannot be made a directory:
+        # one line and exit 2, before the subcommand computes anything.
+        import convergence_lab.cli as cli_mod
+
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, subcommand, lambda *a: pytest.fail("the subcommand ran"))
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        path = write(tmp_path, "a.cfg", SWEEPOUT_CFG if subcommand == "sweepout" else IID_CFG)
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"cannot write output: [^\n]+\n", captured.err)
+        assert blocker.read_text() == "kept\n"
+
+    def test_validate_diagnostics_go_to_stdout(self, tmp_path, capsys):
+        bad = write(tmp_path, "a.cfg", IID_CFG.replace("q = 128", "q = 0"))
+        diagnostic = "system.q: must be a positive integer (got 0)\n"
+        assert main(["validate", "--config", bad]) == EXIT_CONFIG
+        assert capsys.readouterr() == (diagnostic, "")
+        assert main(["simulate", "--config", bad]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", diagnostic)
+        for subcommand in ("validate", "simulate"):
+            assert main([subcommand, "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("cannot read config: ") and err.count("\n") == 1
 
     def test_out_dir_from_config(self, tmp_path):
         cfg = IID_CFG + f"out = {tmp_path / 'fromcfg'}\n"
@@ -774,6 +807,13 @@ class TestRejections:
             assert not out.exists()
         else:
             assert any(out.iterdir())
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    code = "import sys, convergence_lab.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([PYTHON, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_readme_config_block_lists_every_key(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -5,19 +6,24 @@ import numpy as np
 import pytest
 
 from convergence_lab import (
+    DEFAULT_GRID_SIZE,
     Decomposition,
     QuadratureError,
     SequenceSpec,
     check_convergence_hypotheses,
     check_sweepout_hypotheses,
     convolve_prefixes,
+    coset_mass_sup,
+    decay_constant,
     delta,
     example_measure,
+    expectation,
     from_pairs,
     geometric_family,
     inverse_square_family,
     moment,
     second_derivative_majorant_ratio,
+    tv_shift_distance,
     weighted_d2_integral,
 )
 from convergence_lab.cli import _rows_block, _write_csv
@@ -105,6 +111,54 @@ class TestConvergenceReport:
     def test_rejects_tiny_horizon(self):
         with pytest.raises(ValueError):
             check_convergence_hypotheses(IID_TRIPLE, 1)
+
+    @pytest.mark.parametrize(
+        "spec, N, cap_ns, digest",
+        [
+            (IID_TRIPLE, 40, (), "2b9f7ecd1426ba1a6ea5c619131b44e96190daa178b3c629d83478f1450aba05"),
+            (
+                inverse_square_family(1.0).to_spec(),
+                14,
+                (14,),
+                "3c62a959dd33e483a6c72ad4997c20ba95e22a1b994d1165b752c7221e56c01c",
+            ),
+        ],
+        ids=["iid_triple_40", "inverse_square_14"],
+    )
+    def test_one_pass_report_matches_two_walks(self, spec, N, cap_ns, digest):
+        # Rows from each factor's metrics by index and from two walks over the
+        # prefixes, one for d2 and one for the shift distance.
+        report = check_convergence_hypotheses(spec, N)
+        mus = convolve_prefixes(spec, N)
+        d2s = []
+        for mu in mus:
+            try:
+                d2s.append(weighted_d2_integral(mu, target=1e-6, max_depth=18))
+            except QuadratureError as exc:
+                d2s.append(exc.last_two[1])
+        shifts = [tv_shift_distance(mu) for mu in mus]
+        nus = [spec.measure_at(n) for n in range(1, N + 1)]
+        m2s = [moment(nu, 2.0) for nu in nus]
+        phis = np.cumsum(m2s)
+        rows = [
+            (
+                n,
+                expectation(nus[n - 1]),
+                moment(nus[n - 1], 1.0),
+                m2s[n - 1],
+                float(phis[n - 1] / n),
+                decay_constant(nus[n - 1], DEFAULT_GRID_SIZE),
+                coset_mass_sup(nus[n - 1]).rho,
+                d2s[n - 1],
+                shifts[n - 1],
+            )
+            for n in range(1, N + 1)
+        ]
+        assert report.rows == rows
+        assert report.d2_depth_cap_n == cap_ns
+        # Rows, conditions and cap hits as the two-walk report gave them.
+        frozen = repr((report.rows, report.conditions, report.d2_depth_cap_n))
+        assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
 class TestSweepoutReport:

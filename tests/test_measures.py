@@ -121,6 +121,18 @@ class TestLatticeMeasure:
         assert again.min_index == mu.min_index
         assert l1_distance(mu, again) == 0.0
 
+    def test_prune_holds_one_window(self):
+        # prune hands its new window over read-only, so the measure adopts it.
+        mu = from_pairs({0: 0.5, 10**5: 0.5 - 1e-10, 7: 1e-10})
+        tracemalloc.start()
+        try:
+            pruned = prune(mu, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pruned.mass_defect == 1e-10 and pruned.weight(7) == 0.0
+        assert peak < 1.5 * mu.weights.nbytes
+
     def test_text_round_trip_preserves_pruned_mass(self):
         mu = prune(from_pairs({0: 0.9999999999, 5: 1e-10}), 1e-9)
         again = LatticeMeasure.from_text(mu.to_text())

@@ -44,7 +44,7 @@ from convergence_lab.cli import _format_column, _rows_block, _write_csv
 from convergence_lab.dynamics import _apply_factor, _averages_pass, _CellTable, _distinct_sorted, _state_averages
 from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
-from conftest import RECURSION_TRACE_ATOL, l1_distance, table_chain
+from conftest import RECURSION_TRACE_ATOL, l1_distance, roll_average_all, table_chain
 
 
 @st.composite
@@ -578,6 +578,16 @@ def cyclic_chains(draw, max_n=8):
     else:
         f = _test_function(sys, draw(st.integers(min_value=0, max_value=2**16)))
     return sys, spec, n, f
+
+
+@given(cyclic_chains())
+@settings(max_examples=150, deadline=None)
+def test_cyclic_average_all_matches_the_roll_oracle(chain):
+    # On Z_q weighted_average_all is the recursion's step on f's values:
+    # bit for bit the sum of rotated copies of f, on every factor and prefix.
+    sys, spec, N, f = chain
+    for mu in (*map(spec.measure_at, range(1, N + 1)), *iter_prefixes(spec, N)):
+        assert np.array_equal(_bits(weighted_average_all(sys, mu, f)), _bits(roll_average_all(sys, mu, f)))
 
 
 @given(cyclic_chains(), st.integers(min_value=-100, max_value=100))

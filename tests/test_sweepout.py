@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestExampleMeasure:
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
             example_measure(0)
+
+    def test_build_holds_one_window(self):
+        # from_pairs hands its window over read-only, so the measure adopts it
+        # instead of copying it.
+        window = 8 * (10**5 + 2)
+        tracemalloc.start()
+        try:
+            nu = example_measure(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * window
+        assert not nu.weights.flags.writeable
 
     def test_diameter_over_cap_raises_before_allocating(self):
         assert example_measure(DEFAULT_SUPPORT_CAP - 2).max_index == 1
@@ -162,7 +176,29 @@ class TestDissipativityTrace:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def fraction_scan_points(max_denominator: int, uniform: int) -> np.ndarray:
+    """The scan points enumerated as exact fractions p/q, |p| <= q <= Q, kept
+    in [-1/2, 1/2) and rounded to floats, then merged with the uniform grid."""
+    pts = {Fraction(0)}
+    for q in range(1, max_denominator + 1):
+        for p in range(-q, q + 1):
+            f = Fraction(p, q)
+            if Fraction(-1, 2) <= f < Fraction(1, 2):
+                pts.add(f)
+    out = sorted(float(f) for f in pts)
+    if uniform > 0:
+        out = sorted(set(out) | {-0.5 + j / uniform for j in range(uniform)})
+    return np.array(out)
+
+
 class TestScanPoints:
+    @pytest.mark.parametrize("uniform", [0, 1, 7, 64, 1000])
+    def test_points_match_the_exact_fractions(self, uniform):
+        for Q in (*range(1, 41), 64, 100, 150):
+            got, want = scan_points(Q, uniform), fraction_scan_points(Q, uniform)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), Q
+
     def test_low_denominator_rationals(self):
         pts = scan_points(4)
         for expected in (-0.5, -0.25, 0.0, 1 / 3, 0.25):

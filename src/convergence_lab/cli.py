@@ -139,7 +139,7 @@ _KEYS = {
         _Key("system", "q", "1024", int, lambda v: v >= 1, "must be a positive integer"),
         _Key("system", "alpha", repr(DEFAULT_ALPHA), float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
         _Key("system", "samples", str(DEFAULT_SAMPLES), int, lambda v: v >= 1, "must be positive"),
-        _Key("system", "seed", "0", int),
+        _Key("system", "seed", "0", int, lambda v: v >= 0, "must be >= 0"),
         _Key("system", "kind", "cyclic", *_one_of("cyclic", "rotation")),
         _Key("run", "horizon", "64", int, lambda v: v >= 1, "must be >= 1"),
         _Key("run", "grid_size", str(DEFAULT_GRID_SIZE), int, lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16"),
@@ -495,6 +495,11 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
 
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     f = _make_test_function(config)
+    norm = f.norm_l1(config.system)
+    if norm == 0.0:
+        # On the rotation a short interval may hold no sampled state.
+        print(f"run.test_function: {config.test_function} has zero l1 norm over the system's states", file=_sys.stderr)
+        return EXIT_CONFIG
     # One pass gives both results before any file, so a support-cap hit
     # writes nothing.
     weak11_rows = _weak11_rows(config.system, f, config.lambdas)
@@ -507,7 +512,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
         "simulate",
         ("lambda", "level_measure", "empirical_constant"),
         [_rows_block(rows)],
-        extra=[("f_l1_norm", repr(f.norm_l1(config.system)))],
+        extra=[("f_l1_norm", repr(norm))],
     )
     _write_csv(
         out / "convergence_trace.csv",

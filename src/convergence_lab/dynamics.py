@@ -26,8 +26,9 @@ averages read at x, and the stream's is :func:`weighted_average` of the
 prefix at hand.  A caller that wants no trace pays nothing for one.
 
 Averages of a streamed prefix over every state have one engine,
-``_state_averages``, used by :func:`maximal_function_all` and the sweep-out
-simulation.  It scatters an indicator's prefix mass by residue or by
+``_state_averages``, and one pass, ``_prefix_averages``, which opens the
+stream beside it for :func:`maximal_function_all` and the sweep-out
+simulation.  The engine scatters an indicator's prefix mass by residue or by
 rotation cell into a cell buffer and reads every state's average off one
 cumulative sum; both buffers are allocated once per engine and reused for
 every prefix, and only the returned vector is new.  On the rotation the
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,6 +100,8 @@ class DynSystem:
             raise ValueError("alpha must lie in (0, 1)")
         if samples < 1:
             raise ValueError("samples must be positive")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         return cls(kind="rotation", alpha=float(alpha), samples=int(samples), seed=int(seed))
 
     @property
@@ -370,6 +373,17 @@ def _state_averages(
     return averages
 
 
+def _prefix_averages(
+    sys: DynSystem, spec: SequenceSpec, f: TestFunction, N: int, prune_eps: float
+) -> Iterator[tuple[LatticeMeasure, np.ndarray]]:
+    """Yield (mu_n, mu_n f over every state) for n = 1..N, mu_n borrowed
+    from the stream: it is valid only until the next item is asked for."""
+    span = _chain_span(spec, N)
+    averages = _state_averages(sys, f, span)
+    for mu in _prefix_stream(spec, N, prune_eps, span):
+        yield mu, averages(mu)
+
+
 def _apply_factor(nu: LatticeMeasure, vals: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Write nu(vals)(x) = sum_k nu(k) vals[(x + k) mod q] for every x in Z_q,
     q = len(vals), into ``out`` and return it.
@@ -485,13 +499,11 @@ def _averages_pass(
             if values is not None:
                 values.append(float(vals[int(x) % sys.q]))
     else:
-        span = _chain_span(spec, N)
-        averages = _state_averages(sys, f, span)
         mf = None
-        for mu in _prefix_stream(spec, N, prune_eps, span):
+        for mu, vals in _prefix_averages(sys, spec, f, N, prune_eps):
             if values is not None:
                 values.append(weighted_average(sys, mu, f, x))
-            vals = np.abs(averages(mu))
+            vals = np.abs(vals)
             mf = vals if mf is None else np.maximum(mf, vals)
     if values is None:
         return mf, None

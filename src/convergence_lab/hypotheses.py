@@ -101,8 +101,6 @@ def check_convergence_hypotheses(
     spec: SequenceSpec,
     N: int,
     grid_size: int = DEFAULT_GRID_SIZE,
-    d2_target: float = 1e-6,
-    d2_max_depth: int = 18,
     prune_eps: float = 0.0,
 ) -> HypothesisReport:
     """Evaluate the positive-direction hypotheses for n <= N.
@@ -114,7 +112,8 @@ def check_convergence_hypotheses(
     d2_integral, shift_tv).
 
     When the second-derivative integrand oscillates at the scale of a fast
-    growing support, its quadrature can hit the depth cap; the row then
+    growing support, its quadrature (at the defaults of
+    :func:`weighted_d2_integral`) can hit the depth cap; the row then
     records the last estimate and its prefix index n joins
     ``d2_depth_cap_n``, instead of aborting the report.
     """
@@ -138,7 +137,7 @@ def check_convergence_hypotheses(
     prefixes = convolve_prefixes(spec, N, prune_eps=prune_eps)
     for n, (mu, (e, m1, m2, decay, rho, _), phi) in enumerate(zip(prefixes, factors, phis), start=1):
         try:
-            d2 = weighted_d2_integral(mu, target=d2_target, max_depth=d2_max_depth)
+            d2 = weighted_d2_integral(mu)
         except QuadratureError as exc:
             d2_cap_ns.append(n)
             d2 = exc.last_two[1]

@@ -38,10 +38,10 @@ but it lives only until the stream advances, when the next product
 overwrites it.  So the unpruned chain's memory is one window whatever the
 horizon, and each page of the buffer faults in once; a pruned chain runs
 each product through :func:`prune`, which gives a product that loses
-weights an array of its own.  :func:`iter_prefixes` is the same chain for
-everyone else: each product gets an array of its own, so every prefix it
-yields may be kept.  :func:`convolve_prefixes` collects it into a list,
-for callers that index prefixes or walk them twice (spectra, hypothesis
+weights an array of its own.  A capped span lends nothing: its chain runs
+as :func:`iter_prefixes` does, the chain for everyone else, in which each
+product gets an array of its own, so every prefix may be kept.
+:func:`convolve_prefixes` collects it into a list, for callers that index prefixes or walk them twice (spectra, hypothesis
 checks); it returns a list, never a generator, so that wrappers that
 iterate its result do not drain it before the caller sees it.
 
@@ -295,9 +295,9 @@ def _convolve_into(
     adopts it without a copy, and it must not be written again while the
     product is in use.  When the weights of ``a`` or ``b`` are a view of
     ``buf`` (a prefix the chain lent out), the product is written over
-    them, from where they start; if it would not fit there, they are moved
-    to the front of ``buf`` first.  ``work`` is the shifted adds' two rows
-    of block scratch, or ``None`` to allocate them for this call.
+    them, from where they start, and must fit there.  ``work`` is the
+    shifted adds' two rows of block scratch, or ``None`` to allocate them
+    for this call.
     """
     out_len = len(a.weights) + len(b.weights) - 1
     if out_len > DEFAULT_SUPPORT_CAP:
@@ -314,11 +314,6 @@ def _convolve_into(
     if wa.base is buf or wb.base is buf:
         lent = wa if wa.base is buf else wb
         start = (lent.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
-        if start + out_len > len(buf):
-            # Only past a capped span, when underflow trimmed the prefix's front.
-            _move_to_front(buf, start, len(lent))
-            moved, start = buf[: len(lent)], 0
-            wa, wb = (moved, wb) if lent is wa else (wa, moved)
     out = buf[start : start + out_len]
     if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
         sparse, dense = (wa, wb) if nnz_a <= nnz_b else (wb, wa)
@@ -330,15 +325,6 @@ def _convolve_into(
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
     # Sliced after the lock, so the view is read-only too.
     return LatticeMeasure(a.min_index + b.min_index, buf[start : start + out_len], defect)
-
-
-def _move_to_front(buf: np.ndarray, start: int, n: int) -> None:
-    """Copy ``buf[start:start + n]`` to ``buf[:n]`` in block-sized forward
-    copies: each reads only what no earlier copy has written, and numpy
-    stages an overlapping one through a temporary of at most a block."""
-    for i in range(0, n, _CONVOLVE_BLOCK):
-        j = min(i + _CONVOLVE_BLOCK, n)
-        buf[i:j] = buf[start + i : start + j]
 
 
 def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray]) -> None:
@@ -614,10 +600,11 @@ def _prefix_stream(
     """The prefixes of :func:`iter_prefixes`, borrowed when ``span`` is given.
 
     ``span`` is the chain's ``_chain_span``.  Past nu_1, each prefix then
-    lies in one buffer as wide as the span allows and is valid until the
-    stream advances: a caller that keeps one copies its weights, since a
-    measure built on them would adopt the lent buffer.  Without ``span``
-    every product gets an array of its own.
+    lies in one buffer as wide as the span and is valid until the stream
+    advances: a caller that keeps one copies its weights, since a measure
+    built on them would adopt the lent buffer.  Without ``span``, or with
+    one that reaches ``DEFAULT_SUPPORT_CAP`` (a capped span, or one no
+    narrower than the cap), every product gets an array of its own.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -632,9 +619,8 @@ def _chain(
     current = spec.measure_at(1)
     yield current
     buf = work = None
-    if span is not None and N > 1:
-        width = min(span[1], DEFAULT_SUPPORT_CAP)
-        buf, work = np.empty(width), np.empty((2, min(width, _CONVOLVE_BLOCK)))
+    if span is not None and N > 1 and span[1] < DEFAULT_SUPPORT_CAP:
+        buf, work = np.empty(span[1]), np.empty((2, min(span[1], _CONVOLVE_BLOCK)))
     for n in range(2, N + 1):
         current = prune(_convolve_into(current, spec.measure_at(n), buf, work), prune_eps)
         yield current

@@ -8,22 +8,24 @@ positive floor on |mu_n_hat| away from the trivial character.
 
 The dissipativity rows and the sweep-out simulation are reductions over
 one pass of the borrowed prefix stream of :mod:`~convergence_lab.measures`.
-The simulation is a running max and min over the averages of chi_B that
-the state-averaging engine of :mod:`~convergence_lab.dynamics` bins from
-each prefix.  Its memory is the chain's one prefix buffer and, on the
+The simulation is a running max and min over the averages of chi_B, read
+from ``dynamics._prefix_averages``, the one generator that opens the
+stream beside the state-averaging engine and yields each prefix with its
+averages.  Its memory is the chain's one prefix buffer and, on the
 rotation, the engine's table of state cells, each as wide as the widest
 window the factors allow, both sized by one walk over the factors before
 the first convolution; past them, a step of the unpruned chain allocates
-only small arrays, such as the vector of averages.  Given ``window_k``,
-:func:`sweepout_simulation` also records the dissipativity rows from the
-same stream, so one chain feeds both, and each row reads only the
-prefix's weights inside [-window_k, window_k].
+only small arrays, such as the vector of averages.  A dissipativity row
+is ``_window_max`` of a prefix, which reads only its weights inside
+[-window_k, window_k]: :func:`dissipativity_trace` opens a stream of its
+own for them, and given ``window_k``, :func:`sweepout_simulation` takes
+them from the prefixes it averages, so one chain feeds both.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .measures import (
     map_factors,
 )
 from .spectral import _product_rule, fourier_at
-from .dynamics import DynSystem, TestFunction, _state_averages
+from .dynamics import DynSystem, TestFunction, _prefix_averages
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -79,6 +81,8 @@ class SweepoutFamily:
 
     def a_at(self, n: int) -> float:
         a = float(self.a_of(n))
+        if a == 1.0:  # b_n = floor(1/(1 - a_n)) is unbounded
+            raise SupportCapError(f"a_{n} rounds to 1.0, so b_{n} exceeds cap {DEFAULT_SUPPORT_CAP}")
         if not a < 1.0:
             raise ValueError(f"a_{n} = {a} must be below 1")
         return a
@@ -136,28 +140,20 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int) -> list[Dissipativit
     """Rows (n, max_{|k| <= K} mu_n(k)) for the unpruned running products."""
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
-    rows: list[DissipativityRow] = []
-    for _ in _tap_window_max(_prefix_stream(spec, N, 0.0, _chain_span(spec, N)), K, rows):
-        pass
-    return rows
+    prefixes = _prefix_stream(spec, N, 0.0, _chain_span(spec, N))
+    return [DissipativityRow(n, _window_max(mu, K)) for n, mu in enumerate(prefixes, start=1)]
 
 
-def _tap_window_max(
-    prefixes: Iterable[LatticeMeasure], K: int, rows: list[DissipativityRow]
-) -> Iterator[LatticeMeasure]:
-    """Pass ``prefixes`` through, appending the row (n, max_{|k| <= K} mu_n(k))
-    of each to ``rows`` as it goes by.
+def _window_max(mu: LatticeMeasure, K: int) -> float:
+    """max_{|k| <= K} mu(k), read off the weights inside [-K, K] alone.
 
-    The maximum is read off the weights inside [-K, K] alone.  A site of
-    the window outside mu_n's carries 0.0, which the initial value of the
-    maximum stands for: weights are nonnegative, so it changes nothing
-    else, and it is the row's value when the window misses mu_n's.
+    A site of the window outside mu's carries 0.0, which the initial value
+    of the maximum stands for: weights are nonnegative, so it changes
+    nothing else, and it is the value when the window misses mu's.
     """
-    for n, mu in enumerate(prefixes, start=1):
-        lo, hi = max(-K, mu.min_index), min(K, mu.max_index)
-        inside = mu.weights[lo - mu.min_index : max(lo, hi + 1) - mu.min_index]
-        rows.append(DissipativityRow(n, float(np.max(inside, initial=0.0))))
-        yield mu
+    lo, hi = max(-K, mu.min_index), min(K, mu.max_index)
+    inside = mu.weights[lo - mu.min_index : max(lo, hi + 1) - mu.min_index]
+    return float(np.max(inside, initial=0.0))
 
 
 class ScanRow(NamedTuple):
@@ -287,24 +283,18 @@ def sweepout_simulation(
         raise ValueError("N must be >= 1")
     if window_k is not None and window_k < 1:
         raise ValueError("window_k must be positive")
-    span = _chain_span(spec, N)
-    prefixes = _prefix_stream(spec, N, prune_eps, span)
-    rows: Optional[list[DissipativityRow]] = None
-    if window_k is not None:
-        rows = []
-        prefixes = _tap_window_max(prefixes, window_k, rows)
-
     if sys.is_cyclic:
         block_len = int(round(B_measure * sys.q))
         f, set_measure = TestFunction.indicator_block(0, block_len), block_len / sys.q
     else:
         f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
-    averages = _state_averages(sys, f, span)
 
+    rows: Optional[list[DissipativityRow]] = None if window_k is None else []
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None
-    for mu in prefixes:
-        vals = averages(mu)
+    for n, (mu, vals) in enumerate(_prefix_averages(sys, spec, f, N, prune_eps), start=1):
+        if rows is not None:
+            rows.append(DissipativityRow(n, _window_max(mu, window_k)))
         sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
         inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
 

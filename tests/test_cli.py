@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from convergence_lab import (
+    DynSystem,
     TestFunction,
     convolve_prefixes,
     iter_prefixes,
@@ -707,6 +708,45 @@ class TestRejections:
         out = tmp_path / "o"
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("family", ["a_rule = inverse_square\ncoeff = 1e17", "a_rule = geometric\nratio = 1e-200"])
+    @pytest.mark.parametrize("subcommand", ["convolve", "spectrum", "check", "simulate", "sweepout"])
+    def test_rate_that_rounds_to_one_is_a_resource_error(self, tmp_path, capsys, family, subcommand):
+        # a_1 = 1 - 1e-17 and 1 - 1e-200 round to 1.0, so b_1 = floor(1/(1 - a_1))
+        # is unbounded: no factor fits under the cap.
+        path = write(tmp_path, "r.cfg", SWEEPOUT_CFG.replace("a_rule = inverse_square\ncoeff = 1.0", family))
+        assert validate_config(path) == []
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource cap: a_1 rounds to 1.0, so b_1 exceeds cap 1000000\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        path = write(tmp_path, "s.cfg", SWEEPOUT_CFG.replace("seed = 1", "seed = -1"))
+        assert validate_config(path) == ["system.seed: must be >= 0 (got -1)"]
+        for subcommand in ("simulate", "sweepout"):
+            out = tmp_path / subcommand
+            assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == "system.seed: must be >= 0 (got -1)\n"
+            assert not out.exists()
+        with pytest.raises(ValueError, match="seed"):
+            DynSystem.rotation(seed=-1)
+
+    def test_test_function_zero_on_every_state_exits_before_any_averaging(self, tmp_path, capsys, monkeypatch):
+        # Three states, (i + 0.637) / 3, and none in the block [0, 0.125).
+        import convergence_lab.cli as cli_mod
+
+        def no_averaging(*args, **kwargs):
+            raise AssertionError("the averages ran before f was checked")
+
+        monkeypatch.setattr(cli_mod, "_averages_pass", no_averaging)
+        system = "[system]\nkind = rotation\nsamples = 3\nalpha = 0.5\nseed = 0\n"
+        path = write(tmp_path, "z.cfg", f"[family]\nkind = iid\n\n{system}\n[run]\ntest_function = block\n")
+        assert validate_config(path) == []
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "run.test_function: block has zero l1 norm over the system's states\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "subcommand, base, key, value",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from convergence_lab import (
     tv_shift_distance,
     weighted_d2_integral,
 )
+from convergence_lab import hypotheses
 from convergence_lab.cli import _rows_block, _write_csv
 from conftest import condition, second_moment_floor
 
@@ -55,19 +57,22 @@ class TestConvergenceReport:
         assert cond.witness == pytest.approx(0.5, abs=1e-12)
         assert not report.overall_ok
 
-    def test_fast_atom_family_fails_moment_growth(self):
+    def test_fast_atom_family_fails_moment_growth(self, monkeypatch):
         # second moments grow like the inverse of the defect rate; the d2
         # quadrature hits its (reduced) depth cap on these wide supports,
         # which the report records without aborting
+        monkeypatch.setattr(hypotheses, "weighted_d2_integral", partial(weighted_d2_integral, max_depth=12))
         spec = geometric_family(0.5).to_spec()
-        report = check_convergence_hypotheses(spec, 10, d2_max_depth=12)
+        report = check_convergence_hypotheses(spec, 10)
         assert condition(report, "zero_expectation").ok
         assert not condition(report, "moment_growth").ok
         assert not report.overall_ok
         assert len(report.d2_depth_cap_n) > 0
 
-    def test_cap_hit_row_holds_the_last_estimate(self):
-        report = check_convergence_hypotheses(IID_TRIPLE, 4, d2_target=1e-16, d2_max_depth=6)
+    def test_cap_hit_row_holds_the_last_estimate(self, monkeypatch):
+        tight = partial(weighted_d2_integral, target=1e-16, max_depth=6)
+        monkeypatch.setattr(hypotheses, "weighted_d2_integral", tight)
+        report = check_convergence_hypotheses(IID_TRIPLE, 4)
         cap_ns = report.d2_depth_cap_n
         assert cap_ns
         mus = convolve_prefixes(IID_TRIPLE, 4)
@@ -89,10 +94,11 @@ class TestConvergenceReport:
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == ",".join(report.row_header)
 
-    def test_failures_persist_at_larger_horizon(self):
+    def test_failures_persist_at_larger_horizon(self, monkeypatch):
+        monkeypatch.setattr(hypotheses, "weighted_d2_integral", partial(weighted_d2_integral, max_depth=12))
         spec = geometric_family(0.5).to_spec()
-        small = check_convergence_hypotheses(spec, 8, d2_max_depth=12)
-        large = check_convergence_hypotheses(spec, 12, d2_max_depth=12)
+        small = check_convergence_hypotheses(spec, 8)
+        large = check_convergence_hypotheses(spec, 12)
         for cond in small.conditions:
             if not cond.ok:
                 assert not condition(large, cond.name).ok

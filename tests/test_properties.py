@@ -3,6 +3,7 @@
 Strategies build small random probability measures directly, so shrinking
 produces readable counterexamples (a handful of atoms near the origin).
 """
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -840,25 +841,22 @@ _STEEP = np.exp(-1.7 * np.arange(-20, 21) ** 2)
     "nu",
     [_underflowing_factor([1.0]), _underflowing_factor([0.2, 1.0, 0.0, 3.0]), LatticeMeasure(-20, _STEEP / _STEEP.sum())],
 )
-def test_capped_chain_moves_a_trimmed_prefix_to_the_front(monkeypatch, nu, block):
+def test_capped_chain_lends_no_buffer(monkeypatch, nu, block):
     # Products lose points to underflow, so past some step the factors'
     # windows pass a cap that every product still fits: the span is capped,
-    # and a trimmed prefix that sits too far into the buffer for the next
-    # product is moved to its front first.
+    # and the chain runs owned, as iter_prefixes does, with every prefix's bits.
     N = 30
     spec = SequenceSpec.iid(nu)
     owned = list(iter_prefixes(spec, N))
     cap = max(len(mu.weights) for mu in owned) + len(nu.weights) - 1
     monkeypatch.setattr(measures, "DEFAULT_SUPPORT_CAP", cap)
     monkeypatch.setattr(measures, "_CONVOLVE_BLOCK", block)
-    moves = []
-    move = measures._move_to_front
-    monkeypatch.setattr(measures, "_move_to_front", lambda *a: moves.append(a[1:]) or move(*a))
     left, width = _chain_span(spec, N)
     assert width == cap < list(prefix_windows([nu] * N))[-1].width
-    for got, want in zip(measures._prefix_stream(spec, N, 0.0, (left, width)), owned, strict=True):
-        assert _same_measure(got, want)
-    assert moves
+    got = list(measures._prefix_stream(spec, N, 0.0, (left, width)))
+    for mu, want in zip(got, owned, strict=True):
+        assert _same_measure(mu, want)
+    assert not any(np.shares_memory(a.weights, b.weights) for a, b in itertools.combinations(got[1:], 2))
 
 
 @pytest.mark.parametrize("N, prune_eps", [(0, 0.0), (-3, 0.0), (4, -1e-12), (4, 2e-8)])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -103,8 +104,13 @@ class TestFamilies:
     def test_family_rejects_rates_at_or_above_one(self):
         from convergence_lab import SweepoutFamily
 
-        with pytest.raises(ValueError):
-            SweepoutFamily("bad", lambda n: 1.0).measure_at(1)
+        # A rate of exactly 1.0 leaves b = floor(1/(1 - a)) unbounded, past
+        # any cap; a rate above 1, or NaN, is no rate at all.
+        with pytest.raises(SupportCapError, match="a_1 rounds to 1.0"):
+            SweepoutFamily("one", lambda n: 1.0).measure_at(1)
+        for bad in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                SweepoutFamily("bad", lambda n: bad).measure_at(1)
 
     def test_spec_carries_decomposition(self):
         spec = INV_SQ.to_spec()

@@ -38,6 +38,7 @@ from .spectral import DEFAULT_GRID_SIZE, fourier_eval
 from .sweepout import (
     HIGH_THRESHOLD,
     LOW_THRESHOLD,
+    dissipativity_trace,
     fourier_floor_scan,
     geometric_family,
     inverse_square_family,
@@ -321,7 +322,16 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         for section, key in sorted(_KEYS, key=lambda sk: (_SECTIONS.index(sk[0]), sk[1]))
         if get(section, key) != ""
     ]
-    return ExperimentConfig(system=system, spec=spec, echo=echo, **run)
+    config = ExperimentConfig(system=system, spec=spec, echo=echo, **run)
+    # On Z_q every test function is nonzero at state 0; on the rotation the
+    # point mass covers the first state's stratum [0, 1/samples), and a cosine
+    # has no zero among floats.  So only a block on the rotation can miss every
+    # sampled state, and only it is summed here: loading any other config
+    # draws no state sample.
+    if config.test_function == "block" and not system.is_cyclic:
+        if _make_test_function(config).norm_l1(system) == 0.0:
+            raise ConfigError(["run.test_function: block has zero l1 norm over the system's states"])
+    return config
 
 
 def _site_reach(factors: Iterable[LatticeMeasure]) -> int:
@@ -496,10 +506,6 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
     f = _make_test_function(config)
     norm = f.norm_l1(config.system)
-    if norm == 0.0:
-        # On the rotation a short interval may hold no sampled state.
-        print(f"run.test_function: {config.test_function} has zero l1 norm over the system's states", file=_sys.stderr)
-        return EXIT_CONFIG
     # One pass gives both results before any file, so a support-cap hit
     # writes nothing.
     weak11_rows = _weak11_rows(config.system, f, config.lambdas)
@@ -531,16 +537,14 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> int:
 def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
     # Every result comes before any file, so a support-cap hit writes nothing;
     # the scan points come first, as their cap is checked before any work.
-    # One prefix chain feeds both the dissipativity rows and the simulation.
+    # The simulation averages the prefixes (on a cyclic system without
+    # pruning, through the recursion that forms none); the dissipativity
+    # rows come from a chain of their own, cut to the reachable window.
     pts = scan_points(config.scan_max_denominator, config.scan_uniform)
     sim = sweepout_simulation(
-        config.system,
-        config.spec,
-        config.b_measure,
-        config.horizon,
-        prune_eps=config.prune_eps,
-        window_k=config.window_k,
+        config.system, config.spec, config.b_measure, config.horizon, prune_eps=config.prune_eps
     )
+    rows = dissipativity_trace(config.spec, config.window_k, config.horizon, prune_eps=config.prune_eps)
     scan = fourier_floor_scan(config.spec, pts, config.horizon)
 
     _write_csv(
@@ -548,7 +552,7 @@ def _cmd_sweepout(config: ExperimentConfig, out: Path) -> int:
         config,
         "sweepout",
         ("n", "window_max"),
-        [_rows_block(sim.dissipativity)],
+        [_rows_block(rows)],
         extra=[("window_k", str(config.window_k))],
     )
     _write_csv(

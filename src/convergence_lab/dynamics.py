@@ -5,30 +5,31 @@ Two systems are provided: the cyclic shift on Z_q with uniform measure
 and the circle rotation x -> x + alpha mod 1 with a deterministic
 stratified state sample (qualitative demonstrations).
 
-Every experiment over the running products mu_n = nu_1 * ... * nu_n is one
-pass over the borrowed prefix stream of :mod:`~convergence_lab.measures`,
-whose chain writes every prefix over the one before it, in one buffer
-allocated once, as wide as the widest window the factors allow; each
-prefix is read before the stream advances, and none is kept.  The
-maximal function on a cyclic system without pruning skips the prefixes
-altogether: since mu_n = mu_{n-1} * nu_n, the averages obey
+Every experiment over the running products mu_n = nu_1 * ... * nu_n reads
+one generator, ``_averages``, which yields mu_n f over every state for
+n = 1..N by one of two routes.  On a cyclic system without pruning it
+forms no prefix: since mu_n = mu_{n-1} * nu_n, the averages obey
 mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
 previous vector of averages, at a cost of nnz(nu_n) * q instead of
-nnz(mu_n) * q.  The step runs in place, ``_apply_factor``,
-through two q-length vectors that swap roles and one scratch; it is the
-one cyclic atom sum, so :func:`weighted_average_all` on a table of the
-previous averages gives the same bits.  It falls back to the
-prefix stream on the rotation, whose state sample is not closed under the
-dynamics, and on pruned chains, whose prefixes are not the exact products.
-The maximal function and the convergence trace at one state x come from
-one such pass, ``_averages_pass``: the recursion's trace is its vector of
-averages read at x, and the stream's is :func:`weighted_average` of the
-prefix at hand.  A caller that wants no trace pays nothing for one.
+nnz(mu_n) * q.  The step runs in place, ``_apply_factor``, through two
+q-length vectors that swap roles and one scratch; it is the one cyclic
+atom sum, so :func:`weighted_average_all` on a table of the previous
+averages gives the same bits.  Anywhere else, on the rotation, whose state
+sample is not closed under the dynamics, and on pruned chains, whose
+prefixes are not the exact products, it reads the borrowed prefix stream
+of :mod:`~convergence_lab.measures`, whose chain writes every prefix over
+the one before it, in one buffer allocated once, as wide as the widest
+window the factors allow; each prefix is read before the stream advances,
+and none is kept.  The maximal function and the convergence trace at one
+state x come from one pass over it, ``_averages_pass``: the recursion's
+trace is its vector of averages read at x, and the stream's is
+:func:`weighted_average` of the prefix at hand.  A caller that wants no
+trace pays nothing for one.  The sweep-out simulation is the other pass
+over it.
 
 Averages of a streamed prefix over every state have one engine,
-``_state_averages``, and one pass, ``_prefix_averages``, which opens the
-stream beside it for :func:`maximal_function_all` and the sweep-out
-simulation.  The engine scatters an indicator's prefix mass by residue or by
+``_state_averages``, which ``_averages`` builds beside the stream.  The
+engine scatters an indicator's prefix mass by residue or by
 rotation cell into a cell buffer and reads every state's average off one
 cumulative sum; both buffers are allocated once per engine and reused for
 every prefix, and only the returned vector is new.  On the rotation the
@@ -373,11 +374,25 @@ def _state_averages(
     return averages
 
 
-def _prefix_averages(
+def _averages(
     sys: DynSystem, spec: SequenceSpec, f: TestFunction, N: int, prune_eps: float
-) -> Iterator[tuple[LatticeMeasure, np.ndarray]]:
-    """Yield (mu_n, mu_n f over every state) for n = 1..N, mu_n borrowed
-    from the stream: it is valid only until the next item is asked for."""
+) -> Iterator[tuple[Optional[LatticeMeasure], np.ndarray]]:
+    """Yield (mu_n, mu_n f over every state) for n = 1..N; each item is valid
+    only until the next one is asked for.
+
+    On a cyclic system without pruning mu_n is None: no prefix is formed,
+    and the vector is the recursion's, mu_n f = nu_n(mu_{n-1} f), one of two
+    q-length buffers that swap roles at every step.  Otherwise mu_n is
+    borrowed from the stream and the vector is new.
+    """
+    if sys.is_cyclic and prune_eps == 0.0:
+        vals = weighted_average_all(sys, spec.measure_at(1), f)
+        yield None, vals
+        nxt, scratch = np.empty(sys.q), np.empty(sys.q)
+        for n in range(2, N + 1):
+            vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
+            yield None, vals
+        return
     span = _chain_span(spec, N)
     averages = _state_averages(sys, f, span)
     for mu in _prefix_stream(spec, N, prune_eps, span):
@@ -488,23 +503,17 @@ def _averages_pass(
     if N < 1:
         raise ValueError("N must be >= 1")
     values: Optional[list[float]] = None if x is None else []
-    if sys.is_cyclic and prune_eps == 0.0:
-        vals = weighted_average_all(sys, spec.measure_at(1), f)
-        mf = np.abs(vals)
-        nxt, scratch = np.empty(sys.q), np.empty(sys.q)
-        for n in range(1, N + 1):
-            if n > 1:
-                vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
-                np.maximum(mf, np.abs(vals, out=scratch), out=mf)
-            if values is not None:
-                values.append(float(vals[int(x) % sys.q]))
-    else:
-        mf = None
-        for mu, vals in _prefix_averages(sys, spec, f, N, prune_eps):
-            if values is not None:
-                values.append(weighted_average(sys, mu, f, x))
-            vals = np.abs(vals)
-            mf = vals if mf is None else np.maximum(mf, vals)
+    top = bottom = None
+    for mu, vals in _averages(sys, spec, f, N, prune_eps):
+        if values is not None:
+            values.append(float(vals[int(x) % sys.q]) if mu is None else weighted_average(sys, mu, f, x))
+        if top is None:
+            top, bottom = vals.copy(), vals.copy()
+        else:
+            np.maximum(top, vals, out=top)
+            np.minimum(bottom, vals, out=bottom)
+    # max_n |v_n| is the larger of |max_n v_n| and |min_n v_n|.
+    mf = np.maximum(np.abs(top, out=top), np.abs(bottom, out=bottom), out=top)
     if values is None:
         return mf, None
     m = N // 2

@@ -6,20 +6,25 @@ Each member is centered, and the mass splits as an atom at 1 plus a far
 remainder, which drives both dissipativity of the running products and a
 positive floor on |mu_n_hat| away from the trivial character.
 
-The dissipativity rows and the sweep-out simulation are reductions over
-one pass of the borrowed prefix stream of :mod:`~convergence_lab.measures`.
-The simulation is a running max and min over the averages of chi_B, read
-from ``dynamics._prefix_averages``, the one generator that opens the
-stream beside the state-averaging engine and yields each prefix with its
-averages.  Its memory is the chain's one prefix buffer and, on the
+The sweep-out simulation is a running max and min over the averages of
+chi_B, read from ``dynamics._averages``, the one generator of averages
+over every state: on a cyclic system without pruning it runs the
+recursion mu_n chi_B = nu_n(mu_{n-1} chi_B), which forms no prefix, and
+otherwise it reads the borrowed prefix stream of
+:mod:`~convergence_lab.measures` through the state-averaging engine.  On
+the stream its memory is the chain's one prefix buffer and, on the
 rotation, the engine's table of state cells, each as wide as the widest
 window the factors allow, both sized by one walk over the factors before
 the first convolution; past them, a step of the unpruned chain allocates
-only small arrays, such as the vector of averages.  A dissipativity row
-is ``_window_max`` of a prefix, which reads only its weights inside
-[-window_k, window_k]: :func:`dissipativity_trace` opens a stream of its
-own for them, and given ``window_k``, :func:`sweepout_simulation` takes
-them from the prefixes it averages, so one chain feeds both.
+only small arrays, such as the vector of averages.
+
+A dissipativity row reads mu_n only inside [-K, K].  Its one producer,
+:func:`dissipativity_trace`, runs a chain of its own on each prefix cut
+to its reachable window, the sites from which a later prefix can still
+reach [-K, K]; for the sweep-out family that window is about K + N sites
+on the left of 0, however wide the prefix.  Where the kernel might sum a
+kept weight in another order than on the full chain, the rows are read
+off the full chain, so they are its rows bit for bit.
 """
 from __future__ import annotations
 
@@ -35,14 +40,18 @@ from .measures import (
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
+    _SPARSE_NNZ_CUTOFF,
     _atom_products,
     _chain_span,
     _prefix_stream,
+    convolve,
     from_pairs,
     map_factors,
+    prefix_windows,
+    prune,
 )
 from .spectral import _product_rule, fourier_at
-from .dynamics import DynSystem, TestFunction, _prefix_averages
+from .dynamics import DynSystem, TestFunction, _averages
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -136,12 +145,82 @@ class DissipativityRow(NamedTuple):
     window_max: float
 
 
-def dissipativity_trace(spec: SequenceSpec, K: int, N: int) -> list[DissipativityRow]:
-    """Rows (n, max_{|k| <= K} mu_n(k)) for the unpruned running products."""
+def dissipativity_trace(spec: SequenceSpec, K: int, N: int, prune_eps: float = 0.0) -> list[DissipativityRow]:
+    """Rows (n, max_{|k| <= K} mu_n(k)) for the running products, pruned by
+    ``prune_eps`` after each convolution as :func:`iter_prefixes` prunes them.
+
+    The chain keeps each prefix only on its reachable window R_n, outside
+    which no site of mu_n can reach [-K, K] by step N: with [lo_m, hi_m]
+    the window of mu_m, R_n = [-K - up_n, K - dn_n] for up_n the largest
+    hi_m - hi_n and dn_n the smallest lo_m - lo_n over n <= m <= N.  A site
+    of mu_n outside R_n moves, at each step, to one outside the next
+    window, so cutting it off changes no weight inside them; before each
+    product the factor is cut likewise, to the atoms that carry the prefix
+    into R_n.  A cut that leaves no mass makes this and every later row 0.0.
+    At the first product whose order ``_same_sums`` cannot vouch for, the
+    rows are read off the full chain, so they are its rows bit for bit.
+    """
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
-    prefixes = _prefix_stream(spec, N, 0.0, _chain_span(spec, N))
-    return [DissipativityRow(n, _window_max(mu, K)) for n, mu in enumerate(prefixes, start=1)]
+    if not 0.0 <= prune_eps <= 1e-8:
+        raise ValueError("prune_eps must lie in [0, 1e-8]")
+    windows = list(prefix_windows(map(spec.measure_at, range(1, N + 1))))
+    # R_n from the extremes of the later windows' ends, the last prefix first.
+    reach, top, bottom = [], windows[-1].hi, windows[-1].lo
+    for w in reversed(windows):
+        top, bottom = max(top, w.hi), min(bottom, w.lo)
+        reach.append((w.hi - top - K, w.lo - bottom + K))
+    reach.reverse()
+
+    mu = _restrict(spec.measure_at(1), *reach[0], 0.0)
+    rows = [DissipativityRow(1, 0.0 if mu is None else _window_max(mu, K))]
+    for n in range(2, N + 1):
+        if mu is not None:
+            (lo, hi), (lo_before, hi_before) = reach[n - 1], reach[n - 2]
+            nu = spec.measure_at(n)
+            cut = _restrict(nu, lo - mu.max_index, hi - mu.min_index, 0.0)
+            whole = lo_before <= windows[n - 2].lo and windows[n - 2].hi <= hi_before
+            if cut is not None and not _same_sums(mu, nu, cut, whole):
+                prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
+                return [DissipativityRow(m, _window_max(p, K)) for m, p in enumerate(prefixes, start=1)]
+            mu = None if cut is None else _restrict(convolve(mu, cut), lo, hi, prune_eps)
+        rows.append(DissipativityRow(n, 0.0 if mu is None else _window_max(mu, K)))
+    return rows
+
+
+def _same_sums(mu: LatticeMeasure, nu: LatticeMeasure, cut: LatticeMeasure, whole: bool) -> bool:
+    """Whether ``convolve(mu, cut)`` sums each weight of the reachable window
+    in the order of the full chain's product of its prefix and ``nu``:
+    ``mu`` is that prefix cut to its reachable window (``whole`` when the
+    cut took nothing off it) and ``cut`` is ``nu`` cut.
+
+    Each weight gets the same nonzero terms in both, and the kernel adds
+    them in the order of the atoms of its sparse side, the one with fewer.
+    Uncut operands make the same call; a factor of at most
+    ``_SPARSE_NNZ_CUTOFF`` atoms that the kept prefix outnumbers is the
+    sparse side of both; and at most two terms have one sum in any order.
+    A prefix cut to few atoms, or a product on the ``np.convolve`` path,
+    may sum in another order.
+    """
+    if whole and cut is nu:
+        return True
+    atoms = nu.nnz
+    return atoms <= _SPARSE_NNZ_CUTOFF and (mu.nnz > atoms or min(mu.nnz, cut.nnz) <= 2)
+
+
+def _restrict(mu: LatticeMeasure, lo: int, hi: int, eps: float) -> Optional[LatticeMeasure]:
+    """mu on [lo, hi] alone, pruned by ``eps``, with the mass it loses
+    joining the defect as in :func:`prune`; None when no weight of at least
+    ``eps`` is left there, or none at all."""
+    i, j = max(lo - mu.min_index, 0), min(hi - mu.min_index + 1, len(mu.weights))
+    inside = mu.weights[i:max(i, j)]
+    top = float(np.max(inside, initial=0.0))
+    if top == 0.0 or top < eps:
+        return None
+    if (i, j) != (0, len(mu.weights)):
+        lost = float(np.sum(mu.weights[:i])) + float(np.sum(mu.weights[j:]))
+        mu = LatticeMeasure(mu.min_index + i, inside, mu.mass_defect + lost)
+    return prune(mu, eps)
 
 
 def _window_max(mu: LatticeMeasure, K: int) -> float:
@@ -255,8 +334,6 @@ class SweepoutSimulation:
     frac_low: float
     horizon: int
     set_measure: float
-    #: Rows of :func:`dissipativity_trace` for ``window_k``, when it was given.
-    dissipativity: Optional[list[DissipativityRow]] = None
 
 
 def sweepout_simulation(
@@ -265,38 +342,34 @@ def sweepout_simulation(
     B_measure: float,
     N: int,
     prune_eps: float = 0.0,
-    *,
-    window_k: Optional[int] = None,
 ) -> SweepoutSimulation:
     """Running max/min of mu_n chi_B(x) over n <= N for every sampled state.
 
     B is the block {0, ..., round(B_measure q) - 1} on the cyclic system and
     the interval [0, B_measure) on the rotation.  The per-state values are
-    exact sums of mu_n mass over the preimage of B.  Given ``window_k``,
-    the result also carries the rows of :func:`dissipativity_trace` for
-    ``window_k``, taken from the same prefix stream, pruned by ``prune_eps``
-    as the simulation is.
+    sums of mu_n mass over the preimage of B, exact on the streamed prefixes;
+    on a cyclic system without pruning they come from the recursion
+    mu_n chi_B = nu_n(mu_{n-1} chi_B), which forms no prefix and sums the
+    same products in another order, so they may differ in the last bits.
     """
     if not 0.0 <= B_measure <= 1.0:
         raise ValueError("B_measure must lie in [0, 1]")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if window_k is not None and window_k < 1:
-        raise ValueError("window_k must be positive")
     if sys.is_cyclic:
         block_len = int(round(B_measure * sys.q))
         f, set_measure = TestFunction.indicator_block(0, block_len), block_len / sys.q
     else:
         f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
 
-    rows: Optional[list[DissipativityRow]] = None if window_k is None else []
     sup_trace: Optional[np.ndarray] = None
     inf_trace: Optional[np.ndarray] = None
-    for n, (mu, vals) in enumerate(_prefix_averages(sys, spec, f, N, prune_eps), start=1):
-        if rows is not None:
-            rows.append(DissipativityRow(n, _window_max(mu, window_k)))
-        sup_trace = vals if sup_trace is None else np.maximum(sup_trace, vals)
-        inf_trace = vals if inf_trace is None else np.minimum(inf_trace, vals)
+    for _, vals in _averages(sys, spec, f, N, prune_eps):
+        if sup_trace is None:
+            sup_trace, inf_trace = vals.copy(), vals.copy()
+        else:
+            np.maximum(sup_trace, vals, out=sup_trace)
+            np.minimum(inf_trace, vals, out=inf_trace)
 
     frac_high = float(np.mean(sup_trace >= HIGH_THRESHOLD))
     frac_low = float(np.mean(inf_trace <= LOW_THRESHOLD))
@@ -307,5 +380,4 @@ def sweepout_simulation(
         frac_low=frac_low,
         horizon=N,
         set_measure=set_measure,
-        dissipativity=rows,
     )

@@ -11,7 +11,9 @@ from convergence_lab import (
     from_pairs,
     weighted_average,
 )
+from convergence_lab.measures import _chain_span, _prefix_stream
 from convergence_lab.spectral import _NEAR_ZERO_WINDOW
+from convergence_lab.sweepout import DissipativityRow, _window_max
 
 
 def random_measure(
@@ -225,3 +227,10 @@ def second_moment_floor(a_n: float, c: float, d: float) -> float:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+def full_dissipativity_trace(spec, K: int, N: int, prune_eps: float = 0.0) -> list:
+    """Rows of dissipativity_trace read off the full chain: the window max
+    of every prefix of the borrowed stream, each prefix whole."""
+    prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
+    return [DissipativityRow(n, _window_max(mu, K)) for n, mu in enumerate(prefixes, start=1)]

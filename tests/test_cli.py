@@ -26,7 +26,7 @@ from convergence_lab.cli import (
     main,
     validate_config,
 )
-from conftest import RECURSION_TRACE_ATOL, table_chain
+from conftest import RECURSION_TRACE_ATOL, full_dissipativity_trace, table_chain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,12 +78,13 @@ def write(tmp_path: Path, name: str, text: str) -> str:
 
 @pytest.fixture
 def convolutions(monkeypatch) -> list:
-    """One entry per call of the convolution kernel that every chain runs."""
+    """The arguments (a, b, buf, work) of each call of the convolution kernel
+    that every chain runs; ``buf`` is None where the product gets a fresh array."""
     import convergence_lab.measures as measures_mod
 
     calls = []
     kernel = measures_mod._convolve_into
-    monkeypatch.setattr(measures_mod, "_convolve_into", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(measures_mod, "_convolve_into", lambda *a: calls.append(a) or kernel(*a))
     return calls
 
 
@@ -294,9 +295,43 @@ class TestMain:
         assert 0.0 < float(rows[1][1]) < float(rows[0][1]) < 1.0
 
     def test_sweepout_builds_one_prefix_chain(self, tmp_path, convolutions):
-        path = write(tmp_path, "f.cfg", SWEEPOUT_CFG)
-        assert main(["sweepout", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert len(convolutions) == 12 - 1
+        # On the rotation the simulation streams one full-width chain through
+        # its lent buffer; on the cyclic system the recursion forms no prefix.
+        # The dissipativity rows convolve each prefix cut to its reachable
+        # window: every factor ends at 1, so with window_k = 8 the window of
+        # mu_n starts at -8 - (12 - n), and mu_n ends at n.
+        for system, streamed in ((ROTATION, 12 - 1), (CYCLIC_64, 0)):
+            convolutions.clear()
+            path = write(tmp_path, "f.cfg", SWEEPOUT_CFG.replace(ROTATION, system))
+            assert main(["sweepout", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+            windowed = [(a, b) for a, b, buf, _ in convolutions if buf is None]
+            assert len(convolutions) - len(windowed) == streamed and len(windowed) == 12 - 1
+            for n, (mu, nu) in enumerate(windowed, start=2):
+                assert -8 - (12 - n + 1) <= mu.min_index and mu.max_index <= n - 1
+                assert len(mu.weights) + len(nu.weights) - 1 <= 2 * (8 + 12 + 1)
+
+    def test_cyclic_sweepout_runs_past_the_support_cap(self, tmp_path):
+        # mu_240 of the inverse-square family would span about 4.6M sites, past
+        # the cap, but neither the recursion nor the reachable windows form it.
+        cfg = SWEEPOUT_CFG.replace(ROTATION, CYCLIC_64).replace("horizon = 12", "horizon = 240")
+        path = write(tmp_path, "c.cfg", cfg)
+        out = tmp_path / "o"
+        assert main(["sweepout", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["dissipativity.csv", "floor_scan.csv", "sweepout_simulation.csv"]
+
+        def rows(name: str) -> list[list[str]]:
+            return [ln.split(",") for ln in (out / name).read_text().splitlines() if ln[0].isdigit()]
+
+        config = load_config(path)
+        # A row of mu_n does not depend on the horizon: up to where the full
+        # chain fits, the rows are its rows, to the bit.
+        disp = rows("dissipativity.csv")
+        assert [n for n, _ in disp] == [str(n) for n in range(1, 241)]
+        assert [float(v) for _, v in disp[:100]] == [r.window_max for r in full_dissipativity_trace(config.spec, 8, 100)]
+        # The running extremes are those of the atom-by-atom recursion, to the bit.
+        chain = table_chain(config.system, config.spec, TestFunction.indicator_block(0, 3), 240)
+        sim = [[float(v) for v in row[1:]] for row in rows("sweepout_simulation.csv")]
+        assert sim == np.column_stack((np.max(chain, axis=0), np.min(chain, axis=0))).tolist()
 
     @pytest.mark.parametrize(
         "system, prune_eps, expected",
@@ -742,11 +777,14 @@ class TestRejections:
         monkeypatch.setattr(cli_mod, "_averages_pass", no_averaging)
         system = "[system]\nkind = rotation\nsamples = 3\nalpha = 0.5\nseed = 0\n"
         path = write(tmp_path, "z.cfg", f"[family]\nkind = iid\n\n{system}\n[run]\ntest_function = block\n")
-        assert validate_config(path) == []
+        message = "run.test_function: block has zero l1 norm over the system's states"
+        assert validate_config(path) == [message]
         out = tmp_path / "o"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "run.test_function: block has zero l1 norm over the system's states\n"
-        assert not any(out.iterdir())
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+        # The point mass on the same states holds the first of them.
+        assert validate_config(write(tmp_path, "p.cfg", f"[family]\nkind = iid\n\n{system}")) == []
 
     @pytest.mark.parametrize(
         "subcommand, base, key, value",

@@ -23,12 +23,15 @@ from convergence_lab import (
     convolve,
     convolve_prefixes,
     delta,
+    dissipativity_trace,
     doubling_defect,
     expectation,
     fourier_at,
     fourier_eval,
     fourier_floor_scan,
     from_pairs,
+    geometric_family,
+    inverse_square_family,
     iter_prefixes,
     maximal_function_all,
     moment,
@@ -45,7 +48,7 @@ from convergence_lab.cli import _format_column, _rows_block, _write_csv
 from convergence_lab.dynamics import _apply_factor, _averages_pass, _CellTable, _distinct_sorted, _state_averages
 from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
-from conftest import RECURSION_TRACE_ATOL, l1_distance, roll_average_all, table_chain
+from conftest import RECURSION_TRACE_ATOL, full_dissipativity_trace, l1_distance, roll_average_all, table_chain
 
 
 @st.composite
@@ -481,6 +484,61 @@ def test_windowed_binning_matches_direct_averages(spec_n, sys, B):
     direct = np.vstack([weighted_average_all(sys, mu, f) for mu in convolve_prefixes(spec, N)])
     np.testing.assert_allclose(sim.sup_trace, direct.max(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sim.inf_trace, direct.min(axis=0), rtol=0, atol=1e-12)
+
+
+@st.composite
+def random_steps(draw, atoms, max_span, offsets):
+    """A factor with ``atoms`` drawn atoms in a window up to ``max_span`` wide
+    and weights drawn away from 0, so that sums in different orders differ."""
+    span = draw(st.integers(min_value=atoms, max_value=max_span))
+    sites = draw(st.lists(st.integers(0, span - 1), min_size=atoms, max_size=atoms, unique=True))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=atoms, max_size=atoms)))
+    offset = draw(st.integers(*offsets))
+    return from_pairs({offset + k: float(x) for k, x in zip(sites, w / w.sum())})
+
+
+@st.composite
+def dissipativity_cases(draw):
+    """A spec and horizon N: a sweep-out family, an iid step that drifts off
+    0, steps of 2-5 random atoms, iid or not, or an iid step of 40 or 45
+    atoms, whose products take the ``np.convolve`` path."""
+    kind = draw(st.sampled_from(["inverse_square", "geometric", "drift", "few", "many"]))
+    # Each family up to a horizon at which the full chain stays under the cap.
+    if kind == "inverse_square":
+        coeff, top = draw(st.sampled_from([(1.0, 130), (3.0, 90)]))
+        return inverse_square_family(coeff).to_spec(), draw(st.integers(1, top))
+    if kind == "geometric":
+        ratio, top = draw(st.sampled_from([(0.5, 18), (0.9, 60)]))
+        return geometric_family(ratio).to_spec(), draw(st.integers(1, top))
+    N = draw(st.integers(1, 130))
+    if kind == "drift":
+        offsets = draw(st.sampled_from([(1, 4), (-10, -3)]))
+        return SequenceSpec.iid(draw(random_steps(draw(st.integers(2, 3)), 4, offsets))), N
+    if kind == "few":
+        steps = st.integers(2, 5).flatmap(lambda a: random_steps(a, 8, (-8, 5)))
+        if draw(st.booleans()):
+            return SequenceSpec.iid(draw(steps)), N
+        return SequenceSpec.from_measures(draw(st.lists(steps, min_size=N, max_size=N))), N
+    atoms = draw(st.sampled_from([40, 45]))
+    return SequenceSpec.iid(draw(random_steps(atoms, atoms + 10, (-60, 20)))), min(N, 60)
+
+
+@given(
+    dissipativity_cases(),
+    st.one_of(st.integers(1, 10), st.sampled_from([50, 500, 5000])),
+    st.sampled_from([0.0, 1e-12, 1e-8]),
+)
+# The rows of the simulate-export workload's sweepout step.
+@example((inverse_square_family(1.0).to_spec(), 120), 50, 0.0)
+# The kernel would take three kept sites as its sparse side, where the full
+# chain takes the factor: the rows come from the full chain.
+@example((SequenceSpec.iid(from_pairs({0: 0.21, 1: 0.33, 2: 0.46})), 60), 2, 0.0)
+@settings(max_examples=100, deadline=None)
+def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
+    spec, N = case
+    got = dissipativity_trace(spec, K, N, prune_eps)
+    want = full_dissipativity_trace(spec, K, N, prune_eps)
+    assert [(n, repr(v)) for n, v in got] == [(n, repr(v)) for n, v in want]
 
 
 # Few distinct values, so duplicates are common, with both signs of zero.

@@ -29,10 +29,11 @@ from convergence_lab import (
     sweepout_simulation,
     weighted_average_all,
 )
-from convergence_lab.dynamics import _CellTable
+from convergence_lab.dynamics import _CellTable, _state_averages
 from convergence_lab import measures
 from convergence_lab.measures import _chain_span, prefix_windows
-from conftest import decomposition_error, l1_distance
+from convergence_lab.sweepout import HIGH_THRESHOLD, LOW_THRESHOLD
+from conftest import RECURSION_TRACE_ATOL, decomposition_error, full_dissipativity_trace, l1_distance
 
 INV_SQ = inverse_square_family(1.0)
 
@@ -136,19 +137,27 @@ class TestDissipativityTrace:
         rows = dissipativity_trace(INV_SQ.to_spec(), 50, 60)
         assert rows[-1].window_max < 0.02
 
-    @pytest.mark.parametrize(
-        "sys", [DynSystem.cyclic(64), DynSystem.rotation(samples=256, seed=2)], ids=["cyclic", "rotation"]
-    )
-    def test_simulation_records_the_same_rows(self, sys):
+    def test_rejects_bad_arguments(self):
         spec = INV_SQ.to_spec()
-        sim = sweepout_simulation(sys, spec, 0.1, 20, window_k=50)
-        assert sim.dissipativity == dissipativity_trace(spec, 50, 20)
-        plain = sweepout_simulation(sys, spec, 0.1, 20)
-        assert plain.dissipativity is None
-        assert np.array_equal(sim.sup_trace, plain.sup_trace)
-        assert np.array_equal(sim.inf_trace, plain.inf_trace)
-        with pytest.raises(ValueError):
-            sweepout_simulation(sys, spec, 0.1, 20, window_k=0)
+        for K, N, prune_eps in ((0, 20, 0.0), (50, 0, 0.0), (50, 20, -1e-9), (50, 20, 1e-7)):
+            with pytest.raises(ValueError):
+                dissipativity_trace(spec, K, N, prune_eps)
+
+    def test_order_is_vouched_for_or_the_full_chain_runs(self, monkeypatch):
+        # The sweep-out family's products sum as the full chain's do.  A drifting
+        # three-atom step with K = 2 keeps three sites of each prefix, which the
+        # kernel then takes as its sparse side, where the full chain takes the
+        # factor: those rows come from the full chain.
+        from convergence_lab import sweepout
+
+        chains = []
+        stream = sweepout._prefix_stream
+        monkeypatch.setattr(sweepout, "_prefix_stream", lambda *a: chains.append(a) or stream(*a))
+        dissipativity_trace(INV_SQ.to_spec(), 2, 60)
+        assert chains == []
+        drift = SequenceSpec.iid(from_pairs({0: 0.2, 1: 0.3, 2: 0.5}))
+        assert dissipativity_trace(drift, 2, 30) == full_dissipativity_trace(drift, 2, 30)
+        assert len(chains) == 1
 
     @pytest.mark.parametrize("K", [1, 3, 50, 500, 10_000])
     @pytest.mark.parametrize(
@@ -168,12 +177,13 @@ class TestDissipativityTrace:
         tracemalloc.start()
         try:
             rows = dissipativity_trace(spec, 10**7, 12)
-            sim = sweepout_simulation(DynSystem.rotation(samples=64, seed=1), spec, 0.1, 12, window_k=10**7)
+            pruned = dissipativity_trace(spec, 10**7, 12, prune_eps=1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert rows == sim.dissipativity == dissipativity_trace(spec, 1000, 12)
+        assert rows == dissipativity_trace(spec, 1000, 12)
+        assert pruned == full_dissipativity_trace(spec, 1000, 12, 1e-8)
         assert rows[0].window_max == 0.6
 
     def test_family_trace_is_nonincreasing(self):
@@ -362,7 +372,7 @@ class TestSweepoutSimulation:
         window, table = 8 * width, np.dtype(np.intp).itemsize * width
         tracemalloc.start()
         try:
-            sweepout_simulation(DynSystem.rotation(samples=256, seed=1), spec, 0.05, N, window_k=50)
+            sweepout_simulation(DynSystem.rotation(samples=256, seed=1), spec, 0.05, N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,9 +388,26 @@ class TestSweepoutSimulation:
         assert len(wide) > 10 and all(wide)
 
     def test_support_cap_surfaces(self):
+        # The cyclic recursion forms no prefix; the cap is met by nu_20 itself.
         spec = geometric_family(0.5).to_spec()
-        with pytest.raises(SupportCapError):
+        with pytest.raises(SupportCapError, match="factor diameter"):
             sweepout_simulation(DynSystem.cyclic(64), spec, 0.1, 25)
+
+    def test_cyclic_recursion_matches_the_stream(self):
+        # The recursion sums each average's products in another order than the
+        # streamed prefixes do, within the bound of the recursion's trace.  With
+        # rates 1 - 1/(10 n^2) the running max reaches the high threshold on
+        # the states within about |B| + N of B, so both fractions are proper.
+        sysq, spec, N = DynSystem.cyclic(1024), inverse_square_family(10.0).to_spec(), 40
+        sim = sweepout_simulation(sysq, spec, 0.05, N)
+        f = TestFunction.indicator_block(0, int(round(0.05 * 1024)))
+        averages = _state_averages(sysq, f, _chain_span(spec, N))
+        stream = np.array([averages(mu) for mu in iter_prefixes(spec, N)])
+        np.testing.assert_allclose(sim.sup_trace, stream.max(axis=0), rtol=0, atol=RECURSION_TRACE_ATOL)
+        np.testing.assert_allclose(sim.inf_trace, stream.min(axis=0), rtol=0, atol=RECURSION_TRACE_ATOL)
+        assert sim.frac_high == float(np.mean(stream.max(axis=0) >= HIGH_THRESHOLD))
+        assert sim.frac_low == float(np.mean(stream.min(axis=0) <= LOW_THRESHOLD))
+        assert 0.0 < sim.frac_high < sim.frac_low < 1.0
 
 
 class TestCellTable:

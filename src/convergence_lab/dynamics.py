@@ -25,7 +25,7 @@ state x come from one pass over it, ``_averages_pass``: the recursion's
 trace is its vector of averages read at x, and the stream's is
 :func:`weighted_average` of the prefix at hand.  A caller that wants no
 trace pays nothing for one.  The sweep-out simulation is the other pass
-over it.
+over it; both keep running extrema by one reduction, ``_extremes``.
 
 Averages of a streamed prefix over every state have one engine,
 ``_state_averages``, which ``_averages`` builds beside the stream.  The
@@ -399,6 +399,18 @@ def _averages(
         yield mu, averages(mu)
 
 
+def _extremes(vectors: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The element-wise max and min of a nonempty run of vectors, kept in
+    place in two copies of the first, so each vector is read before the
+    next is asked for: the recursion's buffers may then be reused."""
+    first = next(vectors)
+    top, bottom = first.copy(), first.copy()
+    for vals in vectors:
+        np.maximum(top, vals, out=top)
+        np.minimum(bottom, vals, out=bottom)
+    return top, bottom
+
+
 def _apply_factor(nu: LatticeMeasure, vals: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Write nu(vals)(x) = sum_k nu(k) vals[(x + k) mod q] for every x in Z_q,
     q = len(vals), into ``out`` and return it.
@@ -503,15 +515,14 @@ def _averages_pass(
     if N < 1:
         raise ValueError("N must be >= 1")
     values: Optional[list[float]] = None if x is None else []
-    top = bottom = None
-    for mu, vals in _averages(sys, spec, f, N, prune_eps):
-        if values is not None:
-            values.append(float(vals[int(x) % sys.q]) if mu is None else weighted_average(sys, mu, f, x))
-        if top is None:
-            top, bottom = vals.copy(), vals.copy()
-        else:
-            np.maximum(top, vals, out=top)
-            np.minimum(bottom, vals, out=bottom)
+
+    def vectors() -> Iterator[np.ndarray]:
+        for mu, vals in _averages(sys, spec, f, N, prune_eps):
+            if values is not None:
+                values.append(float(vals[int(x) % sys.q]) if mu is None else weighted_average(sys, mu, f, x))
+            yield vals
+
+    top, bottom = _extremes(vectors())
     # max_n |v_n| is the larger of |max_n v_n| and |min_n v_n|.
     mf = np.maximum(np.abs(top, out=top), np.abs(bottom, out=bottom), out=top)
     if values is None:

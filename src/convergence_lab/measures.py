@@ -19,6 +19,9 @@ shifted copies of the other block by block over the output, from the top
 down, through a block-sized accumulator and scratch that stay in cache,
 and it picks that side after counting the atoms of the narrower operand
 and only as many of the wider one as it takes to tell which has fewer.
+Whichever side it picks, each weight of a * b adds its terms in ascending
+order of b's sites (in a chain, the factor's), so a product whose b has
+too few atoms for ``np.convolve`` sums alike whatever is cut off a.
 Since a block reads the other side only below its own top, the kernel can
 write a product over an operand that lies in the same buffer.
 
@@ -297,7 +300,9 @@ def _convolve_into(
     ``buf`` (a prefix the chain lent out), the product is written over
     them, from where they start, and must fit there.  ``work`` is the
     shifted adds' two rows of block scratch, or ``None`` to allocate them
-    for this call.
+    for this call.  Shifted adds of the side with fewer atoms, ``a`` on a
+    tie, sum a(k - j) b(j) in ascending order of j; ``np.convolve`` runs
+    when both sides have more than ``_SPARSE_NNZ_CUTOFF``.
     """
     out_len = len(a.weights) + len(b.weights) - 1
     if out_len > DEFAULT_SUPPORT_CAP:
@@ -315,9 +320,10 @@ def _convolve_into(
         lent = wa if wa.base is buf else wb
         start = (lent.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
     out = buf[start : start + out_len]
-    if min(nnz_a, nnz_b) <= _SPARSE_NNZ_CUTOFF:
-        sparse, dense = (wa, wb) if nnz_a <= nnz_b else (wb, wa)
-        _shifted_adds(sparse, dense, out, work)
+    if nnz_a <= nnz_b and nnz_a <= _SPARSE_NNZ_CUTOFF:
+        _shifted_adds(wa, wb, out, work, True)
+    elif nnz_b <= _SPARSE_NNZ_CUTOFF:
+        _shifted_adds(wb, wa, out, work, False)
     else:
         out[:] = np.convolve(wa, wb)
     buf.setflags(write=False)
@@ -327,31 +333,41 @@ def _convolve_into(
     return LatticeMeasure(a.min_index + b.min_index, buf[start : start + out_len], defect)
 
 
-def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray]) -> None:
+def _sums_in_order_of(nu: LatticeMeasure) -> bool:
+    """Whether ``convolve(mu, nu)`` sums in ascending order of nu's sites
+    whatever ``mu`` is: nu has too few atoms for ``np.convolve``."""
+    return nu.nnz <= _SPARSE_NNZ_CUTOFF
+
+
+def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray], s_first: bool) -> None:
     """Write into ``out`` the sum of the shifts ``s[i] * d`` to offset ``i``
     over the atoms of ``s``; ``out`` is ``len(s) + len(d) - 1`` long.
+
+    Each element adds its terms in ascending order of the second operand's
+    sites: the atoms of ``s`` run from the top if ``s`` is the first
+    (``s_first``).  The first atom's shift, an end of ``s``'s window, is
+    stored with 0.0 past its reach, and the others are added: the sums of
+    a zeroed buffer (0 + x == x), so the block size changes no bit.
 
     ``out`` may start where ``s`` or ``d`` starts, in the same buffer.  The
     atoms of ``s`` and their weights are read before anything is written.
     The output runs in blocks from the top down, each summed in ``work[0]``
     (``work[1]`` holds one shifted copy) and then stored: block [b0, b1)
-    reads ``d`` only below b1, where no block has been stored yet.  Each
-    element gets ``s[0] * d`` (``s[0]`` is an atom: stored windows start at
-    one), or 0.0 past its reach, then ``+ s[i] * d`` for the other atoms in
-    ascending order: the sums of a zeroed buffer (0 + x == x), so the
-    result does not depend on the block size.
+    reads ``d`` only below b1, where no block has been stored yet.
     """
     L, out_len, block = len(d), len(out), _CONVOLVE_BLOCK
-    nz = np.flatnonzero(s)
-    s0, atoms = s[0], list(zip(nz[1:].tolist(), s[nz[1:]].tolist()))
+    nz = np.flatnonzero(s)[:: -1 if s_first else 1]
+    (f, wf), *atoms = zip(nz.tolist(), s[nz].tolist())
     if work is None:
         work = np.empty((2, min(block, out_len)))
     for b0 in range((out_len - 1) // block * block, -1, -block):
         b1 = min(b0 + block, out_len)
-        acc, reach = work[0, : b1 - b0], min(b1, L)
-        if b0 < reach:
-            np.multiply(d[b0:reach], s0, out=acc[: reach - b0])
-        acc[max(b0, reach) - b0 :] = 0.0
+        # The first shift covers [f, f + L), which holds 0 or out_len - 1.
+        acc, lo, hi = work[0, : b1 - b0], min(max(b0, f), b1), max(min(b1, f + L), b0)
+        if lo < hi:
+            np.multiply(d[lo - f : hi - f], wf, out=acc[lo - b0 : hi - b0])
+        acc[: lo - b0] = 0.0
+        acc[hi - b0 :] = 0.0
         for i, w in atoms:
             lo, hi = max(b0, i), min(b1, i + L)
             if lo < hi:

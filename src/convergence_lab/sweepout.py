@@ -22,9 +22,7 @@ A dissipativity row reads mu_n only inside [-K, K].  Its one producer,
 :func:`dissipativity_trace`, runs a chain of its own on each prefix cut
 to its reachable window, the sites from which a later prefix can still
 reach [-K, K]; for the sweep-out family that window is about K + N sites
-on the left of 0, however wide the prefix.  Where the kernel might sum a
-kept weight in another order than on the full chain, the rows are read
-off the full chain, so they are its rows bit for bit.
+on the left of 0, however wide the prefix.
 """
 from __future__ import annotations
 
@@ -40,10 +38,8 @@ from .measures import (
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
-    _SPARSE_NNZ_CUTOFF,
     _atom_products,
-    _chain_span,
-    _prefix_stream,
+    _sums_in_order_of,
     convolve,
     from_pairs,
     map_factors,
@@ -51,7 +47,7 @@ from .measures import (
     prune,
 )
 from .spectral import _product_rule, fourier_at
-from .dynamics import DynSystem, TestFunction, _averages
+from .dynamics import DynSystem, TestFunction, _averages, _extremes
 
 #: Reporting conventions for the simulation summaries.
 HIGH_THRESHOLD = 0.9
@@ -157,55 +153,40 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int, prune_eps: float = 0
     window, so cutting it off changes no weight inside them; before each
     product the factor is cut likewise, to the atoms that carry the prefix
     into R_n.  A cut that leaves no mass makes this and every later row 0.0.
-    At the first product whose order ``_same_sums`` cannot vouch for, the
-    rows are read off the full chain, so they are its rows bit for bit.
+    A kept weight gets the terms it has on the full chain, which the kernel
+    adds on both in ascending order of the factor's sites, so the rows are
+    the full chain's bit for bit; unless some factor past nu_1 has atoms
+    enough for ``np.convolve``, in which case R_n is mu_n's window.
     """
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
     if not 0.0 <= prune_eps <= 1e-8:
         raise ValueError("prune_eps must lie in [0, 1e-8]")
-    windows = list(prefix_windows(map(spec.measure_at, range(1, N + 1))))
+    pinned = True
+
+    def factor(n: int) -> LatticeMeasure:
+        nonlocal pinned
+        nu = spec.measure_at(n)
+        pinned = pinned and (n == 1 or _sums_in_order_of(nu))
+        return nu
+
+    windows = list(prefix_windows(map(factor, range(1, N + 1))))
     # R_n from the extremes of the later windows' ends, the last prefix first.
     reach, top, bottom = [], windows[-1].hi, windows[-1].lo
     for w in reversed(windows):
         top, bottom = max(top, w.hi), min(bottom, w.lo)
-        reach.append((w.hi - top - K, w.lo - bottom + K))
+        reach.append((w.hi - top - K, w.lo - bottom + K) if pinned else (w.lo, w.hi))
     reach.reverse()
 
     mu = _restrict(spec.measure_at(1), *reach[0], 0.0)
     rows = [DissipativityRow(1, 0.0 if mu is None else _window_max(mu, K))]
     for n in range(2, N + 1):
         if mu is not None:
-            (lo, hi), (lo_before, hi_before) = reach[n - 1], reach[n - 2]
-            nu = spec.measure_at(n)
-            cut = _restrict(nu, lo - mu.max_index, hi - mu.min_index, 0.0)
-            whole = lo_before <= windows[n - 2].lo and windows[n - 2].hi <= hi_before
-            if cut is not None and not _same_sums(mu, nu, cut, whole):
-                prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
-                return [DissipativityRow(m, _window_max(p, K)) for m, p in enumerate(prefixes, start=1)]
+            lo, hi = reach[n - 1]
+            cut = _restrict(spec.measure_at(n), lo - mu.max_index, hi - mu.min_index, 0.0)
             mu = None if cut is None else _restrict(convolve(mu, cut), lo, hi, prune_eps)
         rows.append(DissipativityRow(n, 0.0 if mu is None else _window_max(mu, K)))
     return rows
-
-
-def _same_sums(mu: LatticeMeasure, nu: LatticeMeasure, cut: LatticeMeasure, whole: bool) -> bool:
-    """Whether ``convolve(mu, cut)`` sums each weight of the reachable window
-    in the order of the full chain's product of its prefix and ``nu``:
-    ``mu`` is that prefix cut to its reachable window (``whole`` when the
-    cut took nothing off it) and ``cut`` is ``nu`` cut.
-
-    Each weight gets the same nonzero terms in both, and the kernel adds
-    them in the order of the atoms of its sparse side, the one with fewer.
-    Uncut operands make the same call; a factor of at most
-    ``_SPARSE_NNZ_CUTOFF`` atoms that the kept prefix outnumbers is the
-    sparse side of both; and at most two terms have one sum in any order.
-    A prefix cut to few atoms, or a product on the ``np.convolve`` path,
-    may sum in another order.
-    """
-    if whole and cut is nu:
-        return True
-    atoms = nu.nnz
-    return atoms <= _SPARSE_NNZ_CUTOFF and (mu.nnz > atoms or min(mu.nnz, cut.nnz) <= 2)
 
 
 def _restrict(mu: LatticeMeasure, lo: int, hi: int, eps: float) -> Optional[LatticeMeasure]:
@@ -362,15 +343,7 @@ def sweepout_simulation(
     else:
         f, set_measure = TestFunction.indicator_interval(0.0, B_measure), B_measure
 
-    sup_trace: Optional[np.ndarray] = None
-    inf_trace: Optional[np.ndarray] = None
-    for _, vals in _averages(sys, spec, f, N, prune_eps):
-        if sup_trace is None:
-            sup_trace, inf_trace = vals.copy(), vals.copy()
-        else:
-            np.maximum(sup_trace, vals, out=sup_trace)
-            np.minimum(inf_trace, vals, out=inf_trace)
-
+    sup_trace, inf_trace = _extremes(vals for _, vals in _averages(sys, spec, f, N, prune_eps))
     frac_high = float(np.mean(sup_trace >= HIGH_THRESHOLD))
     frac_low = float(np.mean(inf_trace <= LOW_THRESHOLD))
     return SweepoutSimulation(

@@ -229,6 +229,13 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
 
 
+def dense_factor(atoms: int, seed: int, offset: int = 0) -> LatticeMeasure:
+    """``atoms`` random weights on consecutive sites from ``offset``: with more
+    than 32 atoms, its product with a prefix of as many takes np.convolve."""
+    w = np.random.default_rng(seed).random(atoms) + 1e-3
+    return LatticeMeasure(offset, w / w.sum())
+
+
 def full_dissipativity_trace(spec, K: int, N: int, prune_eps: float = 0.0) -> list:
     """Rows of dissipativity_trace read off the full chain: the window max
     of every prefix of the borrowed stream, each prefix whole."""

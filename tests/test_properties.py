@@ -48,7 +48,14 @@ from convergence_lab.cli import _format_column, _rows_block, _write_csv
 from convergence_lab.dynamics import _apply_factor, _averages_pass, _CellTable, _distinct_sorted, _state_averages
 from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
-from conftest import RECURSION_TRACE_ATOL, full_dissipativity_trace, l1_distance, roll_average_all, table_chain
+from conftest import (
+    RECURSION_TRACE_ATOL,
+    dense_factor,
+    full_dissipativity_trace,
+    l1_distance,
+    roll_average_all,
+    table_chain,
+)
 
 
 @st.composite
@@ -88,17 +95,20 @@ def tiny_ended_measures(draw, max_span):
 
 
 def _shifted_add_oracle(a, b):
-    """Zeroed output, then out[i:i+L] += s*dense per sparse atom in ascending order."""
-    sparse, dense = (a, b) if a.nnz <= b.nnz else (b, a)
-    L = len(dense.weights)
+    """Zeroed output, then out[j:j+L] += b(j) * a per atom j of b in
+    ascending order, whichever side has fewer atoms."""
+    L = len(a.weights)
     out = np.zeros(len(a.weights) + len(b.weights) - 1)
-    for i in np.flatnonzero(sparse.weights):
-        out[i : i + L] += sparse.weights[i] * dense.weights
+    for j in np.flatnonzero(b.weights):
+        out[j : j + L] += b.weights[j] * a.weights
     nz = np.flatnonzero(out)
     return a.min_index + b.min_index + int(nz[0]), out[nz[0] : nz[-1] + 1]
 
 
 @given(tiny_ended_measures(max_span=29), tiny_ended_measures(max_span=60), st.booleans())
+# The first operand is the sparse side, and its weight at 2 has three terms,
+# which ascending in a's sites would sum in another order.
+@example(from_pairs({0: 0.1, 1: 0.2, 2: 0.7}), from_pairs({0: 0.1, 1: 0.3, 2: 0.2, 3: 0.4}), False)
 @settings(max_examples=120, deadline=None)
 def test_sparse_convolution_is_bit_exact(a, b, swap):
     # a has at most 32 atoms, so the shifted-add path runs.
@@ -530,9 +540,11 @@ def dissipativity_cases(draw):
 )
 # The rows of the simulate-export workload's sweepout step.
 @example((inverse_square_family(1.0).to_spec(), 120), 50, 0.0)
-# The kernel would take three kept sites as its sparse side, where the full
-# chain takes the factor: the rows come from the full chain.
+# Three kept sites of each prefix are the kernel's sparse side, where the
+# full chain's is the factor: both sum in the factor's order.
 @example((SequenceSpec.iid(from_pairs({0: 0.21, 1: 0.33, 2: 0.46})), 60), 2, 0.0)
+# Products of 40 atoms by 40 or more take np.convolve: nothing is cut.
+@example((SequenceSpec.iid(dense_factor(40, 1, -10)), 30), 2, 0.0)
 @settings(max_examples=100, deadline=None)
 def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
     spec, N = case
@@ -796,8 +808,8 @@ def chain_factors(draw):
 
 def _chain_oracle(factors, prune_eps):
     """mu_1 = nu_1, then mu_n = mu_{n-1} * nu_n, each product summed as the
-    path it takes sums it (shifted adds in atom order, or np.convolve), and
-    pruned by masking."""
+    path it takes sums it (shifted adds in ascending order of nu's sites, or
+    np.convolve), and pruned by masking."""
     mus = [factors[0]]
     for nu in factors[1:]:
         mu = mus[-1]
@@ -858,20 +870,15 @@ def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps, block):
         assert not any(np.shares_memory(a.weights, b.weights) for b in listed[i + 1 :])
 
 
-def _dense_factor(atoms, seed, offset=0):
-    w = np.random.default_rng(seed).random(atoms) + 1e-3
-    return LatticeMeasure(offset, w / w.sum())
-
-
 @pytest.mark.parametrize("block", [1, 3, 1 << 14])
 @pytest.mark.parametrize("prune_eps", [0.0, 1e-8])
 @pytest.mark.parametrize(
     "factors",
     [
-        [from_pairs({0: 0.5, 3: 0.5}), from_pairs({0: 0.5, 1: 0.5}), _dense_factor(40, 1)],
-        [from_pairs({-2: 0.25, 0: 0.5, 5: 0.25}), from_pairs({0: 0.5, 9: 0.5}), _dense_factor(33, 2, -7),
-         from_pairs({1: 0.75, 4: 0.25}), _dense_factor(48, 3, 5)],
-        [delta(4), from_pairs({0: 0.5, 100: 0.5}), _dense_factor(64, 4, -30)],
+        [from_pairs({0: 0.5, 3: 0.5}), from_pairs({0: 0.5, 1: 0.5}), dense_factor(40, 1)],
+        [from_pairs({-2: 0.25, 0: 0.5, 5: 0.25}), from_pairs({0: 0.5, 9: 0.5}), dense_factor(33, 2, -7),
+         from_pairs({1: 0.75, 4: 0.25}), dense_factor(48, 3, 5)],
+        [delta(4), from_pairs({0: 0.5, 100: 0.5}), dense_factor(64, 4, -30)],
     ],
 )
 def test_lent_prefix_on_the_sparse_side(factors, prune_eps, block):

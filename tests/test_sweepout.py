@@ -33,7 +33,7 @@ from convergence_lab.dynamics import _CellTable, _state_averages
 from convergence_lab import measures
 from convergence_lab.measures import _chain_span, prefix_windows
 from convergence_lab.sweepout import HIGH_THRESHOLD, LOW_THRESHOLD
-from conftest import RECURSION_TRACE_ATOL, decomposition_error, full_dissipativity_trace, l1_distance
+from conftest import RECURSION_TRACE_ATOL, decomposition_error, dense_factor, full_dissipativity_trace, l1_distance
 
 INV_SQ = inverse_square_family(1.0)
 
@@ -143,21 +143,28 @@ class TestDissipativityTrace:
             with pytest.raises(ValueError):
                 dissipativity_trace(spec, K, N, prune_eps)
 
-    def test_order_is_vouched_for_or_the_full_chain_runs(self, monkeypatch):
-        # The sweep-out family's products sum as the full chain's do.  A drifting
-        # three-atom step with K = 2 keeps three sites of each prefix, which the
-        # kernel then takes as its sparse side, where the full chain takes the
-        # factor: those rows come from the full chain.
-        from convergence_lab import sweepout
+    def test_rows_cut_to_the_window_unless_a_factor_is_dense(self, monkeypatch):
+        # The kernel sums each weight in ascending order of the factor's sites,
+        # so a drifting three-atom step runs windowed, though its kept prefix
+        # of three sites is the sparse side: every prefix the kernel reads lies
+        # in its reachable window, here [-2 - 2(N - m), 2].  A 40-atom factor
+        # may take np.convolve on the full chain, so then nothing is cut.
+        calls = []
+        kernel = measures._convolve_into
+        monkeypatch.setattr(measures, "_convolve_into", lambda *a: calls.append(a[:2]) or kernel(*a))
+        drift, N = SequenceSpec.iid(from_pairs({0: 0.2, 1: 0.3, 2: 0.5})), 30
+        rows = dissipativity_trace(drift, 2, N)
+        assert len(calls) == N - 1
+        assert all(-2 - 2 * (N - m) <= mu.min_index and mu.max_index <= 2 for m, (mu, _) in enumerate(calls, start=1))
+        assert rows == full_dissipativity_trace(drift, 2, N)
 
-        chains = []
-        stream = sweepout._prefix_stream
-        monkeypatch.setattr(sweepout, "_prefix_stream", lambda *a: chains.append(a) or stream(*a))
-        dissipativity_trace(INV_SQ.to_spec(), 2, 60)
-        assert chains == []
-        drift = SequenceSpec.iid(from_pairs({0: 0.2, 1: 0.3, 2: 0.5}))
-        assert dissipativity_trace(drift, 2, 30) == full_dissipativity_trace(drift, 2, 30)
-        assert len(chains) == 1
+        calls.clear()
+        step = dense_factor(40, 1, -10)
+        rows = dissipativity_trace(SequenceSpec.iid(step), 2, N)
+        windows = list(prefix_windows([step] * N))
+        assert [(mu.min_index, mu.max_index) for mu, _ in calls] == [(w.lo, w.hi) for w in windows[:-1]]
+        assert all(nu is step for _, nu in calls)
+        assert rows == full_dissipativity_trace(SequenceSpec.iid(step), 2, N)
 
     @pytest.mark.parametrize("K", [1, 3, 50, 500, 10_000])
     @pytest.mark.parametrize(

@@ -31,13 +31,17 @@ Averages of a streamed prefix over every state have one engine,
 ``_state_averages``, which ``_averages`` builds beside the stream.  The
 engine scatters an indicator's prefix mass by residue or by
 rotation cell into a cell buffer and reads every state's average off one
-cumulative sum; both buffers are allocated once per engine and reused for
-every prefix, and only the returned vector is new.  On the rotation the
-engine also holds a table of the cells of one prefix window, ``_CellTable``:
-one buffer sized before the first convolution, from the factors alone, to
-the widest window the chain can yield, and never regrown.  The one walk
-over the factors that sizes it, ``_chain_span``, also sizes the chain's
-buffer.
+cumulative sum.  The scatter is one loop over chunks of at most
+``_FILL_CHUNK`` sites in window order: each chunk's cells go into one
+index scratch, computed as residues on Z_q or copied from the rotation's
+cell table, and its weights are added at them.  The buffers and the
+scratch are allocated once per engine and reused for every prefix, and
+only the returned vector is new.  On the rotation the engine also holds a
+table of the cells of one prefix window, ``_CellTable``: one buffer, in
+the smallest unsigned type that holds a cell, sized before the first
+convolution, from the factors alone, to the widest window the chain can
+yield, and never regrown.  The one walk over the factors that sizes it,
+``_chain_span``, also sizes the chain's buffer.
 Its memory is that of one widest window whatever path the windows take, so
 a chain whose windows drift far from 0 costs no more than a centred one.
 An engine's buffers belong to the one call that built it, so an engine is
@@ -70,6 +74,60 @@ DEFAULT_SAMPLES = 4096
 State = Union[int, float]
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _first_uniform(seed: int) -> float:
+    """``float(np.random.default_rng(seed).random())`` for an integer seed >= 0,
+    bit for bit, in exact integer arithmetic.
+
+    The steps are numpy's: SeedSequence mixes the seed's 32-bit words, low
+    word first, into a pool of four; ``generate_state(4, uint64)`` seeds
+    PCG64's state and increment; one XSL-RR step gives 64 bits, whose top
+    53 make the double.
+    """
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # Only a seed past 2**128 has words left to mix in.
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        state.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
+    inc = (i_hi << 64 | i_lo) << 1 | 1
+    # Seeding steps from state 0, adds the seed and steps again; the draw steps once more.
+    x = inc + (s_hi << 64 | s_lo)
+    for _ in range(2):
+        x = (x * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & _MASK128
+    rot, bits = x >> 122, ((x >> 64) ^ x) & _MASK64
+    return (((bits >> rot | bits << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class DynSystem:
     """Cyclic shift on Z_q or circle rotation, with a fixed state sample.
@@ -77,7 +135,10 @@ class DynSystem:
     For the rotation, states are one point per stratum ``[i/samples,
     (i+1)/samples)``; the common in-stratum offset is drawn once from
     ``seed`` so the sample is deterministic and does not align with
-    interval endpoints.  Subset measure is exact (count/q) for the cyclic
+    interval endpoints.  The draw is numpy's: the first double of
+    ``np.random.default_rng(seed)`` (SeedSequence -> PCG64 -> first
+    double), computed by :func:`_first_uniform` without importing
+    ``numpy.random``.  Subset measure is exact (count/q) for the cyclic
     system and the sample fraction for the rotation.
     """
 
@@ -112,7 +173,7 @@ class DynSystem:
     def states(self) -> np.ndarray:
         if self.is_cyclic:
             return np.arange(self.q, dtype=np.int64)
-        offset = float(np.random.default_rng(self.seed).random())
+        offset = _first_uniform(self.seed)
         return ((np.arange(self.samples) + offset) / self.samples) % 1.0
 
     def measure_fraction(self, mask: np.ndarray) -> float:
@@ -226,7 +287,8 @@ def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) ->
     return out
 
 
-#: Points whose cells are computed at once when the rotation cell table fills.
+#: Points whose cells are computed at once when the rotation cell table fills,
+#: and sites whose weights one call of the state averages' scatter adds.
 _FILL_CHUNK = 1 << 16
 
 
@@ -237,11 +299,12 @@ class _CellTable:
     position p = k alpha mod 1, so the mass a prefix puts below boundary j
     is the cumulative sum of its mass per cell up to cell j.
 
-    The cells live in one buffer of ``capacity`` points, allocated once and
-    never regrown: the capacity is the widest window the prefix chain can
-    yield (see ``_chain_span``), so every window fits.  Point k sits at
-    ``cells[k - offset]``, and the buffer is first placed at ``start``, the
-    left end of the factors' hull.  The points [lo, hi) of the buffer hold
+    The cells live in one buffer of ``capacity`` points, of the smallest
+    unsigned type that holds len(edges) (2 bytes a point below 32,768
+    states), allocated once and never regrown: the capacity is the widest
+    window the prefix chain can yield (see ``_chain_span``), so every
+    window fits.  Point k sits at ``cells[k - offset]``, and the buffer is
+    first placed at ``start``, the left end of the factors' hull.  The points [lo, hi) of the buffer hold
     computed cells, none at first.  A window inside the buffer computes
     only those of its points that are not yet held.  A window that leaves
     the buffer places it anew: at the window's left end when it left
@@ -269,7 +332,7 @@ class _CellTable:
         inside = np.floor(scaled)
         bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
         self.bucket_cell = bucket_cell.astype(np.int32)
-        self.cells = np.empty(capacity, dtype=np.intp)
+        self.cells = np.empty(capacity, dtype=np.min_scalar_type(len(edges)))
         self.offset = self.lo = self.hi = start
 
     def _fill(self, lo: int, hi: int) -> None:
@@ -328,9 +391,9 @@ def _state_averages(
     For an indicator on its own system, mu f(x) is scale times the mass mu
     puts on the points k whose residue, or circle position k alpha mod 1,
     lies in the state's arc [lo, hi), which may wrap past the top.  Any
-    other f goes to :func:`weighted_average_all`.  On the rotation the
-    windows of the prefixes must fit ``span``, the (start, capacity) of
-    the cell table, as ``_chain_span`` gives it for their chain.
+    other f goes to :func:`weighted_average_all`.  The windows of the
+    prefixes must fit ``span``, the (start, capacity) of their chain, as
+    ``_chain_span`` gives it; on the rotation it places the cell table.
     """
     xs = sys.states()
     if f.kind == "indicator_block" and sys.is_cyclic:
@@ -340,8 +403,8 @@ def _state_averages(
         wraps = il + width > q
         ih = np.where(wraps, il + width - q, il + width)
 
-        def bins(mu: LatticeMeasure) -> np.ndarray:
-            return np.arange(mu.min_index, mu.max_index + 1, dtype=np.int64) % q
+        def cells(mu: LatticeMeasure, start: int, stop: int, out: np.ndarray) -> None:
+            np.remainder(np.arange(mu.min_index + start, mu.min_index + stop), q, out=out)
 
     elif f.kind == "indicator_interval" and not sys.is_cyclic:
         width = f.b - f.a
@@ -355,19 +418,29 @@ def _state_averages(
         # Mass strictly below boundary j sits in cells 0..j, hence at cs[j + 1].
         il = np.searchsorted(edges, lo) + 1
         ih = np.searchsorted(edges, hi) + 1
-        bins, n_bins = _CellTable(sys.alpha, edges, *span).window, len(edges) + 1
+        table, n_bins = _CellTable(sys.alpha, edges, *span), len(edges) + 1
+
+        def cells(mu: LatticeMeasure, start: int, stop: int, out: np.ndarray) -> None:
+            np.copyto(out, table.window(mu)[start:stop])
     else:
         return lambda mu: weighted_average_all(sys, mu, f)
 
     # Mass per cell and its cumulative sum, cs[j] the mass in cells below j,
-    # reused by every prefix: the scatter adds each cell's weights in window
-    # order from 0.0, as np.bincount does, so the sums are the same bits.
+    # and the cells of one chunk of a window, reused by every prefix: the
+    # scatter adds each cell's weights in window order from 0.0, chunk after
+    # chunk, as np.bincount does, so the sums are the same bits.
     counts = np.empty(n_bins)
     cs = np.zeros(n_bins + 1)
+    index = np.empty(min(_FILL_CHUNK, span[1]), dtype=np.intp)
 
     def averages(mu: LatticeMeasure) -> np.ndarray:
         counts.fill(0.0)
-        np.add.at(counts, bins(mu), mu.weights)
+        size, step = len(mu.weights), len(index)
+        for start in range(0, size, step):
+            stop = min(start + step, size)
+            chunk = index[: stop - start]
+            cells(mu, start, stop, chunk)
+            np.add.at(counts, chunk, mu.weights[start:stop])
         np.cumsum(counts, out=cs[1:])
         return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
 

@@ -908,3 +908,24 @@ def test_readme_config_block_lists_every_key(tmp_path):
         if entry.default:
             assert parsed[section][key] == entry.default, (section, key)
     assert validate_config(write(tmp_path, "readme.cfg", block)) == []
+
+
+def test_rotation_sweepout_imports_no_numpy_random(tmp_path):
+    # The rotation's state offset is numpy's first double, drawn without
+    # numpy.random; a bare import loads neither it nor numpy.fft.
+    path = write(
+        tmp_path,
+        "a.cfg",
+        "[family]\nkind = sweepout\na_rule = inverse_square\n\n"
+        "[system]\nkind = rotation\nsamples = 64\nseed = 1\n\n[run]\nhorizon = 8\n",
+    )
+    code = (
+        "import sys, convergence_lab.cli as cli\n"
+        "print(sorted({'numpy.random', 'numpy.fft'} & set(sys.modules)))\n"
+        f"code = cli.main(['sweepout', '--config', {path!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([PYTHON, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == f"[]\n{EXIT_OK} False\n"
+    assert (tmp_path / "o" / "sweepout_simulation.csv").exists()

@@ -43,9 +43,16 @@ from convergence_lab import (
     weighted_average,
     weighted_average_all,
 )
-from convergence_lab import measures
+from convergence_lab import dynamics, measures
 from convergence_lab.cli import _format_column, _rows_block, _write_csv
-from convergence_lab.dynamics import _apply_factor, _averages_pass, _CellTable, _distinct_sorted, _state_averages
+from convergence_lab.dynamics import (
+    _apply_factor,
+    _averages_pass,
+    _CellTable,
+    _distinct_sorted,
+    _first_uniform,
+    _state_averages,
+)
 from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
 from conftest import (
@@ -599,20 +606,102 @@ scatter_weights = st.one_of(
 @given(
     st.integers(min_value=1, max_value=16),
     st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=15), scatter_weights), max_size=80), min_size=1, max_size=3),
+    st.sampled_from([1, 2, 7, 80]),
 )
 @settings(max_examples=200, deadline=None)
-def test_scatter_into_reused_cells_matches_bincount(n_bins, passes):
+def test_scatter_into_reused_cells_matches_bincount(n_bins, passes, chunk):
     # _state_averages fills one pair of cell buffers per engine and reuses them
-    # for every prefix; each pass here is one prefix.  Few bins make repeats common.
-    counts, cs = np.empty(n_bins), np.zeros(n_bins + 1)
+    # for every prefix; each pass here is one prefix.  Few bins make repeats
+    # common.  The cells come from a compact table, chunk by chunk through one
+    # intp scratch, as the engine scatters them.
+    counts, cs, index = np.empty(n_bins), np.zeros(n_bins + 1), np.empty(chunk, dtype=np.intp)
     for pairs in passes:
-        bins = np.array([b % n_bins for b, _ in pairs], dtype=np.intp)
+        bins = np.array([b % n_bins for b, _ in pairs], dtype=np.min_scalar_type(n_bins))
         ws = np.array([w for _, w in pairs], dtype=float)
         counts.fill(0.0)
-        np.add.at(counts, bins, ws)
+        for start in range(0, len(ws), chunk):
+            stop = min(start + chunk, len(ws))
+            part = index[: stop - start]
+            np.copyto(part, bins[start:stop])
+            np.add.at(counts, part, ws[start:stop])
         np.cumsum(counts, out=cs[1:])
         want = np.concatenate(([0.0], np.cumsum(np.bincount(bins, weights=ws, minlength=n_bins))))
         assert np.array_equal(_bits(cs), _bits(want))
+
+
+def _bincount_averages(sys, f, mu):
+    """mu f over every state from one np.bincount over mu's whole window,
+    its residues or rotation cells computed afresh (0 < b - a < 1)."""
+    xs, ks = sys.states(), np.arange(mu.min_index, mu.max_index + 1)
+    if sys.is_cyclic:
+        lo = (f.start - xs) % sys.q
+        hi = lo + min(f.length, sys.q)
+        wraps = hi > sys.q
+        il, ih = lo, np.where(wraps, hi - sys.q, hi)
+        cells, n_bins = ks % sys.q, sys.q
+    else:
+        lo = (f.a - xs) % 1.0
+        hi = lo + (f.b - f.a)
+        wraps = hi >= 1.0
+        hi = np.where(wraps, hi - 1.0, hi)
+        edges = np.unique(np.concatenate((lo, hi)))
+        p = ks * sys.alpha
+        cells, n_bins = np.searchsorted(edges, p - np.floor(p), side="right"), len(edges) + 1
+        il, ih = np.searchsorted(edges, lo) + 1, np.searchsorted(edges, hi) + 1
+    cs = np.concatenate(([0.0], np.cumsum(np.bincount(cells, weights=mu.weights, minlength=n_bins))))
+    return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize(
+    "sys, f, spec, prune_eps",
+    [
+        (
+            DynSystem.rotation(samples=16, seed=3),
+            TestFunction.indicator_interval(0.2, 0.7, 1.5),
+            inverse_square_family(1.0).to_spec(),
+            0.0,
+        ),
+        (
+            DynSystem.cyclic(7),
+            TestFunction.indicator_block(5, 4, 2.0),
+            inverse_square_family(10.0).to_spec(),
+            1e-8,
+        ),
+    ],
+    ids=["rotation", "pruned-cyclic"],
+)
+def test_chunked_state_averages_match_a_bincount_oracle(monkeypatch, chunk, sys, f, spec, prune_eps):
+    # The engine scatters each window chunk by chunk; chunks run in window
+    # order, so every cell adds its weights as one bincount over the window
+    # does.  Beside the chain's prefixes, one window crosses chunk boundaries
+    # off a multiple of the chunk and one is shorter than a chunk.
+    monkeypatch.setattr(dynamics, "_FILL_CHUNK", chunk)
+    N = 8
+    span = _chain_span(spec, N)
+    weights = np.random.default_rng(5).random(24)
+    extra = [LatticeMeasure(-9, weights[:23] / weights[:23].sum()), LatticeMeasure(40, weights[23:] / weights[23])]
+    mus = [*iter_prefixes(spec, N, prune_eps), *extra]
+    assert max(len(mu.weights) for mu in mus) <= span[1]
+    averages = _state_averages(sys, f, span)
+    for mu in mus:
+        assert np.array_equal(_bits(averages(mu)), _bits(_bincount_averages(sys, f, mu))), mu.min_index
+
+
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 - 1)
+@example(2**64)
+@example(2**128 - 1)
+@example(2**128)
+@example(2**200 + 12345)
+@settings(max_examples=300, deadline=None)
+def test_first_uniform_is_numpys_first_double(seed):
+    # The rotation's state offset; only seeds past 2**128 have words left
+    # for SeedSequence's extra mixing loop.
+    assert _bits(_first_uniform(seed)) == _bits(float(np.random.default_rng(seed).random()))
 
 
 @st.composite

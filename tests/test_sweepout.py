@@ -30,7 +30,7 @@ from convergence_lab import (
     weighted_average_all,
 )
 from convergence_lab.dynamics import _CellTable, _state_averages
-from convergence_lab import measures
+from convergence_lab import dynamics, measures
 from convergence_lab.measures import _chain_span, prefix_windows
 from convergence_lab.sweepout import HIGH_THRESHOLD, LOW_THRESHOLD
 from conftest import RECURSION_TRACE_ATOL, decomposition_error, dense_factor, full_dissipativity_trace, l1_distance
@@ -361,12 +361,22 @@ class TestSweepoutSimulation:
         assert sim.frac_high == 1.0
         assert sim.frac_low == 1.0
 
-    def test_memory_is_one_buffer_and_the_cell_table(self):
+    def test_memory_is_one_buffer_and_the_cell_table(self, monkeypatch):
         # Rotation, horizon 60: windows up to 73,931 points.  The chain's one
-        # buffer and the cell table are allocated once, so the peak stays
-        # below two windows plus the table, and a step from one factor
-        # lookup to the next allocates less than its own window.
-        N, steps = 60, []
+        # buffer, the cell table and the scatter's index scratch are allocated
+        # once, so the peak stays below two windows plus the table, at its own
+        # itemsize, plus the scratch, and a step from one factor lookup to the
+        # next allocates less than its own window.  At this width the 64Ki-site
+        # scratch outweighs what the compact table saves, so the older bound,
+        # two windows plus an 8-byte table, caps the new one.
+        N, steps, tables = 60, [], []
+
+        class Recording(dynamics._CellTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(dynamics, "_CellTable", Recording)
 
         def measure_at(n):
             current, peak = tracemalloc.get_traced_memory()
@@ -376,7 +386,7 @@ class TestSweepoutSimulation:
 
         spec = SequenceSpec("inverse square", measure_at)
         _, width = _chain_span(INV_SQ.to_spec(), N)
-        window, table = 8 * width, np.dtype(np.intp).itemsize * width
+        window, scratch = 8 * width, 8 * min(dynamics._FILL_CHUNK, width)
         tracemalloc.start()
         try:
             sweepout_simulation(DynSystem.rotation(samples=256, seed=1), spec, 0.05, N)
@@ -384,7 +394,10 @@ class TestSweepoutSimulation:
         finally:
             tracemalloc.stop()
         assert width == 73_931
-        assert peak < 2 * window + table
+        assert len(tables) == 1 and tables[0].cells.dtype == np.uint16
+        table = tables[0].cells.nbytes
+        assert table == 2 * width
+        assert peak < 2 * window + min(table + scratch, 8 * width)
         # The last N calls are the chain's: the step between the calls for
         # n and n + 1 forms mu_n and reads it.  Below two blocks of the
         # shifted adds the scratch is as wide as the window itself.

@@ -4,7 +4,7 @@ certificates, and the weighted ergodic averaging experiments they drive."""
 from .measures import (
     DEFAULT_SUPPORT_CAP,
     CosetMass,
-    Decomposition,
+    Factor,
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
@@ -26,22 +26,17 @@ from .spectral import (
     FourierProfile,
     QuadratureError,
     decay_constant,
-    doubling_defect,
     fourier_at,
     fourier_eval,
-    offzero_modulus_bound,
     prefix_fourier_profiles,
-    two_atom_bound,
     uniform_grid,
     weighted_d2_integral,
-    wrap_to_fundamental,
 )
 from .hypotheses import (
     Condition,
     HypothesisReport,
     check_convergence_hypotheses,
     check_sweepout_hypotheses,
-    second_derivative_majorant_ratio,
 )
 from .dynamics import (
     DEFAULT_ALPHA,
@@ -50,7 +45,6 @@ from .dynamics import (
     DynSystem,
     TestFunction,
     Weak11Row,
-    coboundary_bound_check,
     convergence_trace,
     maximal_function_all,
     weak11_table,
@@ -62,7 +56,6 @@ from .sweepout import (
     SweepoutFamily,
     SweepoutSimulation,
     dissipativity_trace,
-    example_decomposition,
     example_measure,
     fourier_floor_scan,
     geometric_family,

@@ -484,7 +484,7 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
         out / "hypothesis_rows.csv", config, "check", report.row_header, [_rows_block(report.rows)]
     )
     summary = report.summary_text()
-    if config.spec.has_decomposition:
+    if config.spec.atom_site is not None:
         sweep = check_sweepout_hypotheses(config.spec, config.horizon)
         _write_csv(
             out / "sweepout_rows.csv", config, "check", sweep.row_header, [_rows_block(sweep.rows)]

@@ -11,10 +11,12 @@ n = 1..N by one of two routes.  On a cyclic system without pruning it
 forms no prefix: since mu_n = mu_{n-1} * nu_n, the averages obey
 mu_n f = nu_n(mu_{n-1} f), so each step applies only the factor nu_n to the
 previous vector of averages, at a cost of nnz(nu_n) * q instead of
-nnz(mu_n) * q.  The step runs in place, ``_apply_factor``, through two
-q-length vectors that swap roles and one scratch; it is the one cyclic
-atom sum, so :func:`weighted_average_all` on a table of the previous
-averages gives the same bits.  Anywhere else, on the rotation, whose state
+nnz(mu_n) * q; the walk over the factors runs whole before the first
+step, so a factor past the cap stops the run early.  The step runs in
+place, ``_apply_factor``, through two q-length vectors that swap roles
+and one scratch; it is the one cyclic atom sum, so
+:func:`weighted_average_all` on a table of the previous averages gives
+the same bits.  Anywhere else, on the rotation, whose state
 sample is not closed under the dynamics, and on pruned chains, whose
 prefixes are not the exact products, it reads the borrowed prefix stream
 of :mod:`~convergence_lab.measures`, whose chain writes every prefix over
@@ -40,8 +42,8 @@ only the returned vector is new.  On the rotation the engine also holds a
 table of the cells of one prefix window, ``_CellTable``: one buffer, in
 the smallest unsigned type that holds a cell, sized before the first
 convolution, from the factors alone, to the widest window the chain can
-yield, and never regrown.  The one walk over the factors that sizes it,
-``_chain_span``, also sizes the chain's buffer.
+yield, and never regrown.  That size, ``_chain_span``, read off the spec's
+walk over the factors, also sizes the chain's buffer.
 Its memory is that of one widest window whatever path the windows take, so
 a chain whose windows drift far from 0 costs no more than a centred one.
 An engine's buffers belong to the one call that built it, so an engine is
@@ -58,11 +60,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .measures import (
+    Factor,
     LatticeMeasure,
     SequenceSpec,
     _chain_span,
     _prefix_stream,
-    tv_shift_distance,
 )
 
 #: Default rotation angle: an irrational surrogate with good equidistribution.
@@ -273,9 +275,9 @@ def weighted_average(sys: DynSystem, mu: LatticeMeasure, f: TestFunction, x: Sta
     return float(np.dot(ws, f.evaluate(sys, pts)))
 
 
-def weighted_average_all(sys: DynSystem, mu: LatticeMeasure, f: TestFunction) -> np.ndarray:
-    """Vector of mu f(x) over every state of the system, summed atom by atom;
-    on a cyclic system by ``_apply_factor`` on the values of f."""
+def weighted_average_all(sys: DynSystem, mu: LatticeMeasure | Factor, f: TestFunction) -> np.ndarray:
+    """Vector of mu f(x) over every state, summed over the atoms of a measure
+    or a factor; on a cyclic system by ``_apply_factor`` on the values of f."""
     if sys.is_cyclic:
         fvals = f.evaluate(sys, sys.states())
         return _apply_factor(mu, fvals, np.empty(sys.q), np.empty(sys.q))
@@ -459,11 +461,12 @@ def _averages(
     borrowed from the stream and the vector is new.
     """
     if sys.is_cyclic and prune_eps == 0.0:
-        vals = weighted_average_all(sys, spec.measure_at(1), f)
+        first, *rest = spec.factors(N)
+        vals = weighted_average_all(sys, first, f)
         yield None, vals
         nxt, scratch = np.empty(sys.q), np.empty(sys.q)
-        for n in range(2, N + 1):
-            vals, nxt = _apply_factor(spec.measure_at(n), vals, nxt, scratch), vals
+        for nu in rest:
+            vals, nxt = _apply_factor(nu, vals, nxt, scratch), vals
             yield None, vals
         return
     span = _chain_span(spec, N)
@@ -484,7 +487,7 @@ def _extremes(vectors: Iterator[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return top, bottom
 
 
-def _apply_factor(nu: LatticeMeasure, vals: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _apply_factor(nu: LatticeMeasure | Factor, vals: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Write nu(vals)(x) = sum_k nu(k) vals[(x + k) mod q] for every x in Z_q,
     q = len(vals), into ``out`` and return it.
 
@@ -603,21 +606,6 @@ def _averages_pass(
     m = N // 2
     window = values[m - 1 :]
     return mf, ConvergenceTrace(values, float(max(window) - min(window)), m)
-
-
-def coboundary_bound_check(
-    sys: DynSystem, mu: LatticeMeasure, g: TestFunction
-) -> tuple[float, float]:
-    """Contrast ``sup_x |mu g(x) - mu(g o tau)(x)|`` with its shift bound.
-
-    Returns ``(lhs, rhs)`` where rhs = tv_shift_distance(mu) * sup|g|; the
-    lhs never exceeds the rhs (up to rounding).
-    """
-    direct = weighted_average_all(sys, mu, g)
-    shifted = weighted_average_all(sys, LatticeMeasure(mu.min_index + 1, mu.weights, mu.mass_defect), g)
-    lhs = float(np.max(np.abs(direct - shifted)))
-    rhs = tv_shift_distance(mu) * g.sup_norm(sys)
-    return lhs, rhs
 
 
 def convergence_trace(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .measures import (
     coset_mass_sup,
     expectation,
     is_strictly_aperiodic,
-    map_factors,
     moment,
     tv_shift_distance,
 )
@@ -29,7 +28,6 @@ from .spectral import (
     DEFAULT_GRID_SIZE,
     QuadratureError,
     decay_constant,
-    prefix_fourier_profiles,
     weighted_d2_integral,
 )
 
@@ -130,7 +128,11 @@ def check_convergence_hypotheses(
             is_strictly_aperiodic(nu),
         )
 
-    factors = list(map_factors(spec, N, factor_metrics))
+    factors, prev = [], None
+    for nu in spec.factors(N):
+        if nu is not prev:
+            prev, metrics = nu, factor_metrics(nu.dense())
+        factors.append(metrics)
     _, _, m2s, _, _, aperiodic = zip(*factors)
     phis = np.cumsum(m2s)
     rows, d2_cap_ns = [], []
@@ -216,18 +218,18 @@ def check_convergence_hypotheses(
 def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
     """Evaluate the sweep-out hypotheses of the atom-plus-remainder family.
 
-    Requires a decomposition on the sequence.  Reports the partial sums of
-    the defect series 1 - a_n with a Cauchy-tail estimate over the last
-    half, the minimum |x_n|, the drift of the partial sums of x_n, and the
+    Requires the sequence to name its atom site x_n = ``spec.atom_site``;
+    a_n is each factor's weight there.  Reports the partial sums of the
+    defect series 1 - a_n with a Cauchy-tail estimate over the last half,
+    the minimum |x_n|, the drift of the partial sums of x_n, and the
     product lower bound prod (2 a_l - 1).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if not spec.has_decomposition:
-        raise ValueError(f"sequence {spec.name!r} carries no decomposition")
-    atoms = [spec.decomposition(n) for n in range(1, N + 1)]
-    a = np.array([d.atom_weight for d in atoms])
-    x = np.array([d.atom_site for d in atoms], dtype=float)
+    if spec.atom_site is None:
+        raise ValueError(f"sequence {spec.name!r} names no atom site")
+    a = np.array([nu.weight(spec.atom_site) for nu in spec.factors(N)])
+    x = np.full(N, float(spec.atom_site))
 
     defect_partial = np.cumsum(1.0 - a)
     tail = float(defect_partial[-1] - defect_partial[N // 2 - 1])
@@ -284,34 +286,3 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
         row_header=("n", "a_n", "x_n", "defect_partial_sum", "site_partial_sum", "product_partial"),
         rows=rows,
     )
-
-
-def second_derivative_majorant_ratio(
-    spec: SequenceSpec,
-    N: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    C: Optional[float] = None,
-) -> float:
-    """Worst ratio of |mu_n''(t)| to its two-term Gaussian majorant.
-
-    The majorant is ``4 pi^2 phi(n) e^{-(n-1) C t^2}
-    + 16 pi^4 phi(n)^2 e^{-(n-2) C t^2} t^2`` with phi(n) the cumulative
-    second moment; it is valid whenever every factor is centered and has a
-    certified decay constant at least C.  A return value <= 1 (up to
-    rounding) confirms the bound chain at grid resolution for all n <= N.
-    """
-    if C is None:
-        C = min(map_factors(spec, N, lambda nu: decay_constant(nu, grid_size)))
-    if C <= 0.0:
-        raise ValueError("majorant requires a positive decay constant")
-    worst = 0.0
-    phis = np.cumsum(list(map_factors(spec, N, lambda nu: moment(nu, 2.0))))
-    profiles = prefix_fourier_profiles(spec, N, grid_size)
-    for n, (profile, phi) in enumerate(zip(profiles, phis), start=1):
-        t2 = profile.grid**2
-        bound = (
-            4.0 * math.pi**2 * phi * np.exp(-(n - 1) * C * t2)
-            + 16.0 * math.pi**4 * phi * phi * np.exp(-max(n - 2, 0) * C * t2) * t2
-        )
-        worst = max(worst, float(np.max(np.abs(profile.d2) / bound)))
-    return worst

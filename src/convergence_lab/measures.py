@@ -17,8 +17,8 @@ over read-only: :func:`convolve` gives it a fresh one, so each convolution
 allocates its output once.  When one side has few atoms the kernel sums
 shifted copies of the other block by block over the output, from the top
 down, through a block-sized accumulator and scratch that stay in cache,
-and it picks that side after counting the atoms of the narrower operand
-and only as many of the wider one as it takes to tell which has fewer.
+and it picks that side after counting the atoms of b and only as many of
+a's as it takes to tell which has fewer.
 Whichever side it picks, each weight of a * b adds its terms in ascending
 order of b's sites (in a chain, the factor's), so a product whose b has
 too few atoms for ``np.convolve`` sums alike whatever is cut off a.
@@ -26,11 +26,13 @@ Since a block reads the other side only below its own top, the kernel can
 write a product over an operand that lies in the same buffer.
 
 The running products mu_n = nu_1 * ... * nu_n have one engine, a chain
-that writes each product through the kernel.  The experiments that reduce
-over the chain (maximal functions, traces, the sweep-out simulation) read
-it borrowed, ``_prefix_stream`` with a span: every product goes into one
-buffer, allocated once per chain before the first convolution beside the
-kernel's block scratch, as wide as the widest window the chain can yield.
+that writes each product through the kernel, reading the factors from
+the one walk that all their readers share, :meth:`SequenceSpec.factors`.
+The experiments that reduce over the chain (maximal functions, traces,
+the sweep-out simulation) read it borrowed, ``_prefix_stream`` with a
+span: every product goes into one buffer, allocated once per chain
+before the first convolution beside the kernel's block scratch, as wide
+as the widest window the chain can yield.
 That width is known from the factors alone, :func:`prefix_windows`:
 running sums of their ends, capped at ``DEFAULT_SUPPORT_CAP``
 (``_chain_span``).  nu_1 itself is never copied into the buffer; each
@@ -47,19 +49,14 @@ product gets an array of its own, so every prefix may be kept.
 :func:`convolve_prefixes` collects it into a list, for callers that index prefixes or walk them twice (spectra, hypothesis
 checks); it returns a list, never a generator, so that wrappers that
 iterate its result do not drain it before the caller sees it.
-
-Per-factor work has one reuse rule, :func:`map_factors`: a result is
-computed again only when the spec hands out a new factor object.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 #: Hard ceiling on the dense support length a convolution may produce.
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -209,6 +206,10 @@ class LatticeMeasure:
         nz = np.flatnonzero(self.weights)
         return self.min_index + nz, self.weights[nz]
 
+    def dense(self) -> "LatticeMeasure":
+        """The measure itself, a dense window already, as :class:`Factor` builds one."""
+        return self
+
     # -- pointwise access ----------------------------------------------------
     def weight(self, k: int) -> float:
         i = int(k) - self.min_index
@@ -255,6 +256,40 @@ class LatticeMeasure:
         return cls(offset, weights, defect)
 
 
+class Factor(NamedTuple):
+    """A factor nu_n as its atoms: ascending sites, positive weights and the
+    mass defect.  It answers what the readers of factors ask of a
+    :class:`LatticeMeasure`; :meth:`dense` builds its window at each call."""
+
+    sites: np.ndarray
+    weights: np.ndarray
+    mass_defect: float = 0.0
+
+    @property
+    def min_index(self) -> int:
+        return int(self.sites[0])
+
+    @property
+    def max_index(self) -> int:
+        return int(self.sites[-1])
+
+    @property
+    def nnz(self) -> int:
+        return len(self.sites)
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.sites, self.weights
+
+    def weight(self, k: int) -> float:
+        return float(np.sum(self.weights[self.sites == k]))
+
+    def dense(self) -> LatticeMeasure:
+        w = np.zeros(self.max_index - self.min_index + 1)
+        w[self.sites - self.min_index] = self.weights
+        w.setflags(write=False)
+        return LatticeMeasure(self.min_index, w, self.mass_defect)
+
+
 # -- constructors --------------------------------------------------------------
 def delta(k: int) -> LatticeMeasure:
     """Point mass at ``k``."""
@@ -288,7 +323,7 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
 
 
 def _convolve_into(
-    a: LatticeMeasure, b: LatticeMeasure, buf: Optional[np.ndarray], work: Optional[np.ndarray]
+    a: LatticeMeasure, b: LatticeMeasure | Factor, buf: Optional[np.ndarray], work: Optional[np.ndarray]
 ) -> LatticeMeasure:
     """a * b on a read-only view of ``buf``.
 
@@ -296,36 +331,34 @@ def _convolve_into(
     ``None`` allocates one of that length once the cap check has passed.
     It is writable only while the product is written, so the product
     adopts it without a copy, and it must not be written again while the
-    product is in use.  When the weights of ``a`` or ``b`` are a view of
-    ``buf`` (a prefix the chain lent out), the product is written over
-    them, from where they start, and must fit there.  ``work`` is the
-    shifted adds' two rows of block scratch, or ``None`` to allocate them
-    for this call.  Shifted adds of the side with fewer atoms, ``a`` on a
-    tie, sum a(k - j) b(j) in ascending order of j; ``np.convolve`` runs
-    when both sides have more than ``_SPARSE_NNZ_CUTOFF``.
+    product is in use.  When the weights of ``a`` are a view of ``buf`` (a
+    prefix the chain lent out), the product is written over them, from
+    where they start, and must fit there.  ``work`` is the shifted adds'
+    two rows of block scratch, or ``None`` to allocate them for this call.
+    Shifted adds of the side with fewer atoms, ``a`` on a tie, sum
+    a(k - j) b(j) in ascending order of j; ``np.convolve`` runs when both
+    sides have more than ``_SPARSE_NNZ_CUTOFF``.  ``b`` may be a
+    :class:`Factor`, whose window is built only when it is read densely.
     """
-    out_len = len(a.weights) + len(b.weights) - 1
+    out_len = len(a.weights) + b.max_index - b.min_index
     if out_len > DEFAULT_SUPPORT_CAP:
         raise SupportCapError(f"convolution support {out_len} exceeds cap {DEFAULT_SUPPORT_CAP}")
-    wa, wb, start = a.weights, b.weights, 0
+    start = 0
     if buf is None:
         buf = np.empty(out_len)
-    # Count the narrower operand, then the wider one only until it has more.
-    narrow, wide = (a, b) if len(wa) <= len(wb) else (b, a)
-    nnz_narrow = narrow.nnz
-    nnz_wide = _count_nonzero_past(wide.weights, nnz_narrow)
-    nnz_a, nnz_b = (nnz_narrow, nnz_wide) if narrow is a else (nnz_wide, nnz_narrow)
+    # a's atoms are counted only until they outnumber b's.
+    nnz_b = b.nnz
+    nnz_a = _count_nonzero_past(a.weights, nnz_b)
     buf.setflags(write=True)
-    if wa.base is buf or wb.base is buf:
-        lent = wa if wa.base is buf else wb
-        start = (lent.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
+    if a.weights.base is buf:
+        start = (a.weights.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
     out = buf[start : start + out_len]
     if nnz_a <= nnz_b and nnz_a <= _SPARSE_NNZ_CUTOFF:
-        _shifted_adds(wa, wb, out, work, True)
+        _shifted_adds(a, b.dense().weights, out, work, True)
     elif nnz_b <= _SPARSE_NNZ_CUTOFF:
-        _shifted_adds(wb, wa, out, work, False)
+        _shifted_adds(b, a.weights, out, work, False)
     else:
-        out[:] = np.convolve(wa, wb)
+        out[:] = np.convolve(a.weights, b.dense().weights)
     buf.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
@@ -333,15 +366,12 @@ def _convolve_into(
     return LatticeMeasure(a.min_index + b.min_index, buf[start : start + out_len], defect)
 
 
-def _sums_in_order_of(nu: LatticeMeasure) -> bool:
-    """Whether ``convolve(mu, nu)`` sums in ascending order of nu's sites
-    whatever ``mu`` is: nu has too few atoms for ``np.convolve``."""
-    return nu.nnz <= _SPARSE_NNZ_CUTOFF
-
-
-def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray], s_first: bool) -> None:
-    """Write into ``out`` the sum of the shifts ``s[i] * d`` to offset ``i``
-    over the atoms of ``s``; ``out`` is ``len(s) + len(d) - 1`` long.
+def _shifted_adds(
+    s: LatticeMeasure | Factor, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray], s_first: bool
+) -> None:
+    """Write into ``out`` the sum of the shifts ``w * d`` to offset
+    ``k - s.min_index`` over the atoms (k, w) of ``s``, a measure or a
+    factor; ``out`` is as long as s's window plus ``len(d) - 1``.
 
     Each element adds its terms in ascending order of the second operand's
     sites: the atoms of ``s`` run from the top if ``s`` is the first
@@ -356,8 +386,9 @@ def _shifted_adds(s: np.ndarray, d: np.ndarray, out: np.ndarray, work: Optional[
     reads ``d`` only below b1, where no block has been stored yet.
     """
     L, out_len, block = len(d), len(out), _CONVOLVE_BLOCK
-    nz = np.flatnonzero(s)[:: -1 if s_first else 1]
-    (f, wf), *atoms = zip(nz.tolist(), s[nz].tolist())
+    sites, ws = s.atoms()
+    order = slice(None, None, -1 if s_first else 1)
+    (f, wf), *atoms = zip((sites - s.min_index)[order].tolist(), ws[order].tolist())
     if work is None:
         work = np.empty((2, min(block, out_len)))
     for b0 in range((out_len - 1) // block * block, -1, -block):
@@ -481,25 +512,20 @@ def is_strictly_aperiodic(nu: LatticeMeasure) -> bool:
 
 
 # -- measure sequences -----------------------------------------------------------
-class Decomposition(NamedTuple):
-    """Atom-plus-remainder split ``a * delta(site) + (1 - a) * remainder``."""
-
-    atom_weight: float
-    atom_site: int
-    remainder: LatticeMeasure
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Rule producing the n-th factor measure of a convolution product.
+    """Rule producing the n-th factor of a convolution product.
 
-    ``measure_at`` is 1-based.  ``decomposition_at`` optionally exposes an
-    atom-plus-remainder split of each factor; sweep-out diagnostics need it.
+    ``measure_at`` is 1-based and gives nu_n as a :class:`LatticeMeasure`
+    or a :class:`Factor`.  ``atom_site`` optionally names the site x of an
+    atom-plus-remainder split a_n delta_x + (1 - a_n) gamma_n of every
+    factor, a_n its weight there; sweep-out diagnostics need it.
     """
 
     name: str
-    measure_at: Callable[[int], LatticeMeasure]
-    decomposition_at: Optional[Callable[[int], Decomposition]] = None
+    measure_at: Callable[[int], LatticeMeasure | Factor]
+    atom_site: Optional[int] = None
+    _walked: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def iid(cls, measure: LatticeMeasure, name: str = "iid") -> "SequenceSpec":
@@ -516,33 +542,22 @@ class SequenceSpec:
 
         return cls(name=name, measure_at=at)
 
-    @property
-    def has_decomposition(self) -> bool:
-        return self.decomposition_at is not None
-
-    def decomposition(self, n: int) -> Decomposition:
-        if self.decomposition_at is None:
-            raise ValueError(f"sequence {self.name!r} carries no decomposition")
-        return self.decomposition_at(n)
+    def factors(self, N: int) -> Iterator[LatticeMeasure | Factor]:
+        """Yield nu_1, ..., nu_N, one at a time.  The spec keeps them, so
+        its rule builds each nu_n once, and only when a walk reaches it; so
+        walks of one spec must not run at once on two threads."""
+        walked = self._walked
+        for n in range(1, N + 1):
+            if n > len(walked):
+                walked.append(self.measure_at(n))
+            yield walked[n - 1]
 
 
 def _atom_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors 2 a_l - 1 of the decomposition atom weights ``a``, and
-    their partial products prod_{l <= n}, taken in order."""
+    """The factors 2 a_l - 1 of the atom weights ``a``, and their partial
+    products prod_{l <= n}, taken in order."""
     factors = 2.0 * a - 1.0
     return factors, np.cumprod(factors)
-
-
-def map_factors(spec: SequenceSpec, N: int, fn: Callable[[LatticeMeasure], T]) -> Iterator[T]:
-    """Yield fn(nu_n) for n = 1..N, calling ``fn`` again only when
-    ``measure_at(n)`` is not the previous factor's object; an iid spec hands
-    out one object, so ``fn`` runs once for it."""
-    prev = result = None
-    for n in range(1, N + 1):
-        nu = spec.measure_at(n)
-        if nu is not prev:
-            prev, result = nu, fn(nu)
-        yield result
 
 
 class PrefixWindow(NamedTuple):
@@ -569,7 +584,7 @@ class PrefixWindow(NamedTuple):
         return max(0, -self.left, self.right)
 
 
-def prefix_windows(factors: Iterable[LatticeMeasure]) -> Iterator[PrefixWindow]:
+def prefix_windows(factors: Iterable[LatticeMeasure | Factor]) -> Iterator[PrefixWindow]:
     """Yield the :class:`PrefixWindow` of mu_n after each factor nu_n, taking
     the factors one at a time, so a caller may stop before the next is built."""
     lo = hi = 0
@@ -591,7 +606,7 @@ def _chain_span(spec: SequenceSpec, N: int) -> tuple[int, int]:
     that the chain would not; and past the first prefix, nu_1 itself, no
     window of the chain, pruned or not, is wider than the cap.
     """
-    for n, w in enumerate(prefix_windows(map(spec.measure_at, range(1, N + 1))), start=1):
+    for n, w in enumerate(prefix_windows(spec.factors(N)), start=1):
         if w.width > DEFAULT_SUPPORT_CAP:
             return w.left, w.width if n == 1 else DEFAULT_SUPPORT_CAP
     return w.left, w.width
@@ -632,13 +647,14 @@ def _prefix_stream(
 def _chain(
     spec: SequenceSpec, N: int, prune_eps: float, span: Optional[tuple[int, int]]
 ) -> Iterator[LatticeMeasure]:
-    current = spec.measure_at(1)
+    factors = spec.factors(N)
+    current = next(factors).dense()
     yield current
     buf = work = None
     if span is not None and N > 1 and span[1] < DEFAULT_SUPPORT_CAP:
         buf, work = np.empty(span[1]), np.empty((2, min(span[1], _CONVOLVE_BLOCK)))
-    for n in range(2, N + 1):
-        current = prune(_convolve_into(current, spec.measure_at(n), buf, work), prune_eps)
+    for nu in factors:
+        current = prune(_convolve_into(current, nu, buf, work), prune_eps)
         yield current
 
 

@@ -31,10 +31,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .measures import (
+    Factor,
     LatticeMeasure,
     SequenceSpec,
     is_strictly_aperiodic,
-    map_factors,
     moment,
     variance,
 )
@@ -112,7 +112,7 @@ def uniform_grid(grid_size: int) -> np.ndarray:
 
 
 def _transform_sums(
-    mu: LatticeMeasure, ts: np.ndarray, orders: tuple[int, ...]
+    mu: LatticeMeasure | Factor, ts: np.ndarray, orders: tuple[int, ...]
 ) -> list[np.ndarray]:
     """Direct sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} at arbitrary points.
 
@@ -194,8 +194,8 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def fourier_at(mu: LatticeMeasure, ts: np.ndarray) -> np.ndarray:
-    """Pointwise transform values at arbitrary points."""
+def fourier_at(mu: LatticeMeasure | Factor, ts: np.ndarray) -> np.ndarray:
+    """Pointwise transform values at arbitrary points, summed over the atoms."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     return _transform_sums(mu, ts, (0,))[0]
 
@@ -212,23 +212,6 @@ def fourier_eval(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> Four
         raise ValueError("grid_size must be even so that t=0 is on the grid")
     vals, d1, d2 = _grid_sums(mu, grid_size, (0, 1, 2))
     return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
-
-
-def wrap_to_fundamental(t: float) -> float:
-    """Reduce t modulo 1 into [-1/2, 1/2)."""
-    return (t + 0.5) % 1.0 - 0.5
-
-
-def doubling_defect(mu: LatticeMeasure, t: float) -> float:
-    """Slack in the frequency-doubling inequality at t.
-
-    Returns ``4 (1 - |mu_hat(t)|^2) - (1 - |mu_hat(2t)|^2)``, which is
-    nonnegative for every probability measure.
-    """
-    t1 = wrap_to_fundamental(t)
-    t2 = wrap_to_fundamental(2.0 * t)
-    v1, v2 = fourier_at(mu, np.array([t1, t2]))
-    return 4.0 * (1.0 - abs(v1) ** 2) - (1.0 - abs(v2) ** 2)
 
 
 def decay_constant(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> float:
@@ -265,21 +248,6 @@ def decay_constant(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> fl
         candidates.append(float(np.min(-np.log(padded) / widened)))
 
     return max(0.0, min(candidates))
-
-
-def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float, float]:
-    """Certified upper bound for sup |mu_hat(t)| over |t| >= 1/16.
-
-    Returns ``(bound, witness_t)``.  A bound < 1 certifies a spectral gap on
-    that region; periodic measures always report a bound >= 1 because some
-    unit-modulus point lies within half a cell of the grid.
-    """
-    profile = fourier_eval(mu, grid_size)
-    h = profile.grid_step
-    region = np.abs(profile.grid) >= _NEAR_ZERO_WINDOW - h / 2.0
-    vals = np.abs(profile.values[region]) + profile.lipschitz_bound * h / 2.0
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(profile.grid[region][i])
 
 
 # -- adaptive quadrature -----------------------------------------------------------
@@ -355,20 +323,6 @@ def weighted_d2_integral(
     return _simpson_doubling(shared[:: _SHARED_LEVEL >> _MIN_DEPTH], refine, target, max_depth)
 
 
-def two_atom_bound(delta: float, eta: float) -> float:
-    """Exact maximum of |a1 z1 + a2 z2| over the constrained two-atom set.
-
-    Over a1 + a2 = 1, a1, a2 >= delta, |z1| = |z2| = 1, |z1 - z2| >= eta the
-    squared modulus is 1 - a1 a2 |z1 - z2|^2, maximized at the constraint
-    corner, giving sqrt(1 - delta (1 - delta) eta^2).
-    """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 1/2]")
-    if not 0.0 < eta <= 2.0:
-        raise ValueError("eta must lie in (0, 2]")
-    return math.sqrt(1.0 - delta * (1.0 - delta) * eta * eta)
-
-
 # -- transforms of running products ----------------------------------------------------
 def _product_rule(F: np.ndarray, g: tuple[np.ndarray, ...]) -> None:
     """Multiply the running transform ``F`` by a factor transform ``g`` in place.
@@ -400,8 +354,10 @@ def prefix_fourier_profiles(
     """
     running = np.zeros((3, grid_size), dtype=complex)
     running[0] = 1.0
-    lip = 0.0
-    for g in map_factors(spec, N, lambda nu: fourier_eval(nu, grid_size)):
+    lip, prev = 0.0, None
+    for nu in spec.factors(N):
+        if nu is not prev:
+            prev, g = nu, fourier_eval(nu.dense(), grid_size)
         _product_rule(running, (g.values, g.d1, g.d2))
         lip += g.lipschitz_bound
         yield FourierProfile(g.grid, *running.copy(), lip)

@@ -4,7 +4,9 @@ The family puts weight (1+2b)/(3+2b) at k=1 and 1/(3+2b) at k=-b and
 k=-b-1, with b = floor(1/(1-a_n)) driven by a rate sequence a_n -> 1.
 Each member is centered, and the mass splits as an atom at 1 plus a far
 remainder, which drives both dissipativity of the running products and a
-positive floor on |mu_n_hat| away from the trivial character.
+positive floor on |mu_n_hat| away from the trivial character.  The rule
+hands out each member as its three atoms, once per run through the spec's
+walk, and the spec names 1 as the atom site, so a_n is read off them.
 
 The sweep-out simulation is a running max and min over the averages of
 chi_B, read from ``dynamics._averages``, the one generator of averages
@@ -14,7 +16,7 @@ otherwise it reads the borrowed prefix stream of
 :mod:`~convergence_lab.measures` through the state-averaging engine.  On
 the stream its memory is the chain's one prefix buffer and, on the
 rotation, the engine's table of state cells, each as wide as the widest
-window the factors allow, both sized by one walk over the factors before
+window the factors allow, both sized from the factors' windows before
 the first convolution; past them, a step of the unpruned chain allocates
 only small arrays, such as the vector of averages.
 
@@ -33,16 +35,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .measures import (
+    _SPARSE_NNZ_CUTOFF,
     DEFAULT_SUPPORT_CAP,
-    Decomposition,
+    Factor,
     LatticeMeasure,
     SequenceSpec,
     SupportCapError,
     _atom_products,
-    _sums_in_order_of,
     convolve,
-    from_pairs,
-    map_factors,
     prefix_windows,
     prune,
 )
@@ -55,26 +55,23 @@ LOW_THRESHOLD = 0.1
 
 
 def example_measure(b: int) -> LatticeMeasure:
-    """Three-atom centered measure with parameter b >= 1.
+    """Three-atom centered measure with parameter b >= 1, as a dense window.
 
     Raises :class:`SupportCapError` before allocating when its diameter
     b + 2 exceeds the support cap.
     """
+    return _example_factor(b).dense()
+
+
+def _example_factor(b: int) -> Factor:
+    """The atoms of :func:`example_measure`, held to its cap."""
     b = int(b)
     if b < 1:
         raise ValueError("b must be at least 1")
     if b + 2 > DEFAULT_SUPPORT_CAP:
         raise SupportCapError(f"factor diameter {b + 2} exceeds cap {DEFAULT_SUPPORT_CAP}")
     denom = 3 + 2 * b
-    return from_pairs({1: (1 + 2 * b) / denom, -b: 1.0 / denom, -b - 1: 1.0 / denom})
-
-
-def example_decomposition(b: int) -> Decomposition:
-    """Atom-plus-remainder view: a delta_1 + (1-a)/2 (delta_{-b} + delta_{-b-1})."""
-    b = int(b)
-    denom = 3 + 2 * b
-    remainder = from_pairs({-b: 0.5, -b - 1: 0.5})
-    return Decomposition((1 + 2 * b) / denom, 1, remainder)
+    return Factor(np.array([-b - 1, -b, 1]), np.array([1.0 / denom, 1.0 / denom, (1 + 2 * b) / denom]))
 
 
 @dataclass(frozen=True)
@@ -101,18 +98,11 @@ class SweepoutFamily:
             raise ValueError(f"a_{n} = {a} yields b < 1")
         return b
 
-    def measure_at(self, n: int) -> LatticeMeasure:
-        return example_measure(self.b_at(n))
-
-    def decomposition_at(self, n: int) -> Decomposition:
-        return example_decomposition(self.b_at(n))
+    def measure_at(self, n: int) -> Factor:
+        return _example_factor(self.b_at(n))
 
     def to_spec(self) -> SequenceSpec:
-        return SequenceSpec(
-            name=self.name,
-            measure_at=self.measure_at,
-            decomposition_at=self.decomposition_at,
-        )
+        return SequenceSpec(name=self.name, measure_at=self.measure_at, atom_site=1)
 
 
 def inverse_square_family(coeff: float = 1.0) -> SweepoutFamily:
@@ -162,15 +152,9 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int, prune_eps: float = 0
         raise ValueError("K and N must be positive")
     if not 0.0 <= prune_eps <= 1e-8:
         raise ValueError("prune_eps must lie in [0, 1e-8]")
-    pinned = True
-
-    def factor(n: int) -> LatticeMeasure:
-        nonlocal pinned
-        nu = spec.measure_at(n)
-        pinned = pinned and (n == 1 or _sums_in_order_of(nu))
-        return nu
-
-    windows = list(prefix_windows(map(factor, range(1, N + 1))))
+    factors = list(spec.factors(N))
+    pinned = all(nu.nnz <= _SPARSE_NNZ_CUTOFF for nu in factors[1:])
+    windows = list(prefix_windows(factors))
     # R_n from the extremes of the later windows' ends, the last prefix first.
     reach, top, bottom = [], windows[-1].hi, windows[-1].lo
     for w in reversed(windows):
@@ -178,15 +162,28 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int, prune_eps: float = 0
         reach.append((w.hi - top - K, w.lo - bottom + K) if pinned else (w.lo, w.hi))
     reach.reverse()
 
-    mu = _restrict(spec.measure_at(1), *reach[0], 0.0)
+    mu = _restrict(factors[0].dense(), *reach[0], 0.0)
     rows = [DissipativityRow(1, 0.0 if mu is None else _window_max(mu, K))]
-    for n in range(2, N + 1):
+    for n, nu in enumerate(factors[1:], start=2):
         if mu is not None:
             lo, hi = reach[n - 1]
-            cut = _restrict(spec.measure_at(n), lo - mu.max_index, hi - mu.min_index, 0.0)
+            cut = _cut(nu, lo - mu.max_index, hi - mu.min_index)
             mu = None if cut is None else _restrict(convolve(mu, cut), lo, hi, prune_eps)
         rows.append(DissipativityRow(n, 0.0 if mu is None else _window_max(mu, K)))
     return rows
+
+
+def _cut(nu: LatticeMeasure | Factor, lo: int, hi: int) -> LatticeMeasure | Factor | None:
+    """The atoms of nu on [lo, hi] alone, the mass of the others joining
+    the defect; nu itself when it loses none, None when none is left."""
+    sites, ws = nu.atoms()
+    i, j = np.searchsorted(sites, (lo, hi + 1)).tolist()
+    if i >= j:
+        return None
+    if (i, j) == (0, len(sites)):
+        return nu
+    lost = float(np.sum(ws[:i])) + float(np.sum(ws[j:]))
+    return Factor(sites[i:j], ws[i:j], nu.mass_defect + lost)
 
 
 def _restrict(mu: LatticeMeasure, lo: int, hi: int, eps: float) -> Optional[LatticeMeasure]:
@@ -269,11 +266,11 @@ def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> F
     The floor at each point is the minimum over n in the window
     [max(1, N//2), N], a finite-horizon proxy for tail behavior; the result
     reports its start as ``window_start``.
-    The bound prod_l (2 a_l - 1) uses the decomposition atom weights; it is
-    reported as vacuous (0) when the decomposition is missing or some atom
-    weight is at most 1/2.  The transforms of the running products are
-    evaluated as pointwise products of the factor transforms, each taken
-    once per distinct factor, so no large convolutions are formed.
+    The bound prod_l (2 a_l - 1) uses the factors' weights at the atom
+    site; it is reported as vacuous (0) when the spec names no atom site or
+    some atom weight is at most 1/2.  The transforms of the running products
+    are pointwise products of the factor transforms, each summed over the
+    atoms once per run of one factor, so no large convolutions are formed.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -283,14 +280,17 @@ def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> F
     window_start = max(1, N // 2)
     running = np.ones((1, len(ts)), dtype=complex)
     floor = np.full(len(ts), np.inf)
-    for n, g in enumerate(map_factors(spec, N, lambda nu: (fourier_at(nu, ts),)), start=1):
+    prev = None
+    for n, nu in enumerate(spec.factors(N), start=1):
+        if nu is not prev:
+            prev, g = nu, (fourier_at(nu, ts),)
         _product_rule(running, g)
         if n >= window_start:
             floor = np.minimum(floor, np.abs(running[0]))
 
-    vacuous = not spec.has_decomposition
+    vacuous = spec.atom_site is None
     if not vacuous:
-        a = np.array([spec.decomposition(n).atom_weight for n in range(1, N + 1)])
+        a = np.array([nu.weight(spec.atom_site) for nu in spec.factors(N)])
         factors, products = _atom_products(a)
         vacuous = bool(np.any(factors <= 0.0))
     bound = 0.0 if vacuous else float(products[-1])

@@ -1,4 +1,5 @@
-from typing import NamedTuple
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -7,9 +8,15 @@ from convergence_lab import (
     DEFAULT_GRID_SIZE,
     LatticeMeasure,
     TestFunction,
+    decay_constant,
+    fourier_at,
     fourier_eval,
     from_pairs,
+    moment,
+    prefix_fourier_profiles,
+    tv_shift_distance,
     weighted_average,
+    weighted_average_all,
 )
 from convergence_lab.measures import _chain_span, _prefix_stream
 from convergence_lab.spectral import _NEAR_ZERO_WINDOW
@@ -109,13 +116,35 @@ def condition(report, name: str):
     raise KeyError(name)
 
 
+def dense_at(spec, n: int) -> LatticeMeasure:
+    """nu_n as a dense window, straight from the spec's rule."""
+    return spec.measure_at(n).dense()
+
+
+def factor_at(spec, n: int):
+    """The n-th factor of the spec's walk."""
+    return list(spec.factors(n))[-1]
+
+
+def decomposition(spec, n: int) -> tuple[float, int, dict]:
+    """The split a delta_x + (1 - a) gamma of the n-th factor, read off its
+    atoms: x the spec's atom site, a the factor's weight there, and gamma,
+    as ``{site: weight}``, its other atoms scaled to mass 1."""
+    nu, x = factor_at(spec, n), spec.atom_site
+    a = nu.weight(x)
+    gamma = {int(k): float(w) / (1.0 - a) for k, w in zip(*nu.atoms()) if k != x}
+    return a, x, gamma
+
+
 def decomposition_error(spec, n: int) -> float:
-    """l1 gap between the n-th factor and its reconstructed decomposition."""
-    a, site, gamma = spec.decomposition(n)
+    """l1 gap between the n-th factor and its decomposition rebuilt as
+    a delta_x + (1 - a) gamma; gamma must have mass 1."""
+    a, site, gamma = decomposition(spec, n)
+    assert abs(sum(gamma.values()) - 1.0) <= 1e-12
     scaled = {site: a}
-    for k, w in zip(gamma.support, gamma.weights[np.flatnonzero(gamma.weights)]):
-        scaled[int(k)] = scaled.get(int(k), 0.0) + (1.0 - a) * float(w)
-    return l1_distance(spec.measure_at(n), from_pairs(scaled))
+    for k, w in gamma.items():
+        scaled[k] = scaled.get(k, 0.0) + (1.0 - a) * w
+    return l1_distance(factor_at(spec, n).dense(), from_pairs(scaled))
 
 
 class PreconditionError(ValueError):
@@ -241,3 +270,96 @@ def full_dissipativity_trace(spec, K: int, N: int, prune_eps: float = 0.0) -> li
     of every prefix of the borrowed stream, each prefix whole."""
     prefixes = _prefix_stream(spec, N, prune_eps, _chain_span(spec, N))
     return [DissipativityRow(n, _window_max(mu, K)) for n, mu in enumerate(prefixes, start=1)]
+
+
+# -- paper checks that the program does not read -------------------------------------
+def wrap_to_fundamental(t: float) -> float:
+    """Reduce t modulo 1 into [-1/2, 1/2)."""
+    return (t + 0.5) % 1.0 - 0.5
+
+
+def doubling_defect(mu: LatticeMeasure, t: float) -> float:
+    """Slack in the frequency-doubling inequality at t.
+
+    Returns ``4 (1 - |mu_hat(t)|^2) - (1 - |mu_hat(2t)|^2)``, which is
+    nonnegative for every probability measure.
+    """
+    t1 = wrap_to_fundamental(t)
+    t2 = wrap_to_fundamental(2.0 * t)
+    v1, v2 = fourier_at(mu, np.array([t1, t2]))
+    return 4.0 * (1.0 - abs(v1) ** 2) - (1.0 - abs(v2) ** 2)
+
+
+def offzero_modulus_bound(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> tuple[float, float]:
+    """Certified upper bound for sup |mu_hat(t)| over |t| >= 1/16.
+
+    Returns ``(bound, witness_t)``.  A bound < 1 certifies a spectral gap on
+    that region; periodic measures always report a bound >= 1 because some
+    unit-modulus point lies within half a cell of the grid.
+    """
+    profile = fourier_eval(mu, grid_size)
+    h = profile.grid_step
+    region = np.abs(profile.grid) >= _NEAR_ZERO_WINDOW - h / 2.0
+    vals = np.abs(profile.values[region]) + profile.lipschitz_bound * h / 2.0
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(profile.grid[region][i])
+
+
+def two_atom_bound(delta: float, eta: float) -> float:
+    """Exact maximum of |a1 z1 + a2 z2| over the constrained two-atom set.
+
+    Over a1 + a2 = 1, a1, a2 >= delta, |z1| = |z2| = 1, |z1 - z2| >= eta the
+    squared modulus is 1 - a1 a2 |z1 - z2|^2, maximized at the constraint
+    corner, giving sqrt(1 - delta (1 - delta) eta^2).
+    """
+    if not 0.0 < delta <= 0.5:
+        raise ValueError("delta must lie in (0, 1/2]")
+    if not 0.0 < eta <= 2.0:
+        raise ValueError("eta must lie in (0, 2]")
+    return math.sqrt(1.0 - delta * (1.0 - delta) * eta * eta)
+
+
+def second_derivative_majorant_ratio(
+    spec,
+    N: int,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    C: Optional[float] = None,
+) -> float:
+    """Worst ratio of |mu_n''(t)| to its two-term Gaussian majorant.
+
+    The majorant is ``4 pi^2 phi(n) e^{-(n-1) C t^2}
+    + 16 pi^4 phi(n)^2 e^{-(n-2) C t^2} t^2`` with phi(n) the cumulative
+    second moment; it is valid whenever every factor is centered and has a
+    certified decay constant at least C (by default the least over the
+    distinct factors).  A return value <= 1 (up to rounding) confirms the
+    bound chain at grid resolution for all n <= N.
+    """
+    factors = list(spec.factors(N))
+    if C is None:
+        C = min(decay_constant(nu.dense(), grid_size) for nu in {id(nu): nu for nu in factors}.values())
+    if C <= 0.0:
+        raise ValueError("majorant requires a positive decay constant")
+    worst = 0.0
+    phis = np.cumsum([moment(nu.dense(), 2.0) for nu in factors])
+    profiles = prefix_fourier_profiles(spec, N, grid_size)
+    for n, (profile, phi) in enumerate(zip(profiles, phis), start=1):
+        t2 = profile.grid**2
+        bound = (
+            4.0 * math.pi**2 * phi * np.exp(-(n - 1) * C * t2)
+            + 16.0 * math.pi**4 * phi * phi * np.exp(-max(n - 2, 0) * C * t2) * t2
+        )
+        worst = max(worst, float(np.max(np.abs(profile.d2) / bound)))
+    return worst
+
+
+def coboundary_bound_check(sys, mu: LatticeMeasure, g: TestFunction) -> tuple[float, float]:
+    """Contrast ``sup_x |mu g(x) - mu(g o tau)(x)|`` with its shift bound.
+
+    Returns ``(lhs, rhs)`` where rhs = tv_shift_distance(mu) * sup|g|; the
+    lhs never exceeds the rhs (up to rounding).
+    """
+    direct = weighted_average_all(sys, mu, g)
+    shifted = weighted_average_all(sys, LatticeMeasure(mu.min_index + 1, mu.weights, mu.mass_defect), g)
+    lhs = float(np.max(np.abs(direct - shifted)))
+    rhs = tv_shift_distance(mu) * g.sup_norm(sys)
+    return lhs, rhs

@@ -15,12 +15,10 @@ from convergence_lab import (
     DynSystem,
     SequenceSpec,
     TestFunction,
-    coboundary_bound_check,
     convolve,
     convolve_prefixes,
     decay_constant,
     dissipativity_trace,
-    doubling_defect,
     example_measure,
     expectation,
     fourier_eval,
@@ -29,17 +27,22 @@ from convergence_lab import (
     inverse_square_family,
     is_strictly_aperiodic,
     moment,
-    offzero_modulus_bound,
     scan_points,
-    second_derivative_majorant_ratio,
     sweepout_simulation,
     tv_shift_distance,
-    two_atom_bound,
     weak11_table,
     weighted_d2_integral,
 )
 from convergence_lab.cli import EXIT_OK, main as cli_main
-from conftest import random_measure, random_symmetric_measure
+from conftest import (
+    coboundary_bound_check,
+    doubling_defect,
+    offzero_modulus_bound,
+    random_measure,
+    random_symmetric_measure,
+    second_derivative_majorant_ratio,
+    two_atom_bound,
+)
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")

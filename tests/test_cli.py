@@ -11,6 +11,7 @@ import pytest
 
 from convergence_lab import (
     DynSystem,
+    SweepoutFamily,
     TestFunction,
     convolve_prefixes,
     iter_prefixes,
@@ -158,6 +159,17 @@ class TestLoadConfig:
         assert "run.horizon" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_loading_builds_no_sweepout_factor(self, tmp_path, monkeypatch):
+        # The factors are walked by the subcommand that reads them, so a
+        # config loads, and validates, at the cost of its parsing alone.
+        def refuse(family, n):
+            raise AssertionError(f"a factor was built while loading: n = {n}")
+
+        monkeypatch.setattr(SweepoutFamily, "measure_at", refuse)
+        path = write(tmp_path, "s.cfg", SWEEPOUT_CFG)
+        assert load_config(path).spec.atom_site == 1
+        assert validate_config(path) == []
+
 
 class TestMain:
     def test_check_reports_failure_in_summary(self, tmp_path, capsys):
@@ -250,6 +262,35 @@ class TestMain:
         path = write(tmp_path, "g.cfg", cfg)
         out = tmp_path / "o"
         assert main([subcommand, "--config", path, "--out", str(out)]) == EXIT_RESOURCE
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("system", [ROTATION, CYCLIC_64], ids=["rotation", "cyclic"])
+    @pytest.mark.parametrize("subcommand", ["convolve", "spectrum", "check", "simulate", "sweepout"])
+    def test_every_factor_is_built_once_per_run(self, tmp_path, monkeypatch, subcommand, system):
+        # Every reader of the factors in a run (the span walk, the chain, the
+        # recursion, the dissipativity rows, the floor scan, the hypothesis
+        # checks) shares the spec's one walk.
+        built, rule = [], SweepoutFamily.measure_at
+        monkeypatch.setattr(SweepoutFamily, "measure_at", lambda family, n: built.append(n) or rule(family, n))
+        path = write(tmp_path, "s.cfg", SWEEPOUT_CFG.replace(ROTATION, system))
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert built == list(range(1, 13))
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])
+    def test_cyclic_recursion_over_the_cap_exits_before_any_work(self, tmp_path, capsys, monkeypatch, subcommand):
+        # nu_1000 has diameter 1000001: the recursion forms no prefix, and
+        # the walk refuses that factor before the first average is taken.
+        from convergence_lab import dynamics
+
+        def no_average(*args):
+            raise AssertionError("the recursion ran before the walk was checked")
+
+        monkeypatch.setattr(dynamics, "_apply_factor", no_average)
+        monkeypatch.setattr(dynamics, "weighted_average_all", no_average)
+        cfg = SWEEPOUT_CFG.replace(ROTATION, CYCLIC_64).replace("horizon = 12", "horizon = 1000")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", write(tmp_path, "s.cfg", cfg), "--out", str(out)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource cap: factor diameter 1000001 exceeds cap 1000000\n"
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])

@@ -11,7 +11,6 @@ from convergence_lab import (
     DynSystem,
     SequenceSpec,
     TestFunction,
-    coboundary_bound_check,
     convergence_trace,
     convolve,
     convolve_prefixes,
@@ -24,7 +23,7 @@ from convergence_lab import (
     weighted_average,
     weighted_average_all,
 )
-from conftest import advance, maximal_function, random_measure
+from conftest import advance, coboundary_bound_check, maximal_function, random_measure
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")

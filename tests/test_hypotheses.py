@@ -8,7 +8,6 @@ import pytest
 
 from convergence_lab import (
     DEFAULT_GRID_SIZE,
-    Decomposition,
     QuadratureError,
     SequenceSpec,
     check_convergence_hypotheses,
@@ -16,20 +15,18 @@ from convergence_lab import (
     convolve_prefixes,
     coset_mass_sup,
     decay_constant,
-    delta,
     example_measure,
     expectation,
     from_pairs,
     geometric_family,
     inverse_square_family,
     moment,
-    second_derivative_majorant_ratio,
     tv_shift_distance,
     weighted_d2_integral,
 )
 from convergence_lab import hypotheses
 from convergence_lab.cli import _rows_block, _write_csv
-from conftest import condition, second_moment_floor
+from conftest import condition, dense_at, second_derivative_majorant_ratio, second_moment_floor
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})
 IID_TRIPLE = SequenceSpec.iid(CENTERED_TRIPLE, name="iid_triple")
@@ -143,7 +140,7 @@ class TestConvergenceReport:
             except QuadratureError as exc:
                 d2s.append(exc.last_two[1])
         shifts = [tv_shift_distance(mu) for mu in mus]
-        nus = [spec.measure_at(n) for n in range(1, N + 1)]
+        nus = [dense_at(spec, n) for n in range(1, N + 1)]
         m2s = [moment(nu, 2.0) for nu in nus]
         phis = np.cumsum(m2s)
         rows = [
@@ -185,24 +182,27 @@ class TestSweepoutReport:
         assert report.overall_ok
 
     def test_half_atom_weight_degenerates(self):
-        gamma = from_pairs({-1: 0.5, 0: 0.5})
         nu = from_pairs({1: 0.5, -1: 0.25, 0: 0.25})
-        spec = SequenceSpec("half_atom", lambda n: nu, lambda n: Decomposition(0.5, 1, gamma))
+        spec = SequenceSpec("half_atom", lambda n: nu, atom_site=1)
         report = check_sweepout_hypotheses(spec, 40)
         prod = condition(report, "product_lower_bound")
         assert not prod.ok
         assert prod.witness == 0.0
         assert not condition(report, "defect_summability").ok
 
-    def test_alternating_sites_fail_drift(self):
-        measures = [delta(1) if n % 2 else delta(-1) for n in range(1, 41)]
-        decomps = [Decomposition(1.0, 1 if n % 2 else -1, delta(0)) for n in range(1, 41)]
-        spec = SequenceSpec("alternating", lambda n: measures[n - 1], lambda n: decomps[n - 1])
+    def test_atom_at_zero_fails_drift(self):
+        # One site names the atom of every factor, so x_n is constant: the
+        # partial sums of x_n drift unless the site is 0.
+        spec = SequenceSpec("at_zero", lambda n: CENTERED_TRIPLE, atom_site=0)
         report = check_sweepout_hypotheses(spec, 40)
         assert not condition(report, "site_sum_drift").ok
+        assert not condition(report, "atom_sites_nonzero").ok
+        assert [row[1] for row in report.rows] == [0.5] * 40
+        left = check_sweepout_hypotheses(SequenceSpec("at_minus_one", lambda n: CENTERED_TRIPLE, atom_site=-1), 40)
+        assert condition(left, "site_sum_drift").ok and condition(left, "site_sum_drift").witness == -40.0
 
     def test_requires_decomposition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="names no atom site"):
             check_sweepout_hypotheses(IID_TRIPLE, 10)
 
     def test_product_bound_holds_on_grid(self):

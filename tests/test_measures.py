@@ -423,18 +423,17 @@ class TestSequenceSpec:
             spec.measure_at(n)
 
     def test_missing_decomposition_raises(self):
+        from convergence_lab import check_sweepout_hypotheses
+
         spec = SequenceSpec.iid(delta(0))
-        with pytest.raises(ValueError):
-            spec.decomposition(1)
+        assert spec.atom_site is None
+        with pytest.raises(ValueError, match="names no atom site"):
+            check_sweepout_hypotheses(spec, 2)
 
     def test_decomposition_reconstructs(self):
-        from convergence_lab import example_decomposition, example_measure
+        from convergence_lab import example_measure
 
-        spec = SequenceSpec(
-            name="family",
-            measure_at=lambda n: example_measure(n),
-            decomposition_at=lambda n: example_decomposition(n),
-        )
+        spec = SequenceSpec(name="family", measure_at=lambda n: example_measure(n), atom_site=1)
         for n in range(1, 12):
             assert decomposition_error(spec, n) <= 1e-12
 

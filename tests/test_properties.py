@@ -24,7 +24,6 @@ from convergence_lab import (
     convolve_prefixes,
     delta,
     dissipativity_trace,
-    doubling_defect,
     expectation,
     fourier_at,
     fourier_eval,
@@ -39,7 +38,6 @@ from convergence_lab import (
     scan_points,
     sweepout_simulation,
     tv_shift_distance,
-    two_atom_bound,
     weighted_average,
     weighted_average_all,
 )
@@ -53,15 +51,18 @@ from convergence_lab.dynamics import (
     _first_uniform,
     _state_averages,
 )
-from convergence_lab.measures import _chain_span, _count_nonzero_past, map_factors, prefix_windows
+from convergence_lab.measures import _chain_span, _count_nonzero_past, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
+from convergence_lab.sweepout import _example_factor
 from conftest import (
     RECURSION_TRACE_ATOL,
     dense_factor,
+    doubling_defect,
     full_dissipativity_trace,
     l1_distance,
     roll_average_all,
     table_chain,
+    two_atom_bound,
 )
 
 
@@ -558,6 +559,26 @@ def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
     got = dissipativity_trace(spec, K, N, prune_eps)
     want = full_dissipativity_trace(spec, K, N, prune_eps)
     assert [(n, repr(v)) for n, v in got] == [(n, repr(v)) for n, v in want]
+
+
+@given(dissipativity_cases(), st.sampled_from([0.0, 1e-8]))
+# A factor of 40 atoms is the kernel's other side, or goes to np.convolve.
+@example((SequenceSpec.iid(dense_factor(40, 1, -10)), 12), 0.0)
+@settings(max_examples=60, deadline=None)
+def test_factors_held_as_atoms_match_their_dense_windows_to_the_bit(case, prune_eps):
+    # The readers of the walk give the same bits whether each factor comes as
+    # a Factor of its atoms or as its dense window, a LatticeMeasure.
+    spec, N = case
+    N = min(N, 40)
+    dense = SequenceSpec("dense", lambda n: spec.measure_at(n).dense(), spec.atom_site)
+    atoms = SequenceSpec("atoms", lambda n: measures.Factor(*dense.measure_at(n).atoms()), spec.atom_site)
+    for a, b in zip(iter_prefixes(dense, N, prune_eps), iter_prefixes(atoms, N, prune_eps), strict=True):
+        assert (a.min_index, a.weights.tobytes(), a.mass_defect) == (b.min_index, b.weights.tobytes(), b.mass_defect)
+    assert repr(dissipativity_trace(atoms, 3, N, prune_eps)) == repr(dissipativity_trace(dense, 3, N, prune_eps))
+    ts = scan_points(5)
+    assert repr(fourier_floor_scan(atoms, ts, N)) == repr(fourier_floor_scan(dense, ts, N))
+    sys, f = DynSystem.cyclic(64), TestFunction.indicator_block(0, 5)
+    assert np.array_equal(_bits(maximal_function_all(sys, atoms, f, N)), _bits(maximal_function_all(sys, dense, f, N)))
 
 
 # Few distinct values, so duplicates are common, with both signs of zero.
@@ -1064,14 +1085,37 @@ def test_floor_scan_matches_convolved_prefixes(spec_n, uniform):
 @settings(max_examples=60, deadline=None)
 def test_factor_reuse_calls_once_per_run_of_one_object(spec_n):
     spec, N = spec_n
-    factors = [spec.measure_at(n) for n in range(1, N + 1)]
-    starts = [i == 0 or nu is not factors[i - 1] for i, nu in enumerate(factors)]
+    measures = [spec.measure_at(n) for n in range(1, N + 1)]
+    starts = [i == 0 or nu is not measures[i - 1] for i, nu in enumerate(measures)]
     calls = []
-    results = list(map_factors(spec, N, lambda nu: calls.append(nu) or len(calls)))
-    # One call per run of one object on consecutive steps, so one for an iid spec.
-    heads = [nu for nu, start in zip(factors, starts) if start]
-    assert len(calls) == len(heads) and all(a is b for a, b in zip(calls, heads))
-    assert results == np.cumsum(starts).tolist()
+    rule = spec.measure_at
+    walked = SequenceSpec(spec.name, lambda n: calls.append(n) or rule(n))
+    # The rule runs once per n however often, and however far, the factors
+    # are walked; the walk hands out the rule's objects, so per-factor work
+    # that skips a repeated object runs once per run of one object.
+    assert list(walked.factors(0)) == [] and calls == []
+    factors = list(walked.factors(N))
+    assert all(a is b for a, b in zip(walked.factors(N), factors)) and calls == list(range(1, N + 1))
+    assert all(nu is mu and nu.dense() is mu for nu, mu in zip(factors, measures))
+    assert [i == 0 or nu is not factors[i - 1] for i, nu in enumerate(factors)] == starts
+
+
+@given(st.integers(min_value=1, max_value=measures.DEFAULT_SUPPORT_CAP - 2))
+@example(1)
+@example(measures.DEFAULT_SUPPORT_CAP - 2)
+@settings(max_examples=60, deadline=None)
+def test_family_factor_window_is_the_three_atom_measure_to_the_bit(b):
+    # The family's factor holds three atoms; the window built from them is
+    # the measure from the pairs of its closed form, and the weight at the
+    # atom site 1 is a = (1 + 2b)/(3 + 2b) of a delta_1 + (1 - a) gamma.
+    denom = 3 + 2 * b
+    oracle = from_pairs({1: (1 + 2 * b) / denom, -b: 1.0 / denom, -b - 1: 1.0 / denom})
+    nu = _example_factor(b)
+    window = nu.dense()
+    assert nu.nnz == 3 and (nu.min_index, nu.max_index) == (-b - 1, 1)
+    assert window.min_index == oracle.min_index and window.weights.tobytes() == oracle.weights.tobytes()
+    assert nu.weight(1) == (1 + 2 * b) / denom and nu.weight(0) == 0.0
+    assert all(np.array_equal(x, y) for x, y in zip(nu.atoms(), oracle.atoms()))
 
 
 # -- CSV cell formatting ------------------------------------------------------------

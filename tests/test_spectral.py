@@ -15,7 +15,6 @@ from convergence_lab import (
     convolve_prefixes,
     decay_constant,
     delta,
-    doubling_defect,
     expectation,
     fourier_at,
     fourier_eval,
@@ -23,20 +22,21 @@ from convergence_lab import (
     inverse_square_family,
     is_strictly_aperiodic,
     moment,
-    offzero_modulus_bound,
     prefix_fourier_profiles,
-    two_atom_bound,
     weighted_d2_integral,
-    wrap_to_fundamental,
 )
 from convergence_lab import spectral
 from convergence_lab.cli import _write_csv, main
 from conftest import (
     PreconditionError,
+    doubling_defect,
     holder_smoothness_check,
+    offzero_modulus_bound,
     quadratic_minorant_check,
     random_measure,
     random_symmetric_measure,
+    two_atom_bound,
+    wrap_to_fundamental,
 )
 
 CENTERED_TRIPLE = from_pairs({-1: 0.25, 0: 0.5, 1: 0.25})

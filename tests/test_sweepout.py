@@ -15,7 +15,6 @@ from convergence_lab import (
     convolve_prefixes,
     delta,
     dissipativity_trace,
-    example_decomposition,
     example_measure,
     expectation,
     fourier_at,
@@ -32,8 +31,14 @@ from convergence_lab import (
 from convergence_lab.dynamics import _CellTable, _state_averages
 from convergence_lab import dynamics, measures
 from convergence_lab.measures import _chain_span, prefix_windows
-from convergence_lab.sweepout import HIGH_THRESHOLD, LOW_THRESHOLD
-from conftest import RECURSION_TRACE_ATOL, decomposition_error, dense_factor, full_dissipativity_trace, l1_distance
+from convergence_lab.sweepout import HIGH_THRESHOLD, LOW_THRESHOLD, _example_factor
+from conftest import (
+    RECURSION_TRACE_ATOL,
+    decomposition,
+    decomposition_error,
+    dense_factor,
+    full_dissipativity_trace,
+)
 
 INV_SQ = inverse_square_family(1.0)
 
@@ -61,12 +66,14 @@ class TestExampleMeasure:
             assert abs(moment(nu, 2.0) - formula) <= 1e-12
 
     def test_decomposition_reconstructs(self):
+        # a delta_1 + (1 - a)/2 (delta_{-b} + delta_{-b-1}), read off the
+        # atoms of the family's factor with b_n = b.
+        spec = SequenceSpec("b = n", _example_factor, atom_site=1)
         for b in (1, 2, 7, 50, 100):
-            a, site, gamma = example_decomposition(b)
-            rebuilt = {site: a}
-            for k in gamma.support:
-                rebuilt[int(k)] = rebuilt.get(int(k), 0.0) + (1 - a) * gamma.weight(int(k))
-            assert l1_distance(example_measure(b), from_pairs(rebuilt)) <= 1e-12
+            a, site, gamma = decomposition(spec, b)
+            assert (a, site) == ((1 + 2 * b) / (3 + 2 * b), 1)
+            assert gamma.keys() == {-b, -b - 1} and all(w == pytest.approx(0.5, abs=1e-15) for w in gamma.values())
+            assert decomposition_error(spec, b) <= 1e-12
 
     def test_rejects_bad_b(self):
         with pytest.raises(ValueError):
@@ -115,7 +122,7 @@ class TestFamilies:
 
     def test_spec_carries_decomposition(self):
         spec = INV_SQ.to_spec()
-        assert spec.has_decomposition
+        assert spec.atom_site == 1
         for n in (1, 5, 20):
             assert decomposition_error(spec, n) <= 1e-12
 
@@ -283,11 +290,8 @@ class TestFourierFloorScan:
             fourier_floor_scan(INV_SQ.to_spec(), [0.75], 10)
 
     def test_half_weight_atom_reports_vacuous_bound(self):
-        from convergence_lab import Decomposition
-
-        gamma = from_pairs({-1: 0.5, 0: 0.5})
         nu = from_pairs({1: 0.5, -1: 0.25, 0: 0.25})
-        spec = SequenceSpec("half_atom", lambda n: nu, lambda n: Decomposition(0.5, 1, gamma))
+        spec = SequenceSpec("half_atom", lambda n: nu, atom_site=1)
         scan = fourier_floor_scan(spec, [0.25], 10)
         assert scan.vacuous
         assert scan.product_bound <= 0.0
@@ -365,7 +369,7 @@ class TestSweepoutSimulation:
         # Rotation, horizon 60: windows up to 73,931 points.  The chain's one
         # buffer, the cell table and the scatter's index scratch are allocated
         # once, so the peak stays below two windows plus the table, at its own
-        # itemsize, plus the scratch, and a step from one factor lookup to the
+        # itemsize, plus the scratch, and a step from one convolution to the
         # next allocates less than its own window.  At this width the 64Ki-site
         # scratch outweighs what the compact table saves, so the older bound,
         # two windows plus an 8-byte table, caps the new one.
@@ -377,14 +381,16 @@ class TestSweepoutSimulation:
                 tables.append(self)
 
         monkeypatch.setattr(dynamics, "_CellTable", Recording)
+        kernel = measures._convolve_into
 
-        def measure_at(n):
+        def convolve_into(*args):
             current, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             steps.append((current, peak))
-            return INV_SQ.measure_at(n)
+            return kernel(*args)
 
-        spec = SequenceSpec("inverse square", measure_at)
+        monkeypatch.setattr(measures, "_convolve_into", convolve_into)
+        spec = INV_SQ.to_spec()
         _, width = _chain_span(INV_SQ.to_spec(), N)
         window, scratch = 8 * width, 8 * min(dynamics._FILL_CHUNK, width)
         tracemalloc.start()
@@ -398,14 +404,13 @@ class TestSweepoutSimulation:
         table = tables[0].cells.nbytes
         assert table == 2 * width
         assert peak < 2 * window + min(table + scratch, 8 * width)
-        # The last N calls are the chain's: the step between the calls for
-        # n and n + 1 forms mu_n and reads it.  Below two blocks of the
-        # shifted adds the scratch is as wide as the window itself.
-        chain = steps[-N:]
-        windows = [8 * w.width for w in prefix_windows(map(INV_SQ.measure_at, range(1, N)))]
-        grown = [(b[1] - a[0], w) for a, b, w in zip(chain, chain[1:], windows)]
+        # The kernel runs for n = 2..N, and the step between its calls for n
+        # and n + 1 forms mu_n and reads it.  Below two blocks of the shifted
+        # adds the scratch is as wide as the window itself.
+        windows = [8 * w.width for w in prefix_windows(spec.factors(N))][1:]
+        grown = [(b[1] - a[0], w) for a, b, w in zip(steps, steps[1:], windows)]
         wide = [g < w for g, w in grown if w > 2 * 8 * measures._CONVOLVE_BLOCK]
-        assert len(wide) > 10 and all(wide)
+        assert len(steps) == N - 1 and len(wide) > 10 and all(wide)
 
     def test_support_cap_surfaces(self):
         # The cyclic recursion forms no prefix; the cap is met by nu_20 itself.

@@ -228,26 +228,26 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
         raise ValueError("N must be >= 2")
     if spec.atom_site is None:
         raise ValueError(f"sequence {spec.name!r} names no atom site")
-    a = np.array([nu.weight(spec.atom_site) for nu in spec.factors(N)])
-    x = np.full(N, float(spec.atom_site))
+    a, factors, product_partials = _atom_products(spec, N)
+    # Every x_n is the one site x, so its partial sums are n x.
+    x = int(spec.atom_site)
 
     defect_partial = np.cumsum(1.0 - a)
     tail = float(defect_partial[-1] - defect_partial[N // 2 - 1])
-    min_abs_x = float(np.min(np.abs(x)))
-    s = np.cumsum(x)
+    min_abs_x = float(abs(x))
     mid = N // 2
-    half_drift = float(s[-1] - s[mid - 1])
-    drift_ok = abs(half_drift) >= (N - mid) / 2.0 and half_drift * s[-1] > 0.0
-    factors, product_partials = _atom_products(a)
+    s_N = float(N * x)
+    half_drift = float((N - mid) * x)
+    drift_ok = abs(half_drift) >= (N - mid) / 2.0 and half_drift * s_N > 0.0
     product = float(product_partials[-1])
 
     rows = [
         (
             n,
             float(a[n - 1]),
-            int(x[n - 1]),
+            x,
             float(defect_partial[n - 1]),
-            float(s[n - 1]),
+            float(n * x),
             float(product_partials[n - 1]),
         )
         for n in range(1, N + 1)
@@ -268,7 +268,7 @@ def check_sweepout_hypotheses(spec: SequenceSpec, N: int) -> HypothesisReport:
         Condition(
             "site_sum_drift",
             bool(drift_ok),
-            float(s[-1]),
+            s_N,
             f"sum of x_n at N; second-half drift {half_drift:+.4g}",
         ),
         Condition(

@@ -14,14 +14,14 @@ any other array is copied, so a caller who later writes to their array
 cannot change the measure.  Every convolution runs through one kernel,
 ``_convolve_into``, which writes the product into a buffer and hands it
 over read-only: :func:`convolve` gives it a fresh one, so each convolution
-allocates its output once.  When one side has few atoms the kernel sums
-shifted copies of the other block by block over the output, from the top
-down, through a block-sized accumulator and scratch that stay in cache,
-and it picks that side after counting the atoms of b and only as many of
-a's as it takes to tell which has fewer.
+allocates its output once.  The kernel sums shifted copies of one side
+over the atoms of the other, the side with fewer atoms, block by block
+over the output, from the top down, through a block-sized accumulator and
+scratch that stay in cache; it picks that side after counting the atoms
+of b and only as many of a's as it takes to tell which has fewer.
 Whichever side it picks, each weight of a * b adds its terms in ascending
-order of b's sites (in a chain, the factor's), so a product whose b has
-too few atoms for ``np.convolve`` sums alike whatever is cut off a.
+order of b's sites (in a chain, the factor's), so every product sums in
+one order, whatever is cut off a and whatever CPU runs it.
 Since a block reads the other side only below its own top, the kernel can
 write a product over an operand that lies in the same buffer.
 
@@ -67,9 +67,6 @@ PROBABILITY_TOL = 1e-12
 #: Looser gate used at construction time; long convolution chains accumulate
 #: a little rounding, which tests pin down case by case.
 _CONSTRUCTION_TOL = 1e-9
-
-#: Convolutions switch to shifted-adds when one side has few atoms.
-_SPARSE_NNZ_CUTOFF = 32
 
 #: First chunk length when scanning a weight vector for its support hull
 #: or counting its atoms.
@@ -335,9 +332,8 @@ def _convolve_into(
     prefix the chain lent out), the product is written over them, from
     where they start, and must fit there.  ``work`` is the shifted adds'
     two rows of block scratch, or ``None`` to allocate them for this call.
-    Shifted adds of the side with fewer atoms, ``a`` on a tie, sum
-    a(k - j) b(j) in ascending order of j; ``np.convolve`` runs when both
-    sides have more than ``_SPARSE_NNZ_CUTOFF``.  ``b`` may be a
+    Shifted adds over the side with fewer atoms, ``a`` on a tie, sum
+    a(k - j) b(j) in ascending order of j.  ``b`` may be a
     :class:`Factor`, whose window is built only when it is read densely.
     """
     out_len = len(a.weights) + b.max_index - b.min_index
@@ -353,12 +349,10 @@ def _convolve_into(
     if a.weights.base is buf:
         start = (a.weights.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
     out = buf[start : start + out_len]
-    if nnz_a <= nnz_b and nnz_a <= _SPARSE_NNZ_CUTOFF:
+    if nnz_a <= nnz_b:
         _shifted_adds(a, b.dense().weights, out, work, True)
-    elif nnz_b <= _SPARSE_NNZ_CUTOFF:
-        _shifted_adds(b, a.weights, out, work, False)
     else:
-        out[:] = np.convolve(a.weights, b.dense().weights)
+        _shifted_adds(b, a.weights, out, work, False)
     buf.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
@@ -553,11 +547,13 @@ class SequenceSpec:
             yield walked[n - 1]
 
 
-def _atom_products(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors 2 a_l - 1 of the atom weights ``a``, and their partial
-    products prod_{l <= n}, taken in order."""
+def _atom_products(spec: SequenceSpec, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights a_n of nu_1..nu_N at the spec's atom site, read off its
+    walk, the factors 2 a_n - 1, and their partial products prod_{l <= n},
+    taken in order."""
+    a = np.array([nu.weight(spec.atom_site) for nu in spec.factors(N)])
     factors = 2.0 * a - 1.0
-    return factors, np.cumprod(factors)
+    return a, factors, np.cumprod(factors)
 
 
 class PrefixWindow(NamedTuple):

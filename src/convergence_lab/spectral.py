@@ -111,28 +111,9 @@ def uniform_grid(grid_size: int) -> np.ndarray:
     return -0.5 + np.arange(grid_size) / grid_size
 
 
-def _transform_sums(
-    mu: LatticeMeasure | Factor, ts: np.ndarray, orders: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Direct sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} at arbitrary points.
-
-    Each phase is one exp of the rounded product k t, so the error grows like
-    eps |k t| over wide supports.  Points are taken in blocks that keep the
-    phase matrix within ``_DIRECT_BLOCK`` entries.
-    """
-    ks, ws = mu.atoms()
-    ks = ks.astype(float)
-    coeffs = np.stack([ws * (TWO_PI * 1j * ks) ** m for m in orders], axis=1)
-    out = np.empty((len(ts), len(orders)), dtype=complex)
-    rows = max(1, _DIRECT_BLOCK // len(ks))
-    for start in range(0, len(ts), rows):
-        phase = np.exp((TWO_PI * 1j) * np.outer(ts[start : start + rows], ks))
-        out[start : start + rows] = phase @ coeffs
-    return list(out.T)
-
-
-def _grid_sums(mu: LatticeMeasure, n: int, orders: tuple[int, ...]) -> list[np.ndarray]:
-    """The sums of :func:`_transform_sums` on the grid -1/2 + j/n, j < n.
+def _grid_sums(mu: LatticeMeasure, n: int) -> list[np.ndarray]:
+    """Sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} for m = 0, 1, 2 on the
+    grid -1/2 + j/n, j < n: the transform and its two derivatives.
 
     There ``e^{2 pi i k t_j} = e^{-pi i k} e^{2 pi i (k mod n) j / n}``, so
     the phased coefficients are folded by k mod n and one unscaled inverse
@@ -144,7 +125,7 @@ def _grid_sums(mu: LatticeMeasure, n: int, orders: tuple[int, ...]) -> list[np.n
     phased = ws * np.exp((TWO_PI * 1j / 2) * (ks % 2))
     folds = ks % n
     out = []
-    for m in orders:
+    for m in (0, 1, 2):
         c = phased * (TWO_PI * 1j * ks) ** m
         folded = np.bincount(folds, c.real, n) + 1j * np.bincount(folds, c.imag, n)
         out.append(np.fft.ifft(folded, norm="forward"))
@@ -195,9 +176,24 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
 
 
 def fourier_at(mu: LatticeMeasure | Factor, ts: np.ndarray) -> np.ndarray:
-    """Pointwise transform values at arbitrary points, summed over the atoms."""
+    """Pointwise transform values at arbitrary points, summed over the atoms.
+
+    Each phase is one exp of the rounded product k t, so the error grows like
+    eps |k t| over wide supports.  Points are taken in blocks that keep the
+    phase matrix within ``_DIRECT_BLOCK`` entries.  Each block is a matrix
+    product with the weights as one complex column: a 1-d product may take
+    another BLAS routine, with other last bits.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _transform_sums(mu, ts, (0,))[0]
+    ks, ws = mu.atoms()
+    ks = ks.astype(float)
+    coeffs = ws.astype(complex)[:, None]
+    out = np.empty((len(ts), 1), dtype=complex)
+    rows = max(1, _DIRECT_BLOCK // len(ks))
+    for start in range(0, len(ts), rows):
+        phase = np.exp((TWO_PI * 1j) * np.outer(ts[start : start + rows], ks))
+        out[start : start + rows] = phase @ coeffs
+    return out[:, 0]
 
 
 def fourier_eval(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> FourierProfile:
@@ -210,7 +206,7 @@ def fourier_eval(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> Four
         raise ValueError("grid_size must be at least 16")
     if grid_size % 2:
         raise ValueError("grid_size must be even so that t=0 is on the grid")
-    vals, d1, d2 = _grid_sums(mu, grid_size, (0, 1, 2))
+    vals, d1, d2 = _grid_sums(mu, grid_size)
     return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
 
 

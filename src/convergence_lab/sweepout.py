@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .measures import (
-    _SPARSE_NNZ_CUTOFF,
     DEFAULT_SUPPORT_CAP,
     Factor,
     LatticeMeasure,
@@ -145,21 +144,19 @@ def dissipativity_trace(spec: SequenceSpec, K: int, N: int, prune_eps: float = 0
     into R_n.  A cut that leaves no mass makes this and every later row 0.0.
     A kept weight gets the terms it has on the full chain, which the kernel
     adds on both in ascending order of the factor's sites, so the rows are
-    the full chain's bit for bit; unless some factor past nu_1 has atoms
-    enough for ``np.convolve``, in which case R_n is mu_n's window.
+    the full chain's bit for bit.
     """
     if K < 1 or N < 1:
         raise ValueError("K and N must be positive")
     if not 0.0 <= prune_eps <= 1e-8:
         raise ValueError("prune_eps must lie in [0, 1e-8]")
     factors = list(spec.factors(N))
-    pinned = all(nu.nnz <= _SPARSE_NNZ_CUTOFF for nu in factors[1:])
     windows = list(prefix_windows(factors))
     # R_n from the extremes of the later windows' ends, the last prefix first.
     reach, top, bottom = [], windows[-1].hi, windows[-1].lo
     for w in reversed(windows):
         top, bottom = max(top, w.hi), min(bottom, w.lo)
-        reach.append((w.hi - top - K, w.lo - bottom + K) if pinned else (w.lo, w.hi))
+        reach.append((w.hi - top - K, w.lo - bottom + K))
     reach.reverse()
 
     mu = _restrict(factors[0].dense(), *reach[0], 0.0)
@@ -290,8 +287,7 @@ def fourier_floor_scan(spec: SequenceSpec, points: Sequence[float], N: int) -> F
 
     vacuous = spec.atom_site is None
     if not vacuous:
-        a = np.array([nu.weight(spec.atom_site) for nu in spec.factors(N)])
-        factors, products = _atom_products(a)
+        _, factors, products = _atom_products(spec, N)
         vacuous = bool(np.any(factors <= 0.0))
     bound = 0.0 if vacuous else float(products[-1])
     rows = [ScanRow(float(t), float(f), bound) for t, f in zip(ts, floor)]

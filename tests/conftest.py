@@ -259,8 +259,9 @@ def rng() -> np.random.Generator:
 
 
 def dense_factor(atoms: int, seed: int, offset: int = 0) -> LatticeMeasure:
-    """``atoms`` random weights on consecutive sites from ``offset``: with more
-    than 32 atoms, its product with a prefix of as many takes np.convolve."""
+    """``atoms`` random weights on consecutive sites from ``offset``: a dense
+    factor, whose products with prefixes of as many atoms or more loop over
+    the factor's atoms."""
     w = np.random.default_rng(seed).random(atoms) + 1e-3
     return LatticeMeasure(offset, w / w.sum())
 

@@ -1,5 +1,6 @@
 import configparser
 import os
+import platform
 import re
 import stat
 import subprocess
@@ -970,3 +971,37 @@ def test_rotation_sweepout_imports_no_numpy_random(tmp_path):
     proc = subprocess.run([PYTHON, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == f"[]\n{EXIT_OK} False\n"
     assert (tmp_path / "o" / "sweepout_simulation.csv").exists()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_chain_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Every product of the chain sums in the order the shifted adds fix, so
+    # the prefixes, the dissipativity rows and the sweep-out extrema of a
+    # 40-atom step are the same bytes under each OpenBLAS kernel.
+    # floor_scan.csv is left out: fourier_at's matrix product still takes
+    # its last bits from the kernel, and moves under Prescott.
+    weights = np.exp(-0.5 * (np.arange(-20, 20) / 6.0) ** 2)
+    weights /= weights.sum()
+    path = write(
+        tmp_path,
+        "a.cfg",
+        f"[family]\nkind = iid\nweights = {','.join(map(repr, weights.tolist()))}\noffset = -20\n\n"
+        f"[system]\n{ROTATION}\n\n[run]\nhorizon = 6\nwindow_k = 8\n",
+    )
+    names = ("prefixes.csv", "dissipativity.csv", "sweepout_simulation.csv")
+    outputs = {}
+    for core in ("", "Haswell", "Prescott"):
+        out = tmp_path / (core or "default")
+        code = (
+            "import convergence_lab.cli as cli\n"
+            "for sub in ('convolve', 'sweepout'):\n"
+            f"    assert cli.main([sub, '--config', {path!r}, '--out', {str(out)!r}]) == 0\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        subprocess.run([PYTHON, "-c", code], env=env, capture_output=True, check=True)
+        outputs[core] = [(out / name).read_bytes() for name in names]
+    for core in ("Haswell", "Prescott"):
+        assert [n for n, a, b in zip(names, outputs[""], outputs[core]) if a != b] == [], core

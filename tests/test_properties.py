@@ -52,7 +52,7 @@ from convergence_lab.dynamics import (
     _state_averages,
 )
 from convergence_lab.measures import _chain_span, _count_nonzero_past, prefix_windows
-from convergence_lab.spectral import _grid_sums, _odd_frequency_sums, _transform_sums
+from convergence_lab.spectral import _grid_sums, _odd_frequency_sums
 from convergence_lab.sweepout import _example_factor
 from conftest import (
     RECURSION_TRACE_ATOL,
@@ -119,7 +119,8 @@ def _shifted_add_oracle(a, b):
 @example(from_pairs({0: 0.1, 1: 0.2, 2: 0.7}), from_pairs({0: 0.1, 1: 0.3, 2: 0.2, 3: 0.4}), False)
 @settings(max_examples=120, deadline=None)
 def test_sparse_convolution_is_bit_exact(a, b, swap):
-    # a has at most 32 atoms, so the shifted-add path runs.
+    # Shifted adds run over the side with fewer atoms, a or b, and sum
+    # each weight in ascending order of b's sites either way.
     if swap:
         a, b = b, a
     min_index, weights = _shifted_add_oracle(a, b)
@@ -267,6 +268,13 @@ def test_atoms_are_the_support_and_its_weights(mu):
     assert np.array_equal(ws, mu.weights[np.flatnonzero(mu.weights)])
 
 
+def _direct_sums(mu, ts, orders):
+    """sum_k w_k (2 pi i k)^m e^{2 pi i k t} at each point t, for each order m."""
+    ks, ws = mu.atoms()
+    phase = np.exp(2j * np.pi * np.outer(ts, ks))
+    return [phase @ (ws * (2j * np.pi * ks) ** m) for m in orders]
+
+
 def _direct_sum_tolerance(mu, m, n):
     # Rounding of sum_k |w_k| (2 pi |k|)^m, times the direct sums' phase
     # error eps |2 pi k t| <= eps pi |k| and the FFT's eps log2(n).
@@ -282,8 +290,8 @@ def _direct_sum_tolerance(mu, m, n):
 @settings(max_examples=80, deadline=None)
 def test_grid_engine_matches_direct_sums(mu, n):
     ts = -0.5 + np.arange(n) / n
-    fast = _grid_sums(mu, n, (0, 1, 2))
-    direct = [fourier_at(mu, ts), *_transform_sums(mu, ts, (1, 2))]
+    fast = _grid_sums(mu, n)
+    direct = [fourier_at(mu, ts), *_direct_sums(mu, ts, (1, 2))]
     for m in (0, 1, 2):
         assert np.max(np.abs(fast[m] - direct[m])) <= _direct_sum_tolerance(mu, m, n)
 
@@ -298,7 +306,7 @@ def test_odd_frequency_sums_match_direct_sums(mu, depth):
     ts = (2.0 * np.arange(n // 4) + 1.0) / n
     ks = mu.support
     ws = mu.weights[np.flatnonzero(mu.weights)]
-    direct = _transform_sums(mu, ts, (0, 2))
+    direct = _direct_sums(mu, ts, (0, 2))
     for m, d in zip((0, 2), direct):
         fast = _odd_frequency_sums(ks, (ws * (2j * np.pi * ks) ** m).real, n)
         assert np.max(np.abs(fast - d)) <= _direct_sum_tolerance(mu, m, n)
@@ -519,7 +527,8 @@ def random_steps(draw, atoms, max_span, offsets):
 def dissipativity_cases(draw):
     """A spec and horizon N: a sweep-out family, an iid step that drifts off
     0, steps of 2-5 random atoms, iid or not, or an iid step of 40 or 45
-    atoms, whose products take the ``np.convolve`` path."""
+    atoms, whose prefixes have as many atoms as the step or more, so that
+    the kernel loops over the step's atoms."""
     kind = draw(st.sampled_from(["inverse_square", "geometric", "drift", "few", "many"]))
     # Each family up to a horizon at which the full chain stays under the cap.
     if kind == "inverse_square":
@@ -551,7 +560,7 @@ def dissipativity_cases(draw):
 # Three kept sites of each prefix are the kernel's sparse side, where the
 # full chain's is the factor: both sum in the factor's order.
 @example((SequenceSpec.iid(from_pairs({0: 0.21, 1: 0.33, 2: 0.46})), 60), 2, 0.0)
-# Products of 40 atoms by 40 or more take np.convolve: nothing is cut.
+# A dense 40-atom step, whose prefixes are cut to their reachable windows.
 @example((SequenceSpec.iid(dense_factor(40, 1, -10)), 30), 2, 0.0)
 @settings(max_examples=100, deadline=None)
 def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
@@ -562,7 +571,7 @@ def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
 
 
 @given(dissipativity_cases(), st.sampled_from([0.0, 1e-8]))
-# A factor of 40 atoms is the kernel's other side, or goes to np.convolve.
+# A factor of 40 atoms is the side the kernel loops over, or its other side.
 @example((SequenceSpec.iid(dense_factor(40, 1, -10)), 12), 0.0)
 @settings(max_examples=60, deadline=None)
 def test_factors_held_as_atoms_match_their_dense_windows_to_the_bit(case, prune_eps):
@@ -901,9 +910,9 @@ def test_prefix_stream_matches_prefix_list(spec_n, prune_eps):
 
 @st.composite
 def chain_factors(draw):
-    """Two to seven factors, each sparse (at most 9 atoms, the shifted-add
-    path, with end weights that may underflow or be pruned) or dense (33 to
-    48 atoms, so that a dense prefix meets it on the np.convolve path)."""
+    """Two to seven factors, each sparse (at most 9 atoms, with end weights
+    that may underflow or be pruned) or dense (33 to 48 atoms, so that a
+    dense prefix meets it and the kernel loops over the factor's atoms)."""
     n = draw(st.integers(min_value=2, max_value=7))
     factors = []
     for _ in range(n):
@@ -917,16 +926,12 @@ def chain_factors(draw):
 
 
 def _chain_oracle(factors, prune_eps):
-    """mu_1 = nu_1, then mu_n = mu_{n-1} * nu_n, each product summed as the
-    path it takes sums it (shifted adds in ascending order of nu's sites, or
-    np.convolve), and pruned by masking."""
+    """mu_1 = nu_1, then mu_n = mu_{n-1} * nu_n, each product summed in
+    ascending order of nu's sites, and pruned by masking."""
     mus = [factors[0]]
     for nu in factors[1:]:
         mu = mus[-1]
-        if min(mu.nnz, nu.nnz) <= 32:
-            lo, w = _shifted_add_oracle(mu, nu)
-        else:
-            lo, w = mu.min_index + nu.min_index, np.convolve(mu.weights, nu.weights)
+        lo, w = _shifted_add_oracle(mu, nu)
         defect = mu.mass_defect + nu.mass_defect - mu.mass_defect * nu.mass_defect
         keep = w >= prune_eps
         removed = float(np.sum(w[~keep])) if prune_eps > 0.0 else 0.0
@@ -992,9 +997,10 @@ def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps, block):
     ],
 )
 def test_lent_prefix_on_the_sparse_side(factors, prune_eps, block):
-    # A lent prefix of few atoms meets a factor of more than 32.
+    # A lent prefix of fewer atoms than the factor is the side the kernel
+    # loops over, and the product is written over it.
     prefixes = list(iter_prefixes(SequenceSpec.from_measures(factors), len(factors)))
-    assert any(mu.nnz <= 32 < nu.nnz for mu, nu in zip(prefixes[1:], factors[2:]))
+    assert any(mu.nnz < nu.nnz for mu, nu in zip(prefixes[1:], factors[2:]))
     with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):
         _check_borrowed_chain(factors, prune_eps)
 
@@ -1006,8 +1012,8 @@ def _underflowing_factor(body):
     return LatticeMeasure(-len(body) // 2, w / w.sum())
 
 
-#: 41 atoms from exp(-1.7 k^2), |k| <= 20, ending near 1e-296: products on
-#: the np.convolve path underflow over ever more of their windows' ends.
+#: 41 atoms from exp(-1.7 k^2), |k| <= 20, ending near 1e-296: products of
+#: dense prefixes by it underflow over ever more of their windows' ends.
 _STEEP = np.exp(-1.7 * np.arange(-20, 21) ** 2)
 
 

@@ -150,12 +150,14 @@ class TestDissipativityTrace:
             with pytest.raises(ValueError):
                 dissipativity_trace(spec, K, N, prune_eps)
 
-    def test_rows_cut_to_the_window_unless_a_factor_is_dense(self, monkeypatch):
+    def test_rows_cut_to_the_reachable_window(self, monkeypatch):
         # The kernel sums each weight in ascending order of the factor's sites,
-        # so a drifting three-atom step runs windowed, though its kept prefix
-        # of three sites is the sparse side: every prefix the kernel reads lies
-        # in its reachable window, here [-2 - 2(N - m), 2].  A 40-atom factor
-        # may take np.convolve on the full chain, so then nothing is cut.
+        # whichever side it loops over, so every step runs windowed: each
+        # prefix the kernel reads lies in its reachable window R_m.  For a
+        # drifting three-atom step, whose kept prefix of three sites is the
+        # sparse side, that is [-2 - 2(N - m), 2]; for a dense 40-atom step
+        # on [-10, 29] it is [-2 - 29(N - m), 2 + 10(N - m)], inside which
+        # mu_m's window [-10m, 29m] is cut from m = 8 on.
         calls = []
         kernel = measures._convolve_into
         monkeypatch.setattr(measures, "_convolve_into", lambda *a: calls.append(a[:2]) or kernel(*a))
@@ -166,12 +168,12 @@ class TestDissipativityTrace:
         assert rows == full_dissipativity_trace(drift, 2, N)
 
         calls.clear()
-        step = dense_factor(40, 1, -10)
-        rows = dissipativity_trace(SequenceSpec.iid(step), 2, N)
-        windows = list(prefix_windows([step] * N))
-        assert [(mu.min_index, mu.max_index) for mu, _ in calls] == [(w.lo, w.hi) for w in windows[:-1]]
-        assert all(nu is step for _, nu in calls)
-        assert rows == full_dissipativity_trace(SequenceSpec.iid(step), 2, N)
+        dense = SequenceSpec.iid(dense_factor(40, 1, -10))
+        rows = dissipativity_trace(dense, 2, N)
+        assert len(calls) == N - 1
+        for m, (mu, _) in enumerate(calls, start=1):
+            assert -2 - 29 * (N - m) <= mu.min_index and mu.max_index <= 2 + 10 * (N - m)
+        assert rows == full_dissipativity_trace(dense, 2, N)
 
     @pytest.mark.parametrize("K", [1, 3, 50, 500, 10_000])
     @pytest.mark.parametrize(

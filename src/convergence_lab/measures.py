@@ -14,16 +14,14 @@ any other array is copied, so a caller who later writes to their array
 cannot change the measure.  Every convolution runs through one kernel,
 ``_convolve_into``, which writes the product into a buffer and hands it
 over read-only: :func:`convolve` gives it a fresh one, so each convolution
-allocates its output once.  The kernel sums shifted copies of one side
-over the atoms of the other, the side with fewer atoms, block by block
-over the output, from the top down, through a block-sized accumulator and
-scratch that stay in cache; it picks that side after counting the atoms
-of b and only as many of a's as it takes to tell which has fewer.
-Whichever side it picks, each weight of a * b adds its terms in ascending
-order of b's sites (in a chain, the factor's), so every product sums in
-one order, whatever is cut off a and whatever CPU runs it.
-Since a block reads the other side only below its own top, the kernel can
-write a product over an operand that lies in the same buffer.
+allocates its output once.  The kernel sums shifted copies of a's
+weights over the atoms of b, in ascending order of b's sites (in a chain,
+the factor's), block by block over the output, from the top down, through
+a block-sized accumulator and scratch that stay in cache.  So each weight
+of a * b adds its terms in one order, whatever is cut off a and whatever
+CPU runs it, and b is read only as its atoms: a chain builds no factor's
+dense window.  Since a block reads a only below its own top, the kernel
+can write a product over a when a lies in the same buffer.
 
 The running products mu_n = nu_1 * ... * nu_n have one engine, a chain
 that writes each product through the kernel, reading the factors from
@@ -68,8 +66,7 @@ PROBABILITY_TOL = 1e-12
 #: a little rounding, which tests pin down case by case.
 _CONSTRUCTION_TOL = 1e-9
 
-#: First chunk length when scanning a weight vector for its support hull
-#: or counting its atoms.
+#: First chunk length when scanning a weight vector for its support hull.
 _TRIM_SCAN_CHUNK = 64
 
 #: Output block of the shifted-add convolution, in doubles: the adds run one
@@ -95,18 +92,6 @@ def _first_nonzero(w: np.ndarray) -> int:
         start += chunk
         chunk *= 2
     return len(w)
-
-
-def _count_nonzero_past(w: np.ndarray, limit: int) -> int:
-    """Nonzero entries of ``w``, counted in doubling chunks from the front
-    only until the count exceeds ``limit``: the exact count when it is at
-    most ``limit``, otherwise some number above ``limit``."""
-    count, start, chunk = 0, 0, _TRIM_SCAN_CHUNK
-    while count <= limit and start < len(w):
-        count += int(np.count_nonzero(w[start : start + chunk]))
-        start += chunk
-        chunk *= 2
-    return count
 
 
 def _is_frozen(w: np.ndarray) -> bool:
@@ -314,7 +299,8 @@ def convolve(a: LatticeMeasure, b: LatticeMeasure) -> LatticeMeasure:
     The output window is the Minkowski sum of the input windows.  One wider
     than ``DEFAULT_SUPPORT_CAP`` raises :class:`SupportCapError` before
     anything is allocated, instead of truncating.  The result owns its
-    weights.
+    weights.  It costs about nnz(b) * len(a) multiply-adds, one shifted
+    copy of a per atom of b, so the operand with fewer atoms goes second.
     """
     return _convolve_into(a, b, None, None)
 
@@ -332,9 +318,8 @@ def _convolve_into(
     prefix the chain lent out), the product is written over them, from
     where they start, and must fit there.  ``work`` is the shifted adds'
     two rows of block scratch, or ``None`` to allocate them for this call.
-    Shifted adds over the side with fewer atoms, ``a`` on a tie, sum
-    a(k - j) b(j) in ascending order of j.  ``b`` may be a
-    :class:`Factor`, whose window is built only when it is read densely.
+    The shifted adds run over the atoms of ``b``, a measure or a
+    :class:`Factor`, and sum a(k - j) b(j) in ascending order of j.
     """
     out_len = len(a.weights) + b.max_index - b.min_index
     if out_len > DEFAULT_SUPPORT_CAP:
@@ -342,17 +327,10 @@ def _convolve_into(
     start = 0
     if buf is None:
         buf = np.empty(out_len)
-    # a's atoms are counted only until they outnumber b's.
-    nnz_b = b.nnz
-    nnz_a = _count_nonzero_past(a.weights, nnz_b)
     buf.setflags(write=True)
     if a.weights.base is buf:
         start = (a.weights.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // buf.itemsize
-    out = buf[start : start + out_len]
-    if nnz_a <= nnz_b:
-        _shifted_adds(a, b.dense().weights, out, work, True)
-    else:
-        _shifted_adds(b, a.weights, out, work, False)
+    _shifted_adds(b, a.weights, buf[start : start + out_len], work)
     buf.setflags(write=False)
     # Combined defect: mass reaching the output is (1-da)(1-db).
     defect = a.mass_defect + b.mass_defect - a.mass_defect * b.mass_defect
@@ -360,38 +338,30 @@ def _convolve_into(
     return LatticeMeasure(a.min_index + b.min_index, buf[start : start + out_len], defect)
 
 
-def _shifted_adds(
-    s: LatticeMeasure | Factor, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray], s_first: bool
-) -> None:
+def _shifted_adds(s: LatticeMeasure | Factor, d: np.ndarray, out: np.ndarray, work: Optional[np.ndarray]) -> None:
     """Write into ``out`` the sum of the shifts ``w * d`` to offset
     ``k - s.min_index`` over the atoms (k, w) of ``s``, a measure or a
-    factor; ``out`` is as long as s's window plus ``len(d) - 1``.
+    factor, in ascending order of k; ``out`` is as long as s's window plus
+    ``len(d) - 1``.
 
-    Each element adds its terms in ascending order of the second operand's
-    sites: the atoms of ``s`` run from the top if ``s`` is the first
-    (``s_first``).  The first atom's shift, an end of ``s``'s window, is
-    stored with 0.0 past its reach, and the others are added: the sums of
+    The first atom sits at offset 0: its shift, covering [0, len(d)), is
+    stored with 0.0 past its reach, and the others are added, the sums of
     a zeroed buffer (0 + x == x), so the block size changes no bit.
 
-    ``out`` may start where ``s`` or ``d`` starts, in the same buffer.  The
-    atoms of ``s`` and their weights are read before anything is written.
-    The output runs in blocks from the top down, each summed in ``work[0]``
+    ``out`` may start where ``d`` starts, in the same buffer.  The output
+    runs in blocks from the top down, each summed in ``work[0]``
     (``work[1]`` holds one shifted copy) and then stored: block [b0, b1)
     reads ``d`` only below b1, where no block has been stored yet.
     """
     L, out_len, block = len(d), len(out), _CONVOLVE_BLOCK
     sites, ws = s.atoms()
-    order = slice(None, None, -1 if s_first else 1)
-    (f, wf), *atoms = zip((sites - s.min_index)[order].tolist(), ws[order].tolist())
+    (_, w0), *atoms = zip((sites - s.min_index).tolist(), ws.tolist())
     if work is None:
         work = np.empty((2, min(block, out_len)))
     for b0 in range((out_len - 1) // block * block, -1, -block):
         b1 = min(b0 + block, out_len)
-        # The first shift covers [f, f + L), which holds 0 or out_len - 1.
-        acc, lo, hi = work[0, : b1 - b0], min(max(b0, f), b1), max(min(b1, f + L), b0)
-        if lo < hi:
-            np.multiply(d[lo - f : hi - f], wf, out=acc[lo - b0 : hi - b0])
-        acc[: lo - b0] = 0.0
+        acc, hi = work[0, : b1 - b0], max(min(b1, L), b0)
+        np.multiply(d[b0:hi], w0, out=acc[: hi - b0])
         acc[hi - b0 :] = 0.0
         for i, w in atoms:
             lo, hi = max(b0, i), min(b1, i + L)

@@ -277,6 +277,22 @@ class TestMain:
         assert main([subcommand, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
         assert built == list(range(1, 13))
 
+    @pytest.mark.parametrize(
+        "subcommand, horizon, windows", [("convolve", 12, 1), ("sweepout", 12, 2), ("check", 14, 15)]
+    )
+    def test_a_chain_builds_the_dense_window_of_nu_1_alone(self, tmp_path, monkeypatch, subcommand, horizon, windows):
+        # The kernel reads every factor as its atoms, so a chain builds the
+        # window of nu_1, its first prefix, and of no other factor.  Rotation
+        # sweepout runs two chains, the simulation's and the dissipativity
+        # rows'; check also reads the moments of each factor on its window.
+        from convergence_lab.measures import Factor
+
+        built, dense = [], Factor.dense
+        monkeypatch.setattr(Factor, "dense", lambda nu: built.append(nu) or dense(nu))
+        cfg = SWEEPOUT_CFG.replace("horizon = 12", f"horizon = {horizon}")
+        assert main([subcommand, "--config", write(tmp_path, "s.cfg", cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(built) == windows
+
     @pytest.mark.parametrize("subcommand", ["simulate", "sweepout"])
     def test_cyclic_recursion_over_the_cap_exits_before_any_work(self, tmp_path, capsys, monkeypatch, subcommand):
         # nu_1000 has diameter 1000001: the recursion forms no prefix, and

@@ -51,7 +51,7 @@ from convergence_lab.dynamics import (
     _first_uniform,
     _state_averages,
 )
-from convergence_lab.measures import _chain_span, _count_nonzero_past, prefix_windows
+from convergence_lab.measures import _chain_span, prefix_windows
 from convergence_lab.spectral import _grid_sums, _odd_frequency_sums
 from convergence_lab.sweepout import _example_factor
 from conftest import (
@@ -104,7 +104,7 @@ def tiny_ended_measures(draw, max_span):
 
 def _shifted_add_oracle(a, b):
     """Zeroed output, then out[j:j+L] += b(j) * a per atom j of b in
-    ascending order, whichever side has fewer atoms."""
+    ascending order, as the kernel runs over b's atoms."""
     L = len(a.weights)
     out = np.zeros(len(a.weights) + len(b.weights) - 1)
     for j in np.flatnonzero(b.weights):
@@ -114,13 +114,13 @@ def _shifted_add_oracle(a, b):
 
 
 @given(tiny_ended_measures(max_span=29), tiny_ended_measures(max_span=60), st.booleans())
-# The first operand is the sparse side, and its weight at 2 has three terms,
+# The first operand has fewer atoms, and its weight at 2 has three terms,
 # which ascending in a's sites would sum in another order.
 @example(from_pairs({0: 0.1, 1: 0.2, 2: 0.7}), from_pairs({0: 0.1, 1: 0.3, 2: 0.2, 3: 0.4}), False)
 @settings(max_examples=120, deadline=None)
 def test_sparse_convolution_is_bit_exact(a, b, swap):
-    # Shifted adds run over the side with fewer atoms, a or b, and sum
-    # each weight in ascending order of b's sites either way.
+    # Shifted adds run over b's atoms, however many a has, and sum
+    # each weight in ascending order of b's sites.
     if swap:
         a, b = b, a
     min_index, weights = _shifted_add_oracle(a, b)
@@ -170,18 +170,6 @@ def test_blocked_convolution_atoms_on_block_edges(block):
             conv = convolve(a, b)
             assert conv.min_index == min_index
             assert np.array_equal(conv.weights, weights)
-
-
-@given(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5]), max_size=700), st.integers(min_value=0, max_value=200))
-@settings(max_examples=80, deadline=None)
-def test_nonzero_count_stops_past_limit(values, limit):
-    w = np.array(values)
-    exact = int(np.count_nonzero(w))
-    got = _count_nonzero_past(w, limit)
-    if exact <= limit:
-        assert got == exact
-    else:
-        assert limit < got <= exact
 
 
 @given(lattice_measures(), lattice_measures(), lattice_measures())
@@ -557,8 +545,8 @@ def dissipativity_cases(draw):
 )
 # The rows of the simulate-export workload's sweepout step.
 @example((inverse_square_family(1.0).to_spec(), 120), 50, 0.0)
-# Three kept sites of each prefix are the kernel's sparse side, where the
-# full chain's is the factor: both sum in the factor's order.
+# Each kept prefix has three sites, fewer than the full chain's; the kernel
+# runs over the factor's atoms in both, so both sum in the factor's order.
 @example((SequenceSpec.iid(from_pairs({0: 0.21, 1: 0.33, 2: 0.46})), 60), 2, 0.0)
 # A dense 40-atom step, whose prefixes are cut to their reachable windows.
 @example((SequenceSpec.iid(dense_factor(40, 1, -10)), 30), 2, 0.0)
@@ -571,7 +559,7 @@ def test_windowed_rows_match_the_full_chain(case, K, prune_eps):
 
 
 @given(dissipativity_cases(), st.sampled_from([0.0, 1e-8]))
-# A factor of 40 atoms is the side the kernel loops over, or its other side.
+# A factor of 40 atoms, whose atoms the kernel loops over, held either way.
 @example((SequenceSpec.iid(dense_factor(40, 1, -10)), 12), 0.0)
 @settings(max_examples=60, deadline=None)
 def test_factors_held_as_atoms_match_their_dense_windows_to_the_bit(case, prune_eps):
@@ -997,8 +985,8 @@ def test_prefix_chain_matches_a_brute_force_chain(factors, prune_eps, block):
     ],
 )
 def test_lent_prefix_on_the_sparse_side(factors, prune_eps, block):
-    # A lent prefix of fewer atoms than the factor is the side the kernel
-    # loops over, and the product is written over it.
+    # A lent prefix with fewer atoms than its factor, the sparser operand, is
+    # still the one the kernel shifts, and the product is written over it.
     prefixes = list(iter_prefixes(SequenceSpec.from_measures(factors), len(factors)))
     assert any(mu.nnz < nu.nnz for mu, nu in zip(prefixes[1:], factors[2:]))
     with mock.patch.object(measures, "_CONVOLVE_BLOCK", block):

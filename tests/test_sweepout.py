@@ -104,6 +104,14 @@ class TestFamilies:
         for n in range(1, 30):
             assert INV_SQ.b_at(n) == n * n
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="b_at floors 1/(1 - a_n) after a 1e-9 nudge, which the rounding of a_n = 1 - 1/n^2 outgrows "
+        "from n = 72 on: b is n^2 - 1 for 419 of the n <= 1000 (FOUND note on SweepoutFamily.b_at in CHANGES.md)",
+    )
+    def test_inverse_square_b_values_are_exact_squares_up_to_1000(self):
+        assert [n for n in range(1, 1001) if inverse_square_family(1).b_at(n) != n * n] == []
+
     def test_geometric_b_values(self):
         fam = geometric_family(0.5)
         for n in range(1, 12):
@@ -152,10 +160,10 @@ class TestDissipativityTrace:
 
     def test_rows_cut_to_the_reachable_window(self, monkeypatch):
         # The kernel sums each weight in ascending order of the factor's sites,
-        # whichever side it loops over, so every step runs windowed: each
-        # prefix the kernel reads lies in its reachable window R_m.  For a
-        # drifting three-atom step, whose kept prefix of three sites is the
-        # sparse side, that is [-2 - 2(N - m), 2]; for a dense 40-atom step
+        # however many sites the prefix keeps, so every step runs windowed:
+        # each prefix the kernel reads lies in its reachable window R_m.  For
+        # a drifting three-atom step, whose kept prefix has three sites, that
+        # is [-2 - 2(N - m), 2]; for a dense 40-atom step
         # on [-10, 29] it is [-2 - 29(N - m), 2 + 10(N - m)], inside which
         # mu_m's window [-10m, 29m] is cut from m = 8 on.
         calls = []

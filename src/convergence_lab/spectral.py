@@ -17,6 +17,9 @@ is integrated, and each Simpson level adds only the odd multiples of 1/n.
 points, with no phase per atom.  Serving both from one engine would double
 the quadrature's FFT length and add a complex phase per atom at every
 level.  Direct sums remain only for arbitrary points (:func:`fourier_at`).
+A deep level runs in place, in its fold by k mod n and one n/4-point
+buffer: the level of n panels holds about 16n bytes, 24n while the root
+table grows.
 
 Running products nu_1 * ... * nu_n take their transforms from one engine,
 :func:`_product_rule`, fed with factor transforms (``fourier_eval`` on the
@@ -138,13 +141,17 @@ def _unit_roots(n: int) -> np.ndarray:
     They are read by stride from one table for the largest n requested so
     far.  The angle 2 pi j / n is rounded once, and it scales exactly by
     powers of two, so a root is the same to the bit whichever table it is
-    read from.  A larger request replaces the read-only table; none is ever
-    written.
+    read from.  A larger request builds a new table, then swaps it in
+    read-only; no published table is ever written.
     """
     global _roots
     table = _roots
     if 2 * len(table) < n:
-        table = np.exp(1j * (np.arange(n // 2) * (TWO_PI / n)))
+        # Built in one array: j + 0i, then 0 + i j (2 pi / n), then exp in place.
+        table = np.arange(n // 2, dtype=complex)
+        np.multiply(table.real, TWO_PI / n, out=table.imag)
+        table.real = 0.0
+        np.exp(table, out=table)
         table.flags.writeable = False
         _roots = table
     return table[:: 2 * len(table) // n]
@@ -161,16 +168,27 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     FFT P splits by conjugate symmetry, with q_i = conj(P_{n/4-1-i}), into
     the even part (P + q)/2 and the odd part (P - q)/2i; the odd part is
     twiddled by w^{2i+1}.
+
+    In place: H is formed in the fold's lower half, then twiddled and
+    transformed there as p, and P - q goes to its upper half, so q is the
+    only other buffer.  The steps and their order, and so the bits, are the
+    out-of-place formula's; ``odd *= 1j`` swaps the operands of ``1j * odd``.
+    The result is a view of the fold.
     """
     folded = np.bincount(ks & (n - 1), c, n)
     roots = _unit_roots(n)
+    low, high = folded[: n // 2], folded[n // 2 :]
+    low -= high
     # The difference is contiguous, so its complex view is H_{2s} + i H_{2s+1}.
-    p = np.fft.ifft((folded[: n // 2] - folded[n // 2 :]).view(complex) * roots[0::2], norm="forward")
+    p = low.view(complex)
+    p *= roots[0::2]
+    np.fft.ifft(p, norm="forward", out=p)
     q = np.conj(p[::-1])
-    odd = p - q
+    odd = np.subtract(p, q, out=high.view(complex))
     odd *= roots[1::2]
     p += q
-    p -= 1j * odd
+    odd *= 1j
+    p -= odd
     p *= 0.5
     return p
 
@@ -274,8 +292,9 @@ def _simpson_doubling(
         n = 2**depth
         merged = np.empty(n // 2 + 1, dtype=float)
         merged[0::2] = ys
-        merged[1::2] = refine(n)
+        # The previous level is freed before refine allocates.
         ys = merged
+        ys[1::2] = refine(n)
         prev, current = current, 2.0 * _composite_simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current
@@ -314,7 +333,10 @@ def weighted_d2_integral(
         if n <= _SHARED_LEVEL:
             stride = _SHARED_LEVEL // n
             return shared[stride :: 2 * stride]
-        return np.abs(_odd_frequency_sums(ks, g, n)) * ((2.0 * np.arange(n // 4) + 1.0) / n)
+        # Scaled after the fold is freed; the odd integers 2i + 1 are exact.
+        nodes = np.abs(_odd_frequency_sums(ks, g, n))
+        nodes *= np.arange(1, n // 2, 2, dtype=float) / n
+        return nodes
 
     return _simpson_doubling(shared[:: _SHARED_LEVEL >> _MIN_DEPTH], refine, target, max_depth)
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +114,82 @@ def direct_sum_simpson_d2(mu, target, max_depth, min_depth=4):
         if abs(current - prev) < target:
             return current, False
     return (prev, current), True
+
+
+def unit_roots_oracle(n):
+    """Reference for the root table: e^{2 pi i j / n}, j < n/2, out of place."""
+    return np.exp(1j * (np.arange(n // 2) * (spectral.TWO_PI / n)))
+
+
+def odd_frequency_sums_oracle(ks, c, n):
+    """Reference for ``_odd_frequency_sums``: the same arithmetic in the same
+    order, with a new array for each intermediate."""
+    folded = np.bincount(ks & (n - 1), c, n)
+    roots = unit_roots_oracle(n)
+    p = np.fft.ifft((folded[: n // 2] - folded[n // 2 :]).view(complex) * roots[0::2], norm="forward")
+    q = np.conj(p[::-1])
+    odd = p - q
+    odd *= roots[1::2]
+    p += q
+    p -= 1j * odd
+    p *= 0.5
+    return p
+
+
+def out_of_place_d2(mu, target=1e-6, max_depth=18):
+    """Reference for weighted_d2_integral: its levels with a new array for
+    each intermediate, the deep nodes from :func:`odd_frequency_sums_oracle`.
+
+    Returns the estimate and False, or the last two estimates and True when
+    the depth cap is reached.
+    """
+    shared_n, min_depth = spectral._SHARED_LEVEL, spectral._MIN_DEPTH
+    ks, ws = mu.atoms()
+    g = ws * -((spectral.TWO_PI * ks) ** 2)
+    folded = np.bincount(ks & (shared_n - 1), g, shared_n)
+    shared = np.abs(np.fft.rfft(folded)) * (np.arange(shared_n // 2 + 1) / shared_n)
+    ys = shared[:: shared_n >> min_depth]
+    current = 2.0 * spectral._composite_simpson(ys, 1.0 / 2**min_depth)
+    for depth in range(min_depth + 1, max_depth + 1):
+        n = 2**depth
+        merged = np.empty(n // 2 + 1)
+        merged[0::2] = ys
+        if n <= shared_n:
+            stride = shared_n // n
+            merged[1::2] = shared[stride :: 2 * stride]
+        else:
+            sums = odd_frequency_sums_oracle(ks, g, n)
+            merged[1::2] = np.abs(sums) * ((2.0 * np.arange(n // 4) + 1.0) / n)
+        ys = merged
+        prev, current = current, 2.0 * spectral._composite_simpson(ys, 1.0 / n)
+        if abs(current - prev) < target:
+            return current, False
+    return (prev, current), True
+
+
+@st.composite
+def odd_level_atoms(draw):
+    """Sites, d2 coefficients -(2 pi k)^2 w_k and n = 2^depth, depth 2..16.
+
+    The support is up to 4n wide, so the fold by k mod n wraps once it is
+    wider than n/2, and sits at offsets up to +-10^6, or puts an atom at
+    k = 0, whose coefficient is -0.0.
+    """
+    n = 2 ** draw(st.integers(min_value=2, max_value=16))
+    width = draw(st.integers(min_value=1, max_value=4 * n))
+    count = draw(st.integers(min_value=1, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sites = np.unique(np.concatenate(([0, width - 1], rng.integers(0, width, size=count))))
+    if draw(st.booleans()):
+        offset = -int(sites[rng.integers(len(sites))])
+    else:
+        offset = draw(st.integers(min_value=-(10**6), max_value=10**6))
+    ks = offset + sites
+    return ks, (rng.random(len(ks)) + 1e-3) * -((spectral.TWO_PI * ks) ** 2), n
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 class TestFourierEval:
@@ -336,6 +414,57 @@ class TestWeightedD2Integral:
             weighted_d2_integral(mu, target=0.0, max_depth=20)
         assert 2**10 <= small < len(spectral._roots) == 2**19
         assert weighted_d2_integral(mu, target=1e-3) == before
+
+    @given(odd_level_atoms())
+    @settings(max_examples=80, deadline=None)
+    def test_odd_frequency_sums_match_their_oracle_to_the_bit(self, case):
+        ks, c, n = case
+        assert spectral._odd_frequency_sums(ks, c, n).tobytes() == odd_frequency_sums_oracle(ks, c, n).tobytes()
+
+    def test_root_table_matches_its_oracle_to_the_bit(self, monkeypatch):
+        for depth in range(2, 21):
+            n = 2**depth
+            monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
+            table = spectral._unit_roots(n)
+            assert not table.flags.writeable
+            assert table.tobytes() == unit_roots_oracle(n).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, N",
+        [(SequenceSpec.iid(CENTERED_TRIPLE), 40), (inverse_square_family(1.0).to_spec(), 14)],
+        ids=["iid_triple", "inverse_square"],
+    )
+    def test_check_prefixes_match_the_oracle_to_the_bit(self, monkeypatch, spec, N):
+        # The prefixes of the benchmark's check workload, from a fresh table.
+        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
+        for mu in convolve_prefixes(spec, N):
+            try:
+                fast, capped = weighted_d2_integral(mu), False
+            except QuadratureError as exc:
+                fast, capped = exc.last_two, True
+            want, want_capped = out_of_place_d2(mu)
+            assert capped == want_capped and bits(fast) == bits(want)
+
+    @pytest.mark.parametrize("fresh, bound", [(True, 26), (False, 18)], ids=["fresh_table", "warm_table"])
+    def test_deepest_level_holds_its_named_buffers(self, monkeypatch, fresh, bound):
+        # The depth-cap hit of the check workload reaches n = 2^18 nodes.  Its
+        # level holds the nodes (4n bytes), the fold (8n), whose halves hold
+        # the packed sequence and the odd part, one n/4-point complex buffer
+        # (4n) and, when it grows, the root table (8n).
+        n = 2**18
+        mu = convolve_prefixes(inverse_square_family(1.0).to_spec(), 14)[-1]
+        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
+        if not fresh:
+            spectral._unit_roots(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                weighted_d2_integral(mu, max_depth=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n
 
     def test_depth_cap_raises_with_estimates(self):
         with pytest.raises(QuadratureError) as err:

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -318,6 +319,20 @@ class TestFourierFloorScan:
         assert abs(partial_bad[-1] / partial_bad[4999] - 1.0) > 0.1
 
 
+def _peak_report(steps, peak, snapshot):
+    """Which interval between kernel calls held the traced peak, and the
+    largest allocation sites of ``snapshot``."""
+    # steps[i] ends at the kernel's call for n = i + 2; the last interval
+    # runs from its call for n = N to the end.
+    peaks = [p for _, p in steps] + [peak]
+    worst = int(np.argmax(peaks))
+    where = f"before the kernel's call for n = {worst + 2}" if worst < len(steps) else "after its last call"
+    lines = [f"traced peak {peaks[worst]} bytes {where}; interval peaks {peaks}"]
+    if snapshot is not None:
+        lines += [str(stat) for stat in snapshot.statistics("lineno")[:10]]
+    return "\n".join(lines)
+
+
 class TestSweepoutSimulation:
     def test_whole_space(self):
         sim = sweepout_simulation(DynSystem.cyclic(64), INV_SQ.to_spec(), 1.0, 5)
@@ -403,17 +418,23 @@ class TestSweepoutSimulation:
         spec = INV_SQ.to_spec()
         _, width = _chain_span(INV_SQ.to_spec(), N)
         window, scratch = 8 * width, 8 * min(dynamics._FILL_CHUNK, width)
+        # Garbage of earlier tests is collected first, so that no finalizer of
+        # it runs inside the traced region.
+        gc.collect()
         tracemalloc.start()
         try:
             sweepout_simulation(DynSystem.rotation(samples=256, seed=1), spec, 0.05, N)
             _, peak = tracemalloc.get_traced_memory()
+            table = sum(t.cells.nbytes for t in tables)
+            bound = 2 * window + min(table + scratch, 8 * width)
+            # Taken only on a failure: what is still allocated at the end.
+            snapshot = tracemalloc.take_snapshot() if peak >= bound else None
         finally:
             tracemalloc.stop()
         assert width == 73_931
         assert len(tables) == 1 and tables[0].cells.dtype == np.uint16
-        table = tables[0].cells.nbytes
         assert table == 2 * width
-        assert peak < 2 * window + min(table + scratch, 8 * width)
+        assert peak < bound, _peak_report(steps, peak, snapshot)
         # The kernel runs for n = 2..N, and the step between its calls for n
         # and n + 1 forms mu_n and reads it.  Below two blocks of the shifted
         # adds the scratch is as wide as the window itself.

@@ -182,6 +182,7 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     # The difference is contiguous, so its complex view is H_{2s} + i H_{2s+1}.
     p = low.view(complex)
     p *= roots[0::2]
+    # ``out=`` on numpy.fft needs numpy 2.0, the floor pyproject.toml sets.
     np.fft.ifft(p, norm="forward", out=p)
     q = np.conj(p[::-1])
     odd = np.subtract(p, q, out=high.view(complex))

@@ -88,32 +88,43 @@ def direct_sum_d2(mu, ts):
     return out
 
 
+def simpson_doubling(ys, estimate, odd_nodes, target, max_depth, min_depth):
+    """Simpson doubling from the nodes ys of 2^min_depth panels: each level
+    of n panels puts ``odd_nodes(n)`` between the previous nodes and stops
+    once two ``estimate(ys, n)`` differ by less than target.
+
+    Returns the estimate and False, or the last two estimates and True when
+    the depth cap is reached.
+    """
+    current = estimate(ys, 2**min_depth)
+    for depth in range(min_depth + 1, max_depth + 1):
+        n = 2**depth
+        merged = np.empty(2 * len(ys) - 1)
+        merged[0::2] = ys
+        merged[1::2] = odd_nodes(n)
+        ys = merged
+        prev, current = current, estimate(ys, n)
+        if abs(current - prev) < target:
+            return current, False
+    return (prev, current), True
+
+
 def direct_sum_simpson_d2(mu, target, max_depth, min_depth=4):
     """Reference for weighted_d2_integral: the same Simpson doubling on
-    [-1/2, 1/2], every node evaluated by direct sums.
-
-    Returns the converged estimate and False, or the last two estimates and
-    True when the depth cap is reached.
-    """
+    [-1/2, 1/2], every node evaluated by direct sums."""
 
     def f(ts):
         return np.abs(direct_sum_d2(mu, ts)) * np.abs(ts)
 
-    def simpson(ys, h):
+    def simpson(ys, n):
+        h = 1.0 / n
         return h / 3.0 * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-1:2]))
 
+    def odd_nodes(n):
+        return f(-0.5 + (2.0 * np.arange(n // 2) + 1.0) / n)
+
     ys = f(np.linspace(-0.5, 0.5, 2**min_depth + 1))
-    current = simpson(ys, 1.0 / 2**min_depth)
-    for depth in range(min_depth + 1, max_depth + 1):
-        n = 2**depth
-        merged = np.empty(n + 1)
-        merged[0::2] = ys
-        merged[1::2] = f(-0.5 + (2.0 * np.arange(n // 2) + 1.0) / n)
-        ys = merged
-        prev, current = current, simpson(ys, 1.0 / n)
-        if abs(current - prev) < target:
-            return current, False
-    return (prev, current), True
+    return simpson_doubling(ys, simpson, odd_nodes, target, max_depth, min_depth)
 
 
 def unit_roots_oracle(n):
@@ -137,34 +148,25 @@ def odd_frequency_sums_oracle(ks, c, n):
 
 
 def out_of_place_d2(mu, target=1e-6, max_depth=18):
-    """Reference for weighted_d2_integral: its levels with a new array for
-    each intermediate, the deep nodes from :func:`odd_frequency_sums_oracle`.
-
-    Returns the estimate and False, or the last two estimates and True when
-    the depth cap is reached.
-    """
+    """Reference for weighted_d2_integral: its levels on [0, 1/2] with a new
+    array for each intermediate, the deep nodes from
+    :func:`odd_frequency_sums_oracle`."""
     shared_n, min_depth = spectral._SHARED_LEVEL, spectral._MIN_DEPTH
     ks, ws = mu.atoms()
     g = ws * -((spectral.TWO_PI * ks) ** 2)
     folded = np.bincount(ks & (shared_n - 1), g, shared_n)
     shared = np.abs(np.fft.rfft(folded)) * (np.arange(shared_n // 2 + 1) / shared_n)
-    ys = shared[:: shared_n >> min_depth]
-    current = 2.0 * spectral._composite_simpson(ys, 1.0 / 2**min_depth)
-    for depth in range(min_depth + 1, max_depth + 1):
-        n = 2**depth
-        merged = np.empty(n // 2 + 1)
-        merged[0::2] = ys
+
+    def odd_nodes(n):
         if n <= shared_n:
             stride = shared_n // n
-            merged[1::2] = shared[stride :: 2 * stride]
-        else:
-            sums = odd_frequency_sums_oracle(ks, g, n)
-            merged[1::2] = np.abs(sums) * ((2.0 * np.arange(n // 4) + 1.0) / n)
-        ys = merged
-        prev, current = current, 2.0 * spectral._composite_simpson(ys, 1.0 / n)
-        if abs(current - prev) < target:
-            return current, False
-    return (prev, current), True
+            return shared[stride :: 2 * stride]
+        return np.abs(odd_frequency_sums_oracle(ks, g, n)) * ((2.0 * np.arange(n // 4) + 1.0) / n)
+
+    def estimate(ys, n):
+        return 2.0 * spectral._composite_simpson(ys, 1.0 / n)
+
+    return simpson_doubling(shared[:: shared_n >> min_depth], estimate, odd_nodes, target, max_depth, min_depth)
 
 
 @st.composite
@@ -371,17 +373,22 @@ class TestWeightedD2Integral:
         [(SequenceSpec.iid(CENTERED_TRIPLE), 40, 0), (inverse_square_family(1.0).to_spec(), 14, 1)],
         ids=["iid_triple", "inverse_square"],
     )
-    def test_matches_direct_sum_simpson(self, spec, N, cap_hits):
+    def test_matches_direct_sum_simpson(self, monkeypatch, spec, N, cap_hits):
+        # These are the benchmark's check workload prefixes.  From a fresh
+        # root table they also match the out-of-place oracle to the bit.
+        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
         fast_caps = direct_caps = 0
         for mu in convolve_prefixes(spec, N):
             try:
-                fast = weighted_d2_integral(mu)
+                fast, capped = weighted_d2_integral(mu), False
             except QuadratureError as exc:
-                fast_caps += 1
-                fast = exc.last_two
-            direct, capped = direct_sum_simpson_d2(mu, target=1e-6, max_depth=18)
-            direct_caps += capped
+                fast, capped = exc.last_two, True
+            fast_caps += capped
+            direct, direct_capped = direct_sum_simpson_d2(mu, target=1e-6, max_depth=18)
+            direct_caps += direct_capped
             np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+            want, want_capped = out_of_place_d2(mu)
+            assert capped == want_capped and bits(fast) == bits(want)
         assert fast_caps == direct_caps == cap_hits
 
     @given(
@@ -428,22 +435,6 @@ class TestWeightedD2Integral:
             table = spectral._unit_roots(n)
             assert not table.flags.writeable
             assert table.tobytes() == unit_roots_oracle(n).tobytes()
-
-    @pytest.mark.parametrize(
-        "spec, N",
-        [(SequenceSpec.iid(CENTERED_TRIPLE), 40), (inverse_square_family(1.0).to_spec(), 14)],
-        ids=["iid_triple", "inverse_square"],
-    )
-    def test_check_prefixes_match_the_oracle_to_the_bit(self, monkeypatch, spec, N):
-        # The prefixes of the benchmark's check workload, from a fresh table.
-        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
-        for mu in convolve_prefixes(spec, N):
-            try:
-                fast, capped = weighted_d2_integral(mu), False
-            except QuadratureError as exc:
-                fast, capped = exc.last_two, True
-            want, want_capped = out_of_place_d2(mu)
-            assert capped == want_capped and bits(fast) == bits(want)
 
     @pytest.mark.parametrize("fresh, bound", [(True, 26), (False, 18)], ids=["fresh_table", "warm_table"])
     def test_deepest_level_holds_its_named_buffers(self, monkeypatch, fresh, bound):

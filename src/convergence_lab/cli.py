@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys as _sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._cells import csv_rows
 from .dynamics import DEFAULT_ALPHA, DEFAULT_SAMPLES, DynSystem, TestFunction, _averages_pass, _weak11_rows
 from .hypotheses import check_convergence_hypotheses, check_sweepout_hypotheses
 from .measures import (
@@ -349,7 +351,7 @@ def validate_config(path: str | os.PathLike) -> list[str]:
 
 
 # -- output helpers ------------------------------------------------------------------
-def _atomic_write(path: Path, parts: Iterable[str]) -> None:
+def _atomic_write(path: Path, parts: Iterable[bytes]) -> None:
     """Write the concatenated ``parts`` to ``path``, in an existing directory,
     through a temp file and a rename.
 
@@ -367,7 +369,7 @@ def _atomic_write(path: Path, parts: Iterable[str]) -> None:
     else:
         raise FileExistsError(f"no unused temporary name beside {path}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
@@ -386,13 +388,6 @@ def _header(config: ExperimentConfig, subcommand: str, extra: Iterable[tuple[str
     return "\n".join(lines) + "\n"
 
 
-def _format_column(col: np.ndarray) -> Iterable[str]:
-    """Cell texts of one numpy column: ``repr`` of each value of a float64
-    column, ``str`` of each value of any other.  ``tolist`` hands out Python
-    numbers, so a numpy scalar is written as the number it holds."""
-    return map(repr if col.dtype == np.float64 else str, col.tolist())
-
-
 def _rows_block(rows: Iterable[Sequence]) -> tuple[np.ndarray, ...]:
     """The columns of a list of rows as numpy arrays, one block for
     :func:`_write_csv`."""
@@ -408,16 +403,11 @@ def _write_csv(
     extra: Iterable[tuple[str, str]] = (),
 ) -> None:
     """Write a CSV of ``columns`` whose rows come in ``blocks`` of equal-length
-    columns, each block formatted and written before the next is asked for."""
-
-    def parts() -> Iterator[str]:
-        yield _header(config, subcommand, extra) + ",".join(columns) + "\n"
-        for block in blocks:
-            text = "\n".join(map(",".join, zip(*map(_format_column, block))))
-            if text:
-                yield text + "\n"
-
-    _atomic_write(path, parts())
+    columns.  Each cell reads as ``repr`` of a float64 value and ``str`` of
+    any other.  Rows are formatted and written a bounded chunk at a time:
+    a long block is cut, and short blocks are joined."""
+    header = _header(config, subcommand, extra) + ",".join(columns) + "\n"
+    _atomic_write(path, itertools.chain([header.encode()], csv_rows(blocks)))
 
 
 def _make_test_function(config: ExperimentConfig) -> TestFunction:
@@ -490,7 +480,7 @@ def _cmd_check(config: ExperimentConfig, out: Path) -> int:
             out / "sweepout_rows.csv", config, "check", sweep.row_header, [_rows_block(sweep.rows)]
         )
         summary += "\n" + sweep.summary_text()
-    _atomic_write(out / "hypothesis_summary.txt", [_header(config, "check"), summary, "\n"])
+    _atomic_write(out / "hypothesis_summary.txt", [(_header(config, "check") + summary + "\n").encode()])
     print(summary)
     cap_ns = report.d2_depth_cap_n
     if cap_ns:

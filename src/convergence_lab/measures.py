@@ -56,6 +56,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._cells import csv_rows
+
 #: Hard ceiling on the dense support length a convolution may produce.
 DEFAULT_SUPPORT_CAP = 1_000_000
 
@@ -218,9 +220,7 @@ class LatticeMeasure:
     # -- serialization ---------------------------------------------------------
     def to_text(self) -> str:
         """Plain-text form: header ``offset <min_index>``, one weight per line."""
-        lines = [f"offset {self.min_index}"]
-        lines.extend(repr(float(x)) for x in self.weights)
-        return "\n".join(lines) + "\n"
+        return f"offset {self.min_index}\n" + b"".join(csv_rows([(self.weights,)])).decode()
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeMeasure":

@@ -41,8 +41,9 @@ from convergence_lab import (
     weighted_average,
     weighted_average_all,
 )
-from convergence_lab import dynamics, measures
-from convergence_lab.cli import _format_column, _rows_block, _write_csv
+from convergence_lab import _cells, dynamics, measures
+from convergence_lab._cells import csv_rows
+from convergence_lab.cli import _rows_block, _write_csv
 from convergence_lab.dynamics import (
     _apply_factor,
     _averages_pass,
@@ -1113,6 +1114,18 @@ def test_family_factor_window_is_the_three_atom_measure_to_the_bit(b):
 
 
 # -- CSV cell formatting ------------------------------------------------------------
+def oracle_rows(*columns: np.ndarray) -> bytes:
+    """The rows of ``columns`` by the per-cell formatter the cell engine
+    replaced: ``repr`` of each value of a float64 column, ``str`` of each
+    value of any other."""
+    cells = (map(repr if c.dtype == np.float64 else str, c.tolist()) for c in columns)
+    return "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+
+
+def engine_rows(*columns: np.ndarray) -> bytes:
+    return b"".join(csv_rows([columns]))
+
+
 csv_floats = st.one_of(
     st.floats(),
     st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
@@ -1124,8 +1137,73 @@ csv_floats = st.one_of(
 @given(st.lists(csv_floats, max_size=40), st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_column_formatter_matches_repr_and_str(floats, ints):
-    assert list(_format_column(np.array(floats, dtype=np.float64))) == [repr(x) for x in floats]
-    assert list(_format_column(np.array(ints, dtype=np.int64))) == [str(x) for x in ints]
+    for col in (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)):
+        assert engine_rows(col) == oracle_rows(col)
+
+
+def test_cell_engine_matches_repr_on_edge_floats():
+    # Every subnormal with a fraction below 2^16 (the shortest digits of the
+    # smallest ones have one or two digits), every power of two and of ten,
+    # the neighbours of the bounds of the positional layout, zeros and the
+    # values written by repr per cell.
+    subnormals = np.arange(1, 2**16, dtype=np.uint64).view(np.float64)
+    bounds = [x for v in (1e-5, 1e-4, 1e16, 1e17) for x in (np.nextafter(v, 0.0), v, np.nextafter(v, math.inf))]
+    col = np.concatenate(
+        [
+            subnormals,
+            -subnormals,
+            2.0 ** np.arange(-1074, 1024),
+            [float(f"1e{e}") for e in range(-323, 309)],
+            bounds,
+            [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 2.0**53 + 2, 0.1, 123.0, -0.001],
+        ]
+    )
+    assert engine_rows(col) == oracle_rows(col)
+
+
+def test_cell_engine_matches_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(2020)
+    for _ in range(16):
+        col = rng.integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64)
+        assert engine_rows(col) == oracle_rows(col)
+
+
+def test_cell_engine_matches_str_on_integers_and_other_columns():
+    ints = np.array([-(2**63), -(2**63) + 1, -(10**18), -10001, -1, 0, 1, 9, 10, 9999, 10**4, 10**18, 2**63 - 1])
+    assert ints.dtype == np.int64 and engine_rows(ints) == oracle_rows(ints)
+    for col in (
+        np.array([0, 1, 10**19, 2**64 - 1], dtype=np.uint64),
+        np.array([7, -7], dtype=np.int8),
+        np.array([1.5, 0.1, -3e-40], dtype=np.float32),
+        np.array([True, False]),
+        np.array(["a", "b\u00e9", ""]),
+        np.array([10**30, None, 2.5], dtype=object),
+    ):
+        assert engine_rows(col) == oracle_rows(col)
+    assert engine_rows(ints, np.arange(len(ints)) / 7, ints.astype(str)) == oracle_rows(
+        ints, np.arange(len(ints)) / 7, ints.astype(str)
+    )
+
+
+def test_chunks_cut_long_blocks_and_join_short_ones():
+    # Rows are formatted a chunk at a time: a block several chunks long is
+    # cut, and short blocks are joined up to a chunk.  Either way the bytes
+    # are those of the rows one by one, and a block of another dtype is
+    # written as its own.
+    rng = np.random.default_rng(7)
+    rows = 3 * _cells._CHUNK_CELLS + 17
+    ks = rng.integers(-(10**6), 10**6, rows)
+    xs = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    want = oracle_rows(ks, xs)
+    assert engine_rows(ks, xs) == want
+    cuts = [0, *np.sort(rng.choice(np.arange(1, rows), 300, replace=False)).tolist(), rows, rows]
+    blocks = [(ks[a:b], xs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    chunks = list(csv_rows(blocks))
+    assert b"".join(chunks) == want
+    per_chunk = _cells._CHUNK_CELLS  # rows of one float column
+    assert len(chunks) == -(-rows // per_chunk) and all(c.count(b"\n") <= per_chunk for c in chunks)
+    mixed = [(ks[:2], xs[:2]), (ks[:1].astype(float), xs[:1]), (ks[2:3], xs[2:3])]
+    assert b"".join(csv_rows(mixed)) == b"".join(oracle_rows(*block) for block in mixed)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=-(2**63), max_value=2**63 - 1), csv_floats), max_size=40))

@@ -17,9 +17,11 @@ is integrated, and each Simpson level adds only the odd multiples of 1/n.
 points, with no phase per atom.  Serving both from one engine would double
 the quadrature's FFT length and add a complex phase per atom at every
 level.  Direct sums remain only for arbitrary points (:func:`fourier_at`).
-A deep level runs in place, in its fold by k mod n and one n/4-point
-buffer: the level of n panels holds about 16n bytes, 24n while the root
-table grows.
+A deep level runs in place: in its fold by k mod n, a 256 KiB buffer
+for one block pair, and the merged Simpson array, into which it writes its
+nodes.  The level of n panels holds about 13n bytes, and 21n when the root
+table grows at it.  The table grows before the fold is made, from the last
+table.
 
 Running products nu_1 * ... * nu_n take their transforms from one engine,
 :func:`_product_rule`, fed with factor transforms (``fourier_eval`` on the
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .measures import (
     Factor,
@@ -59,6 +62,9 @@ _MIN_DEPTH = 4
 
 #: Simpson levels of up to this many panels share one FFT.
 _SHARED_LEVEL = 1 << 10
+
+#: Deep d2 levels combine and write their nodes this many at a time.
+_LEVEL_BLOCK = 1 << 12
 
 #: Root table of :func:`_unit_roots`, e^{2 pi i j / N} for j < N/2.
 _roots = np.ones(1, dtype=complex)
@@ -141,20 +147,36 @@ def _unit_roots(n: int) -> np.ndarray:
     They are read by stride from one table for the largest n requested so
     far.  The angle 2 pi j / n is rounded once, and it scales exactly by
     powers of two, so a root is the same to the bit whichever table it is
-    read from.  A larger request builds a new table, then swaps it in
+    read from.  A table grows from the last one, a doubling at a time: the
+    old table fills the new one's even slots, since 2j (2 pi / 2N) is
+    j (2 pi / N) exactly, and only the odd roots are computed, half the
+    complex exps of a new table.  The new table is then swapped in
     read-only; no published table is ever written.
     """
     global _roots
     table = _roots
-    if 2 * len(table) < n:
-        # Built in one array: j + 0i, then 0 + i j (2 pi / n), then exp in place.
-        table = np.arange(n // 2, dtype=complex)
-        np.multiply(table.real, TWO_PI / n, out=table.imag)
-        table.real = 0.0
-        np.exp(table, out=table)
-        table.flags.writeable = False
-        _roots = table
+    while 2 * len(table) < n:
+        grown = np.empty(2 * len(table), dtype=complex)
+        grown[0::2] = table
+        # The odd roots in place: j + 0i, then 0 + i j (2 pi / N), then exp.
+        odd = grown[1::2]
+        odd.real = np.arange(1, len(grown), 2)
+        np.multiply(odd.real, TWO_PI / (2 * len(grown)), out=odd.imag)
+        odd.real = 0.0
+        np.exp(odd, out=odd)
+        grown.flags.writeable = False
+        _roots = table = grown
     return table[:: 2 * len(table) // n]
+
+
+def _mirrored_rows(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """x[a:b] and its mirror x[m-b:m-a], m = len(x), as the rows of one view.
+
+    One ufunc call then serves both, so none runs on a lone element, whose
+    in-place complex product numpy rounds differently.
+    """
+    m, step = len(x), x.strides[0]
+    return as_strided(x[a:], (2, b - a), ((m - a - b) * step, step))
 
 
 def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
@@ -169,14 +191,20 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     the even part (P + q)/2 and the odd part (P - q)/2i; the odd part is
     twiddled by w^{2i+1}.
 
-    In place: H is formed in the fold's lower half, then twiddled and
-    transformed there as p, and P - q goes to its upper half, so q is the
-    only other buffer.  The steps and their order, and so the bits, are the
-    out-of-place formula's; ``odd *= 1j`` swaps the operands of ``1j * odd``.
-    The result is a view of the fold.
+    In place: the roots are taken before the fold (8n bytes) is made, so a
+    growing root table never coexists with it.  H is formed in the fold's
+    lower half, then twiddled and transformed there as p.  The combine goes
+    a block of ``_LEVEL_BLOCK`` points and its mirror at a time, and then
+    the middle, at most two blocks wide, in one piece.  A block and its
+    mirror are both conjugated into q before either is written, and q and
+    the odd part share one 256 KiB buffer.  No other buffer is as long as the level, and
+    the fold's upper half is only read: where no atom lands, its zeroed
+    pages are never written.  The steps and their order, and so the bits,
+    are the out-of-place formula's; ``odd *= 1j`` swaps the operands of
+    ``1j * odd``.  The result is a view of the fold.
     """
-    folded = np.bincount(ks & (n - 1), c, n)
     roots = _unit_roots(n)
+    folded = np.bincount(ks & (n - 1), c, n)
     low, high = folded[: n // 2], folded[n // 2 :]
     low -= high
     # The difference is contiguous, so its complex view is H_{2s} + i H_{2s+1}.
@@ -184,13 +212,32 @@ def _odd_frequency_sums(ks: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     p *= roots[0::2]
     # ``out=`` on numpy.fft needs numpy 2.0, the floor pyproject.toml sets.
     np.fft.ifft(p, norm="forward", out=p)
-    q = np.conj(p[::-1])
-    odd = np.subtract(p, q, out=high.view(complex))
-    odd *= roots[1::2]
-    p += q
-    odd *= 1j
-    p -= odd
-    p *= 0.5
+    m, odd_roots = n // 4, roots[1::2]
+    scratch = np.empty((2, 2 * min(_LEVEL_BLOCK, m)), dtype=complex)
+    a = 0
+    while a < m - a:
+        if m - 2 * a > 2 * _LEVEL_BLOCK:
+            # A block and its mirror as two rows, q and the odd part in the
+            # halves of the scratch rows: numpy buffers a call that mixes
+            # contiguous and strided operands, and here none is contiguous.
+            b = a + _LEVEL_BLOCK
+            block, twiddles = _mirrored_rows(p, a, b), _mirrored_rows(odd_roots, a, b)
+            q, odd = scratch[:, :_LEVEL_BLOCK], scratch[:, _LEVEL_BLOCK:]
+            for row, mirror in zip(q, block[::-1]):
+                np.conj(mirror[::-1], out=row)
+        else:
+            # The middle, at most two blocks wide, is its own mirror.
+            b = m - a
+            block, twiddles = p[a:b], odd_roots[a:b]
+            q, odd = scratch[0, : b - a], scratch[1, : b - a]
+            np.conj(block[::-1], out=q)
+        np.subtract(block, q, out=odd)
+        odd *= twiddles
+        block += q
+        odd *= 1j
+        block -= odd
+        block *= 0.5
+        a = b
     return p
 
 
@@ -272,7 +319,7 @@ def _composite_simpson(ys: np.ndarray, h: float) -> float:
 
 def _simpson_doubling(
     head: np.ndarray,
-    refine: Callable[[int], np.ndarray],
+    refine: Callable[[int, np.ndarray], None],
     target: float,
     max_depth: int,
 ) -> float:
@@ -282,10 +329,10 @@ def _simpson_doubling(
     The estimate at depth d is twice composite Simpson over [0, 1/2] with
     2^(d-1) panels, which is composite Simpson over the window with 2^d.
     ``head`` holds the integrand at the nodes j/2^_MIN_DEPTH of [0, 1/2], and
-    ``refine(n)`` at the nodes that depth log2(n) adds, the odd multiples
-    (2i+1)/n < 1/2.  Refines until two successive estimates differ by less
-    than ``target``; raises :class:`QuadratureError` carrying the last two
-    estimates otherwise, in order (second-to-last, last).
+    ``refine(n, out)`` writes it into ``out`` at the nodes that depth log2(n)
+    adds, the odd multiples (2i+1)/n < 1/2.  Refines until two successive
+    estimates differ by less than ``target``; raises :class:`QuadratureError`
+    carrying the last two estimates otherwise, in order (second-to-last, last).
     """
     ys = head
     current = 2.0 * _composite_simpson(ys, 1.0 / 2**_MIN_DEPTH)
@@ -295,7 +342,7 @@ def _simpson_doubling(
         merged[0::2] = ys
         # The previous level is freed before refine allocates.
         ys = merged
-        ys[1::2] = refine(n)
+        refine(n, ys[1::2])
         prev, current = current, 2.0 * _composite_simpson(ys, 1.0 / n)
         if abs(current - prev) < target:
             return current
@@ -318,7 +365,8 @@ def weighted_d2_integral(
     and only nodes in [0, 1/2] are evaluated.  Levels of up to
     ``_SHARED_LEVEL`` panels read their nodes by stride from one real FFT of
     the fold by k mod ``_SHARED_LEVEL``; each deeper level takes its new
-    nodes from :func:`_odd_frequency_sums`.  No level depends on
+    nodes from :func:`_odd_frequency_sums` and writes them, a block at a
+    time, straight into the merged Simpson array.  No level depends on
     ``max_depth``, which must exceed ``_MIN_DEPTH``.
     """
     if max_depth <= _MIN_DEPTH:
@@ -330,14 +378,17 @@ def weighted_d2_integral(
     # rfft sums with e^{-2 pi i k t}, the conjugates, which have the same modulus.
     shared = np.abs(np.fft.rfft(folded)) * ts
 
-    def refine(n: int) -> np.ndarray:
+    def refine(n: int, out: np.ndarray) -> None:
         if n <= _SHARED_LEVEL:
             stride = _SHARED_LEVEL // n
-            return shared[stride :: 2 * stride]
-        # Scaled after the fold is freed; the odd integers 2i + 1 are exact.
-        nodes = np.abs(_odd_frequency_sums(ks, g, n))
-        nodes *= np.arange(1, n // 2, 2, dtype=float) / n
-        return nodes
+            out[:] = shared[stride :: 2 * stride]
+            return
+        sums = _odd_frequency_sums(ks, g, n)
+        # |S| (2i + 1) / n into the odd slots of the merged array; the odd
+        # integers are exact.
+        for a in range(0, n // 4, _LEVEL_BLOCK):
+            nodes = np.abs(sums[a : a + _LEVEL_BLOCK], out=out[a : a + _LEVEL_BLOCK])
+            nodes *= np.arange(2 * a + 1, 2 * a + 2 * len(nodes), 2, dtype=float) / n
 
     return _simpson_doubling(shared[:: _SHARED_LEVEL >> _MIN_DEPTH], refine, target, max_depth)
 

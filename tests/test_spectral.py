@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convergence_lab import (
@@ -405,6 +405,8 @@ class TestWeightedD2Integral:
         direct, capped = direct_sum_simpson_d2(mu, target=target, max_depth=max_depth)
         assert fast_capped == capped
         np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0.0)
+        want, want_capped = out_of_place_d2(mu, target=target, max_depth=max_depth)
+        assert want_capped == capped and bits(fast) == bits(want)
 
     @pytest.mark.parametrize("max_depth", [-1, 0, 4])
     def test_rejects_depth_without_two_levels(self, max_depth):
@@ -428,6 +430,20 @@ class TestWeightedD2Integral:
         ks, c, n = case
         assert spectral._odd_frequency_sums(ks, c, n).tobytes() == odd_frequency_sums_oracle(ks, c, n).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    @given(case=odd_level_atoms())
+    @example(case=(np.array([-3, 0, 2]), np.array([-1.5, -0.0, -2.5]), 4))
+    @settings(max_examples=40, deadline=None)
+    def test_odd_frequency_sums_match_their_oracle_across_block_seams(self, block, case):
+        # Blocks of 1 and 3 points, and of 1,000, which divides no n/8: many
+        # mirrored pairs, then a middle up to two blocks wide, which is its
+        # own mirror; at n = 4 the middle is one point.
+        ks, c, n = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_LEVEL_BLOCK", block)
+            fast = spectral._odd_frequency_sums(ks, c, n)
+        assert fast.tobytes() == odd_frequency_sums_oracle(ks, c, n).tobytes()
+
     def test_root_table_matches_its_oracle_to_the_bit(self, monkeypatch):
         for depth in range(2, 21):
             n = 2**depth
@@ -436,12 +452,29 @@ class TestWeightedD2Integral:
             assert not table.flags.writeable
             assert table.tobytes() == unit_roots_oracle(n).tobytes()
 
-    @pytest.mark.parametrize("fresh, bound", [(True, 26), (False, 18)], ids=["fresh_table", "warm_table"])
+    def test_root_table_grown_from_the_last_matches_its_oracle_to_the_bit(self, monkeypatch):
+        # One table, grown a doubling at a time as the deep levels ask for it.
+        monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))
+        for depth in range(2, 21):
+            n = 2**depth
+            last = spectral._roots
+            published = last.tobytes()
+            table = spectral._unit_roots(n)
+            assert len(spectral._roots) == n // 2 and last.tobytes() == published
+            assert not table.flags.writeable
+            assert table.tobytes() == unit_roots_oracle(n).tobytes()
+        for depth in range(2, 21):
+            assert spectral._unit_roots(2**depth).tobytes() == unit_roots_oracle(2**depth).tobytes()
+
+    @pytest.mark.parametrize("fresh, bound", [(True, 22.5), (False, 14)], ids=["fresh_table", "warm_table"])
     def test_deepest_level_holds_its_named_buffers(self, monkeypatch, fresh, bound):
-        # The depth-cap hit of the check workload reaches n = 2^18 nodes.  Its
-        # level holds the nodes (4n bytes), the fold (8n), whose halves hold
-        # the packed sequence and the odd part, one n/4-point complex buffer
-        # (4n) and, when it grows, the root table (8n).
+        # The depth-cap hit of the check workload reaches n = 2^18 panels.
+        # Its level holds the merged Simpson array (4n bytes), which takes the
+        # nodes in place, the fold (8n), whose lower half holds the packed
+        # sequence, the buffer of q and the odd part for one mirrored block
+        # pair (n) and, when it grew at this level, the root table (8n).  The
+        # table grows before the fold is made, so the old table is gone by
+        # then.
         n = 2**18
         mu = convolve_prefixes(inverse_square_family(1.0).to_spec(), 14)[-1]
         monkeypatch.setattr(spectral, "_roots", np.ones(1, dtype=complex))

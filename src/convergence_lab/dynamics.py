@@ -33,21 +33,21 @@ Averages of a streamed prefix over every state have one engine,
 ``_state_averages``, which ``_averages`` builds beside the stream.  The
 engine scatters an indicator's prefix mass by residue or by
 rotation cell into a cell buffer and reads every state's average off one
-cumulative sum.  The scatter is one loop over chunks of at most
-``_FILL_CHUNK`` sites in window order: each chunk's cells go into one
-index scratch, computed as residues on Z_q or copied from the rotation's
-cell table, and its weights are added at them.  The buffers and the
-scratch are allocated once per engine and reused for every prefix, and
-only the returned vector is new.  On the rotation the engine also holds a
-table of the cells of one prefix window, ``_CellTable``: one buffer, in
-the smallest unsigned type that holds a cell, sized before the first
-convolution, from the factors alone, to the widest window the chain can
-yield, and never regrown.  That size, ``_chain_span``, read off the spec's
-walk over the factors, also sizes the chain's buffer.
-Its memory is that of one widest window whatever path the windows take, so
-a chain whose windows drift far from 0 costs no more than a centred one.
-An engine's buffers belong to the one call that built it, so an engine is
-not shared across threads.  Any other function is summed atom by atom by
+cumulative sum.  The scatter adds the weights in window order.  On Z_q
+it runs over chunks of at most ``_FILL_CHUNK`` sites, each chunk's
+residues taken in place of its sites.  On the rotation it is one
+``np.add.at`` straight from a table of the cells of one prefix window,
+``_CellTable``: one buffer, in the smallest unsigned type that holds a
+cell, sized before the first convolution, from the factors alone, to the
+widest window the chain can yield, and never regrown.  That size,
+``_chain_span``, read off the spec's walk over the factors, also sizes
+the chain's buffer.  The table's memory is that of one widest window
+whatever path the windows take, so a chain whose windows drift far from
+0 costs no more than a centred one.  The engine's buffers are allocated
+once and reused for every prefix, and only the returned vector and
+chunk-sized temporaries are new.  They belong to the one call that built
+the engine, so an engine is not shared across threads.  Any other
+function is summed atom by atom by
 :func:`weighted_average_all`, on a cyclic system through the step of the
 recursion; the tests check it against a sum of rotated copies of f.
 """
@@ -290,8 +290,9 @@ def weighted_average_all(sys: DynSystem, mu: LatticeMeasure | Factor, f: TestFun
 
 
 #: Points whose cells are computed at once when the rotation cell table fills,
-#: and sites whose weights one call of the state averages' scatter adds.
-_FILL_CHUNK = 1 << 16
+#: and sites whose residues one call of the cyclic scatter adds.  It sizes
+#: only temporaries, so it is kept small.
+_FILL_CHUNK = 1 << 12
 
 
 class _CellTable:
@@ -321,6 +322,8 @@ class _CellTable:
     boundaries, so p M is exact.  A bucket with no boundary strictly inside
     has one cell, that of its left end; only points in the other buckets,
     at most one in 16 of the buckets, are searched among the boundaries.
+    Those buckets hold the mark len(edges) + 1, which no cell reaches, and
+    the bucket table is of the smallest unsigned type that holds it.
     """
 
     def __init__(self, alpha: float, edges: np.ndarray, start: int, capacity: int) -> None:
@@ -328,12 +331,17 @@ class _CellTable:
         self.edges = edges
         n_buckets = 1 << (16 * len(edges) - 1).bit_length()
         self.scale = float(n_buckets)
-        # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.
-        bucket_cell = np.searchsorted(edges, np.arange(n_buckets + 1) / self.scale, side="right")
+        # Bucket b covers [b/M, (b+1)/M); bucket M holds p == 1.0 alone.  Its
+        # left end's cell counts the edges e <= b/M, that is those with
+        # ceil(e M) <= b, so cell j runs over the buckets from ceil(e_{j-1} M)
+        # to ceil(e_j M): one repeat, with no search.
         scaled = edges * self.scale
+        runs = np.diff(np.ceil(scaled).astype(np.intp), prepend=0, append=n_buckets + 1)
+        self.split = len(edges) + 1
+        bucket_cell = np.repeat(np.arange(self.split, dtype=np.min_scalar_type(self.split)), runs)
         inside = np.floor(scaled)
-        bucket_cell[inside[scaled != inside].astype(np.intp)] = -1
-        self.bucket_cell = bucket_cell.astype(np.int32)
+        bucket_cell[inside[scaled != inside].astype(np.intp)] = self.split
+        self.bucket_cell = bucket_cell
         self.cells = np.empty(capacity, dtype=np.min_scalar_type(len(edges)))
         self.offset = self.lo = self.hi = start
 
@@ -345,7 +353,7 @@ class _CellTable:
             positions = np.arange(start, stop, dtype=np.int64) * self.alpha
             positions -= np.floor(positions)
             cells = self.bucket_cell[(positions * self.scale).astype(np.intp)]
-            split = np.flatnonzero(cells < 0)
+            split = np.flatnonzero(cells == self.split)
             cells[split] = np.searchsorted(self.edges, positions[split], side="right")
             self.cells[start - self.offset : stop - self.offset] = cells
 
@@ -405,8 +413,13 @@ def _state_averages(
         wraps = il + width > q
         ih = np.where(wraps, il + width - q, il + width)
 
-        def cells(mu: LatticeMeasure, start: int, stop: int, out: np.ndarray) -> None:
-            np.remainder(np.arange(mu.min_index + start, mu.min_index + stop), q, out=out)
+        def scatter(mu: LatticeMeasure) -> None:
+            size = len(mu.weights)
+            for start in range(0, size, _FILL_CHUNK):
+                stop = min(start + _FILL_CHUNK, size)
+                residues = np.arange(mu.min_index + start, mu.min_index + stop)
+                residues %= q
+                np.add.at(counts, residues, mu.weights[start:stop])
 
     elif f.kind == "indicator_interval" and not sys.is_cyclic:
         width = f.b - f.a
@@ -422,27 +435,21 @@ def _state_averages(
         ih = np.searchsorted(edges, hi) + 1
         table, n_bins = _CellTable(sys.alpha, edges, *span), len(edges) + 1
 
-        def cells(mu: LatticeMeasure, start: int, stop: int, out: np.ndarray) -> None:
-            np.copyto(out, table.window(mu)[start:stop])
+        def scatter(mu: LatticeMeasure) -> None:
+            np.add.at(counts, table.window(mu), mu.weights)
     else:
         return lambda mu: weighted_average_all(sys, mu, f)
 
     # Mass per cell and its cumulative sum, cs[j] the mass in cells below j,
-    # and the cells of one chunk of a window, reused by every prefix: the
-    # scatter adds each cell's weights in window order from 0.0, chunk after
-    # chunk, as np.bincount does, so the sums are the same bits.
+    # reused by every prefix: np.add.at adds each cell's weights in index
+    # order from 0.0, chunk after chunk, as np.bincount does, so the sums are
+    # the same bits.
     counts = np.empty(n_bins)
     cs = np.zeros(n_bins + 1)
-    index = np.empty(min(_FILL_CHUNK, span[1]), dtype=np.intp)
 
     def averages(mu: LatticeMeasure) -> np.ndarray:
         counts.fill(0.0)
-        size, step = len(mu.weights), len(index)
-        for start in range(0, size, step):
-            stop = min(start + step, size)
-            chunk = index[: stop - start]
-            cells(mu, start, stop, chunk)
-            np.add.at(counts, chunk, mu.weights[start:stop])
+        scatter(mu)
         np.cumsum(counts, out=cs[1:])
         return f.scale * np.where(wraps, (cs[-1] - cs[il]) + cs[ih], cs[ih] - cs[il])
 

@@ -9,7 +9,8 @@ verdicts are certificates at grid resolution rather than sampled guesses.
 Uniform grids have two engines, both folding the coefficients by k mod n
 and finishing with an FFT.  The full-grid engine, :func:`_grid_sums`, gives
 the transform and both derivatives at every point -1/2 + j/n of the window,
-as ``fourier_eval`` needs: complex coefficients, one complex FFT per order.
+as ``fourier_eval`` needs, or the transform alone, as ``decay_constant``
+needs: complex coefficients, one complex FFT per order.
 The second-derivative quadrature needs much less.  mu_hat'' has the real
 coefficients -(2 pi k)^2 mu(k), so its modulus is even and only [0, 1/2]
 is integrated, and each Simpson level adds only the odd multiples of 1/n.
@@ -120,9 +121,9 @@ def uniform_grid(grid_size: int) -> np.ndarray:
     return -0.5 + np.arange(grid_size) / grid_size
 
 
-def _grid_sums(mu: LatticeMeasure, n: int) -> list[np.ndarray]:
-    """Sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} for m = 0, 1, 2 on the
-    grid -1/2 + j/n, j < n: the transform and its two derivatives.
+def _grid_sums(mu: LatticeMeasure, n: int, orders: tuple[int, ...] = (0, 1, 2)) -> list[np.ndarray]:
+    """Sums sum_k w_k (2 pi i k)^m e^{2 pi i k t} for m in ``orders`` on the
+    grid -1/2 + j/n, j < n: by default the transform and its two derivatives.
 
     There ``e^{2 pi i k t_j} = e^{-pi i k} e^{2 pi i (k mod n) j / n}``, so
     the phased coefficients are folded by k mod n and one unscaled inverse
@@ -134,7 +135,7 @@ def _grid_sums(mu: LatticeMeasure, n: int) -> list[np.ndarray]:
     phased = ws * np.exp((TWO_PI * 1j / 2) * (ks % 2))
     folds = ks % n
     out = []
-    for m in (0, 1, 2):
+    for m in orders:
         c = phased * (TWO_PI * 1j * ks) ** m
         folded = np.bincount(folds, c.real, n) + 1j * np.bincount(folds, c.imag, n)
         out.append(np.fft.ifft(folded, norm="forward"))
@@ -267,13 +268,18 @@ def fourier_eval(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> Four
 
     ``grid_size`` must be even and at least 16 so that t = 0 is a grid point.
     """
+    grid_size = _checked_grid_size(grid_size)
+    vals, d1, d2 = _grid_sums(mu, grid_size)
+    return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
+
+
+def _checked_grid_size(grid_size: int) -> int:
     grid_size = int(grid_size)
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
     if grid_size % 2:
         raise ValueError("grid_size must be even so that t=0 is on the grid")
-    vals, d1, d2 = _grid_sums(mu, grid_size)
-    return FourierProfile(uniform_grid(grid_size), vals, d1, d2, TWO_PI * moment(mu, 1.0))
+    return grid_size
 
 
 def decay_constant(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> float:
@@ -283,18 +289,20 @@ def decay_constant(mu: LatticeMeasure, grid_size: int = DEFAULT_GRID_SIZE) -> fl
     nonzero grid point carries |mu_hat| >= 1 - 1e-12.  Away from zero the
     per-cell ratio -log|mu_hat|/t^2 is tightened by the Lipschitz margin so
     the bound holds between grid points; cells inside the near-zero window
-    are governed by the curvature limit 2 pi^2 Var(mu) of the ratio.
+    are governed by the curvature limit 2 pi^2 Var(mu) of the ratio.  Only
+    the transform's grid sums are taken, those of ``fourier_eval``.
     """
     if not is_strictly_aperiodic(mu):
         return 0.0
-    profile = fourier_eval(mu, grid_size)
-    absvals = np.abs(profile.values)
-    ts = profile.grid
+    grid_size = _checked_grid_size(grid_size)
+    (values,) = _grid_sums(mu, grid_size, (0,))
+    absvals = np.abs(values)
+    ts = uniform_grid(grid_size)
     off = ts != 0.0
     if np.any(absvals[off] >= 1.0 - 1e-12):
         return 0.0
-    h = profile.grid_step
-    margin = profile.lipschitz_bound * h / 2.0
+    h = float(ts[1] - ts[0])
+    margin = TWO_PI * moment(mu, 1.0) * h / 2.0
     candidates = [2.0 * math.pi**2 * variance(mu)]
 
     near = off & (np.abs(ts) <= _NEAR_ZERO_WINDOW)

@@ -625,24 +625,20 @@ scatter_weights = st.one_of(
 @given(
     st.integers(min_value=1, max_value=16),
     st.lists(st.lists(st.tuples(st.integers(min_value=0, max_value=15), scatter_weights), max_size=80), min_size=1, max_size=3),
-    st.sampled_from([1, 2, 7, 80]),
+    st.sampled_from([np.uint8, np.uint16]),
 )
 @settings(max_examples=200, deadline=None)
-def test_scatter_into_reused_cells_matches_bincount(n_bins, passes, chunk):
+def test_scatter_into_reused_cells_matches_bincount(n_bins, passes, dtype):
     # _state_averages fills one pair of cell buffers per engine and reuses them
     # for every prefix; each pass here is one prefix.  Few bins make repeats
-    # common.  The cells come from a compact table, chunk by chunk through one
-    # intp scratch, as the engine scatters them.
-    counts, cs, index = np.empty(n_bins), np.zeros(n_bins + 1), np.empty(chunk, dtype=np.intp)
+    # common.  The cells are a compact table's, scattered straight through
+    # np.add.at as the engine scatters a rotation window.
+    counts, cs = np.empty(n_bins), np.zeros(n_bins + 1)
     for pairs in passes:
-        bins = np.array([b % n_bins for b, _ in pairs], dtype=np.min_scalar_type(n_bins))
+        bins = np.array([b % n_bins for b, _ in pairs], dtype=dtype)
         ws = np.array([w for _, w in pairs], dtype=float)
         counts.fill(0.0)
-        for start in range(0, len(ws), chunk):
-            stop = min(start + chunk, len(ws))
-            part = index[: stop - start]
-            np.copyto(part, bins[start:stop])
-            np.add.at(counts, part, ws[start:stop])
+        np.add.at(counts, bins, ws)
         np.cumsum(counts, out=cs[1:])
         want = np.concatenate(([0.0], np.cumsum(np.bincount(bins, weights=ws, minlength=n_bins))))
         assert np.array_equal(_bits(cs), _bits(want))
@@ -691,10 +687,11 @@ def _bincount_averages(sys, f, mu):
     ids=["rotation", "pruned-cyclic"],
 )
 def test_chunked_state_averages_match_a_bincount_oracle(monkeypatch, chunk, sys, f, spec, prune_eps):
-    # The engine scatters each window chunk by chunk; chunks run in window
-    # order, so every cell adds its weights as one bincount over the window
-    # does.  Beside the chain's prefixes, one window crosses chunk boundaries
-    # off a multiple of the chunk and one is shorter than a chunk.
+    # The cyclic scatter and the rotation's cell fill run chunk by chunk;
+    # chunks run in window order, so every cell adds its weights as one
+    # bincount over the window does.  Beside the chain's prefixes, one
+    # window crosses chunk boundaries off a multiple of the chunk and one is
+    # shorter than a chunk.
     monkeypatch.setattr(dynamics, "_FILL_CHUNK", chunk)
     N = 8
     span = _chain_span(spec, N)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convergence_lab import (
     DEFAULT_SUPPORT_CAP,
@@ -392,12 +394,11 @@ class TestSweepoutSimulation:
 
     def test_memory_is_one_buffer_and_the_cell_table(self, monkeypatch):
         # Rotation, horizon 60: windows up to 73,931 points.  The chain's one
-        # buffer, the cell table and the scatter's index scratch are allocated
-        # once, so the peak stays below two windows plus the table, at its own
-        # itemsize, plus the scratch, and a step from one convolution to the
-        # next allocates less than its own window.  At this width the 64Ki-site
-        # scratch outweighs what the compact table saves, so the older bound,
-        # two windows plus an 8-byte table, caps the new one.
+        # buffer and the cell table are allocated once, and the scatter reads
+        # each window's cells straight from the table with no scratch, so the
+        # peak stays below two windows plus the table, at its own itemsize,
+        # and a step from one convolution to the next allocates less than its
+        # own window.
         N, steps, tables = 60, [], []
 
         class Recording(dynamics._CellTable):
@@ -417,7 +418,7 @@ class TestSweepoutSimulation:
         monkeypatch.setattr(measures, "_convolve_into", convolve_into)
         spec = INV_SQ.to_spec()
         _, width = _chain_span(INV_SQ.to_spec(), N)
-        window, scratch = 8 * width, 8 * min(dynamics._FILL_CHUNK, width)
+        window = 8 * width
         # Garbage of earlier tests is collected first, so that no finalizer of
         # it runs inside the traced region.
         gc.collect()
@@ -429,14 +430,14 @@ class TestSweepoutSimulation:
             # the largest over the intervals between calls and the last one.
             peak = max([p for _, p in steps] + [last])
             table = sum(t.cells.nbytes for t in tables)
-            bound = 2 * window + min(table + scratch, 8 * width)
+            bound = 2 * window + table
             # Taken only on a failure: what is still allocated at the end.
             snapshot = tracemalloc.take_snapshot() if peak >= bound else None
         finally:
             tracemalloc.stop()
         assert width == 73_931
         assert len(tables) == 1 and tables[0].cells.dtype == np.uint16
-        assert table == 2 * width
+        assert table == 2 * width and bound == 1_330_758
         assert peak < bound, _peak_report(steps, last, snapshot)
         # The kernel runs for n = 2..N, and the step between its calls for n
         # and n + 1 forms mu_n and reads it.  Below two blocks of the shifted
@@ -521,6 +522,53 @@ class TestCellTable:
         edges = np.unique(np.concatenate((cluster, spread)))
         _, positions = self._assert_cells(self.ALPHA, edges, -20000, 20000)
         assert np.count_nonzero((positions > cluster[0]) & (positions < cluster[-1])) > 10
+
+    @staticmethod
+    def _assert_buckets(edges):
+        # Bucket b's cell is that of its left end b/M, unless a boundary lies
+        # strictly inside it, which marks it split with len(edges) + 1.
+        table = _CellTable(TestCellTable.ALPHA, edges, 0, 1)
+        n_buckets = int(table.scale)
+        want = np.searchsorted(edges, np.arange(n_buckets + 1) / n_buckets, side="right")
+        scaled = edges * n_buckets
+        want[np.floor(scaled[scaled != np.floor(scaled)]).astype(np.intp)] = len(edges) + 1
+        assert np.array_equal(table.bucket_cell, want)
+        assert table.bucket_cell.dtype == np.min_scalar_type(len(edges) + 1)
+        return table
+
+    def test_bucket_table_is_the_searched_one(self):
+        cluster = 0.5 + np.linspace(1e-6, 1 / 1024 - 1e-6, 30)
+        spread = 0.25 + np.linspace(0.0, 4 / 1024, 30)
+        for edges in (
+            self.EDGES,
+            np.array([0.0, 1 / 128, 0.5, 77 / 128, 127 / 128]),
+            np.array([0.0, 0.2, 1.0]),
+            np.array([0.0]),
+            np.array([1.0]),
+            np.unique(np.concatenate((cluster, spread))),
+        ):
+            self._assert_buckets(edges)
+        # 255 boundaries have uint8 cells, but the split mark 256 needs uint16.
+        table = self._assert_buckets(np.linspace(0.0, 1.0, 255))
+        assert table.cells.dtype == np.uint8 and table.bucket_cell.dtype == np.uint16
+        # The benchmark's 4096 rotation states give 8,192 boundaries.
+        table = self._assert_buckets(np.unique(np.random.default_rng(7).random(8192)))
+        assert table.scale == 131_072.0 and table.bucket_cell.dtype == np.uint16
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2.0**-53, 5e-324]),
+                st.integers(0, 256).map(lambda j: j / 256),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_table_of_drawn_edges(self, raw_edges):
+        self._assert_buckets(np.unique(raw_edges))
 
     def test_growing_chain_never_moves_a_cell(self):
         # Every factor straddles 0, so the hull is the last window: each window
